@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -23,8 +22,7 @@ def _root(num, den):
     return math.sqrt(num / den)
 
 
-@dataclass(frozen=True)
-class LadderCoeffs:
+class LadderCoeffs(NamedTuple):
     """sin/cos ladder amplitudes at one site (L, M, j).
 
     Field names give (degree shift, order shift) of the target column:
@@ -45,6 +43,35 @@ class LadderCoeffs:
     down_keep: float
 
 
+# (degree shift, order shift) of each LadderCoeffs field, in field order
+_SHIFTS = ((1, 1), (-1, 1), (1, -1), (-1, -1), (1, 0), (-1, 0))
+_SHIFT_INDEX = {shift: i for i, shift in enumerate(_SHIFTS)}
+
+
+def _ladder_extended(dL, dM, L, M, j):
+    """One ladder amplitude from its closed-form radicand; the only radicand table.
+
+    Also serves sites with L < |M|: the telescoping commutator identities run
+    through intermediate sites outside the chain-valid range, where the
+    closed-form radicands stay meaningful and a negative radicand marks a
+    nonexistent transition (0).  Only the requested radicand is evaluated,
+    since the other denominator may be negative at such sites.
+    """
+    if dL == 1:
+        den = (2 * L + j - 1) * (2 * L + j + 1)
+        if dM == 1:
+            return _root((L + M + j - 1) * (L + M + j), den)
+        if dM == -1:
+            return -_root((L - M + 2) * (L - M + 1), den)
+        return _root((L + M + j - 1) * (L - M + 1), den)
+    den = (2 * L + j - 1) * (2 * L + j - 3)
+    if dM == 1:
+        return -_root((L - M - 1) * (L - M), den)
+    if dM == -1:
+        return _root((L + M + j - 2) * (L + M + j - 3), den)
+    return _root((L - M) * (L + M + j - 2), den)
+
+
 @functools.lru_cache(maxsize=None)
 def ladder_coeffs(L, M, j):
     """All six ladder amplitudes at site (L, M, j); requires L >= |M|, j >= 2."""
@@ -52,51 +79,12 @@ def ladder_coeffs(L, M, j):
         raise ValueError(f"ladder site index must satisfy j >= 2, got {j}")
     if L < abs(M):
         raise ValueError(f"ladder arguments need L >= |M|, got L={L}, M={M}")
-    hi = (2 * L + j - 1) * (2 * L + j + 1)
-    lo = (2 * L + j - 1) * (2 * L + j - 3)
-    return LadderCoeffs(
-        up_up=_root((L + M + j - 1) * (L + M + j), hi),
-        down_up=-_root((L - M - 1) * (L - M), lo),
-        up_down=-_root((L - M + 2) * (L - M + 1), hi),
-        down_down=_root((L + M + j - 2) * (L + M + j - 3), lo),
-        up_keep=_root((L + M + j - 1) * (L - M + 1), hi),
-        down_keep=_root((L - M) * (L + M + j - 2), lo),
-    )
+    return LadderCoeffs(*(_ladder_extended(dL, dM, L, M, j) for dL, dM in _SHIFTS))
 
 
 def ladder_coeff(dL, dM, L, M, j):
     """Single amplitude selected by the (degree, order) shift pattern."""
-    c = ladder_coeffs(L, M, j)
-    return {
-        (1, 1): c.up_up,
-        (-1, 1): c.down_up,
-        (1, -1): c.up_down,
-        (-1, -1): c.down_down,
-        (1, 0): c.up_keep,
-        (-1, 0): c.down_keep,
-    }[(dL, dM)]
-
-
-def _ladder_extended(dL, dM, L, M, j):
-    """Algebraic continuation of one amplitude to sites with L < |M|.
-
-    The telescoping commutator identities run through intermediate sites
-    outside the chain-valid range; the closed-form radicands stay meaningful
-    there, and a negative radicand marks a nonexistent transition (0).
-    """
-    hi = (2 * L + j - 1) * (2 * L + j + 1)
-    lo = (2 * L + j - 1) * (2 * L + j - 3)
-    if (dL, dM) == (1, 1):
-        return _root((L + M + j - 1) * (L + M + j), hi)
-    if (dL, dM) == (-1, 1):
-        return -_root((L - M - 1) * (L - M), lo)
-    if (dL, dM) == (1, -1):
-        return -_root((L - M + 2) * (L - M + 1), hi)
-    if (dL, dM) == (-1, -1):
-        return _root((L + M + j - 2) * (L + M + j - 3), lo)
-    if (dL, dM) == (1, 0):
-        return _root((L + M + j - 1) * (L - M + 1), hi)
-    return _root((L - M) * (L + M + j - 2), lo)
+    return ladder_coeffs(L, M, j)[_SHIFT_INDEX[(dL, dM)]]
 
 
 def reduced_element(L, M, D):
@@ -190,18 +178,14 @@ def _cascade_closed(n, l_top, l_mid, l_low, p):
 
 def _cascade_recursive(n, l_top, l_mid, l_low, p):
     if n == 1:
+        # the starting site is chain-valid; the second hops may leave the range
+        c = ladder_coeffs(l_mid, l_low, p)
         e = _ladder_extended
-        up_up = e(1, 1, l_mid, l_low, p)
-        down_up = e(-1, 1, l_mid, l_low, p)
-        up_down = e(1, -1, l_mid, l_low, p)
-        down_down = e(-1, -1, l_mid, l_low, p)
-        up_keep = e(1, 0, l_mid, l_low, p)
-        down_keep = e(-1, 0, l_mid, l_low, p)
         return CascadeCoeffs(
-            up_up * e(-1, 0, l_mid + 1, l_low + 1, p) - up_keep * e(-1, 1, l_mid + 1, l_low, p),
-            down_up * e(1, 0, l_mid - 1, l_low + 1, p) - down_keep * e(1, 1, l_mid - 1, l_low, p),
-            up_down * e(-1, 0, l_mid + 1, l_low - 1, p) - up_keep * e(-1, -1, l_mid + 1, l_low, p),
-            down_down * e(1, 0, l_mid - 1, l_low - 1, p) - down_keep * e(1, -1, l_mid - 1, l_low, p),
+            c.up_up * e(-1, 0, l_mid + 1, l_low + 1, p) - c.up_keep * e(-1, 1, l_mid + 1, l_low, p),
+            c.down_up * e(1, 0, l_mid - 1, l_low + 1, p) - c.down_keep * e(1, 1, l_mid - 1, l_low, p),
+            c.up_down * e(-1, 0, l_mid + 1, l_low - 1, p) - c.up_keep * e(-1, -1, l_mid + 1, l_low, p),
+            c.down_down * e(1, 0, l_mid - 1, l_low - 1, p) - c.down_keep * e(1, -1, l_mid - 1, l_low, p),
         )
     # any monotone tower of intermediates gives the same value; climb by 1
     mids = [min(l_mid + i, l_top) for i in range(1, n - 1)]

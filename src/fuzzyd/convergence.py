@@ -22,10 +22,11 @@ from .harmonics import (
     function_multiplication_matrix,
     harmonic_lookup,
     multiplication_matrix,
-    multiply_harmonics,
     poly_eval,
+    poly_inner,
     sample_sphere_points,
 )
+from .operators import build_position
 
 SCHEDULE_NAMES = ("consistency", "strong-x", "product", "power")
 RANDOM_VECTORS = 5
@@ -111,8 +112,6 @@ def x_convergence_diagnostic(D, cutoffs, schedule="strong-x", alpha=None):
     compressed to the cutoff space; the boundary deviation keeps the column
     space but lets targets reach one level above the cutoff, exposing the
     truncated top-level block (recorded, not asserted: it cannot vanish)."""
-    from .operators import build_position
-
     rows = []
     for cutoff in cutoffs:
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
@@ -142,13 +141,16 @@ class ProductRow:
 
 
 def expand_product(f_coeffs, g_coeffs, D):
-    """Exact harmonic coefficients of the pointwise product f*g."""
-    out = {}
-    for a, fa in f_coeffs.items():
-        for b, gb in g_coeffs.items():
-            for chain, gamma in multiply_harmonics(tuple(a), tuple(b), D).items():
-                out[chain] = out.get(chain, 0j) + fa * gb * gamma
-    return {c: v for c, v in out.items() if abs(v) > 1e-13}
+    """Harmonic coefficients of the pointwise product f*g: multiplication by f applied to g."""
+    deg_f = max((tuple(c)[0] for c in f_coeffs), default=0)
+    deg_g = max((tuple(c)[0] for c in g_coeffs), default=0)
+    src = enumerate_chains(D, deg_g)
+    dst = enumerate_chains(D, deg_f + deg_g)
+    g = np.zeros(len(src), dtype=complex)
+    for chain, c in g_coeffs.items():
+        g[src.index_of(tuple(chain))] += c
+    fg = function_multiplication_matrix(f_coeffs, D, deg_g, deg_f + deg_g) @ g
+    return {c: complex(v) for c, v in zip(dst.chains, fg) if abs(v) > 1e-13}
 
 
 def function_sup_norm(coeffs, D, samples=512, seed=RNG_SEED):
@@ -198,8 +200,6 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
 
 def coordinate_coefficients(D, h):
     """Harmonic expansion coefficients of the unit coordinate t_h."""
-    from .harmonics import poly_inner
-
     mono = tuple(1 if i == h - 1 else 0 for i in range(D))
     out = {}
     for chain, pol in harmonic_lookup(D, 1).items():

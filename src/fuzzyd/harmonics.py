@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _moves
 from ._exact import QQI_ONE, QQi, nullspace
-from .basis import basis_of, iter_chains, level_dimension
-from .operators import SparseOperator, build_position
+from .basis import dimension, enumerate_chains, iter_chains, level_dimension
+from .operators import SparseOperator, VerificationReport, build_position
 
 ANCHOR_FLOOR = 1e-8
 RNG_PRODUCT_SEED = 7261
@@ -115,13 +115,15 @@ def sample_sphere_points(D, count, seed):
 # exact operators on monomial coefficient dictionaries
 
 
-def _laplacian_exact(vec, D):
+def _laplacian(poly, D):
+    """Flat Laplacian of a monomial coefficient dict (QQi or complex scalars)."""
     out = {}
-    for alpha, c in vec.items():
+    for alpha, c in poly.items():
         for h in range(D):
             if alpha[h] >= 2:
-                key = tuple(a - 2 if i == h else a for i, a in enumerate(alpha))
-                out[key] = out.get(key, QQi(0)) + c * (alpha[h] * (alpha[h] - 1))
+                key = alpha[:h] + (alpha[h] - 2,) + alpha[h + 1:]
+                term = c * (alpha[h] * (alpha[h] - 1))
+                out[key] = out[key] + term if key in out else term
     return {k: v for k, v in out.items() if v}
 
 
@@ -188,15 +190,11 @@ def _exact_chain_vectors(D, degree):
     if degree < 2:
         kernel = [{m: QQI_ONE} for m in mono]
     else:
-        lower = monomials(D, degree - 2)
-        idx = {m: i for i, m in enumerate(mono)}
-        rows = []
-        for b in lower:
-            row = [QQi(0)] * len(mono)
-            for h in range(D):
-                key = tuple(a + 2 if i == h else a for i, a in enumerate(b))
-                row[idx[key]] = QQi((key[h]) * (key[h] - 1))
-            rows.append(row)
+        idx = {m: i for i, m in enumerate(monomials(D, degree - 2))}
+        rows = [[QQi(0)] * len(mono) for _ in idx]
+        for col, m in enumerate(mono):
+            for key, c in _laplacian({m: QQI_ONE}, D).items():
+                rows[idx[key]][col] = c
         kernel = [
             {mono[i]: c for i, c in enumerate(vec) if c} for vec in nullspace(rows, len(mono))
         ]
@@ -361,8 +359,6 @@ def position_matrix_elements(D, h, level_max):
 
 def multiplication_matrix(D, h, src_cutoff, dst_cutoff):
     """Dense matrix of t_h mapping the src chain basis into the dst chain basis."""
-    from .basis import enumerate_chains
-
     src = enumerate_chains(D, src_cutoff)
     dst = enumerate_chains(D, dst_cutoff)
     out = np.zeros((len(dst), len(src)), dtype=complex)
@@ -374,18 +370,17 @@ def multiplication_matrix(D, h, src_cutoff, dst_cutoff):
 
 
 def function_multiplication_matrix(coeffs, D, src_cutoff, dst_cutoff):
-    """Dense matrix of multiplication by f = sum coeffs[chain] * Y_chain."""
-    from .basis import enumerate_chains
+    """Dense matrix of multiplication by f = sum coeffs[chain] * Y_chain.
 
-    src = enumerate_chains(D, src_cutoff)
-    dst = enumerate_chains(D, dst_cutoff)
-    out = np.zeros((len(dst), len(src)), dtype=complex)
-    for col, chain in enumerate(src.chains):
-        for a, fa in coeffs.items():
-            for target, g in multiply_harmonics(tuple(a), chain, D).items():
-                if target in dst:
-                    out[dst.index_of(target), col] += fa * g
-    return out
+    Substitutes the ladder matrices of the coordinates into the monomials of
+    f.  Each coordinate raises the level by at most one, so words acting on
+    columns of level <= src_cutoff are exact once the ladder matrices reach
+    level src_cutoff + deg f; the chain basis of a smaller cutoff is a prefix
+    of a larger one, so the result is the top-left block.
+    """
+    top = max(dst_cutoff, src_cutoff + max((tuple(c)[0] for c in coeffs), default=0))
+    ops = [multiplication_matrix(D, h, top, top) for h in range(1, D + 1)]
+    return _substitute(coeffs, D, ops)[: dimension(D, dst_cutoff), : dimension(D, src_cutoff)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +407,12 @@ def _harmonic_split(poly, D, degree):
         n = len(mono_q)
         mat = np.zeros((n, n), dtype=float)
         for col, beta in enumerate(mono_q):
-            r2q = {}
-            for hh in range(D):
-                key = tuple(b + 2 if i == hh else b for i, b in enumerate(beta))
-                r2q[key] = r2q.get(key, 0.0) + 1.0
-            lap = {}
-            for alpha, c in r2q.items():
-                for hh in range(D):
-                    if alpha[hh] >= 2:
-                        key = tuple(a - 2 if i == hh else a for i, a in enumerate(alpha))
-                        lap[key] = lap.get(key, 0.0) + c * alpha[hh] * (alpha[hh] - 1)
-            for key, c in lap.items():
+            r2q = {beta[:hh] + (beta[hh] + 2,) + beta[hh + 1:]: 1.0 for hh in range(D)}
+            for key, c in _laplacian(r2q, D).items():
                 mat[idx[key], col] += c
         rhs = np.zeros(n, dtype=complex)
-        for alpha, c in current.items():
-            for hh in range(D):
-                if alpha[hh] >= 2:
-                    key = tuple(a - 2 if i == hh else a for i, a in enumerate(alpha))
-                    rhs[idx[key]] += c * alpha[hh] * (alpha[hh] - 1)
+        for key, c in _laplacian(current, D).items():
+            rhs[idx[key]] += c
         q = np.linalg.solve(mat, rhs)
         qpoly = {m: q[i] for i, m in enumerate(mono_q) if q[i] != 0}
         harmonic = dict(current)
@@ -469,12 +452,12 @@ def multiply_harmonics(a, b, D, tol=1e-13):
 # fuzzy counterparts
 
 
-def _symmetrized_word(exponent, positions, cache):
+def _symmetrized_word(exponent, ops, cache):
     """Average of all orderings of the word with letter multiplicities `exponent`."""
     if exponent in cache:
         return cache[exponent]
     total = sum(exponent)
-    n = positions[0].shape[0]
+    n = ops[0].shape[0]
     if total == 0:
         out = np.eye(n, dtype=complex)
     else:
@@ -483,58 +466,46 @@ def _symmetrized_word(exponent, positions, cache):
             if count:
                 sub = list(exponent)
                 sub[h] -= 1
-                out += (count / total) * (positions[h] @ _symmetrized_word(tuple(sub), positions, cache))
+                out += (count / total) * (ops[h] @ _symmetrized_word(tuple(sub), ops, cache))
     cache[exponent] = out
     return out
+
+
+def _substitute(coeffs, D, ops):
+    """sum_chain coeffs[chain] * Y_chain with the matrices `ops` substituted, symmetrized."""
+    n = ops[0].shape[0]
+    cache = {}
+    acc = np.zeros((n, n), dtype=complex)
+    for chain, c in coeffs.items():
+        chain = tuple(chain)
+        for alpha, p in harmonic_lookup(D, chain[0])[chain].coefficients.items():
+            acc += (c * p) * _symmetrized_word(alpha, ops, cache)
+    return acc
 
 
 def build_fuzzy_harmonic(chain, cfg):
     """Symmetrized substitution of position operators into a basis harmonic."""
     chain = tuple(chain)
-    degree = chain[0]
-    if degree > 2 * cfg.cutoff:
-        raise ValueError(f"degree {degree} exceeds 2*cutoff = {2 * cfg.cutoff}; the operator vanishes identically")
-    pol = harmonic_lookup(cfg.D, degree)[chain]
-    positions = [build_position(cfg, h).to_dense() for h in range(1, cfg.D + 1)]
-    n = positions[0].shape[0]
-    cache = {}
-    acc = np.zeros((n, n), dtype=complex)
-    for alpha, c in pol.coefficients.items():
-        acc += c * _symmetrized_word(alpha, positions, cache)
-    return SparseOperator.from_dense(acc)
+    if chain[0] > 2 * cfg.cutoff:
+        raise ValueError(f"degree {chain[0]} exceeds 2*cutoff = {2 * cfg.cutoff}; the operator vanishes identically")
+    return approximate_function({chain: 1.0}, cfg)
 
 
 def approximate_function(coeffs, cfg):
     """Operator approximation of f = sum coeffs[chain] * Y_chain."""
-    n = len(basis_of(cfg))
-    acc = np.zeros((n, n), dtype=complex)
-    for chain, c in coeffs.items():
+    for chain in coeffs:
         if tuple(chain)[0] > 2 * cfg.cutoff:
             raise ValueError(f"coefficient on chain {chain} beyond degree 2*cutoff")
-        acc += c * build_fuzzy_harmonic(chain, cfg).to_dense()
-    return SparseOperator.from_dense(acc)
+    positions = [build_position(cfg, h).to_dense() for h in range(1, cfg.D + 1)]
+    return SparseOperator.from_dense(_substitute(coeffs, cfg.D, positions))
 
 
 # ---------------------------------------------------------------------------
 # verification suite
 
 
-def _laplacian_float(poly, D):
-    out = {}
-    for alpha, c in poly.items():
-        for h in range(D):
-            if alpha[h] >= 2:
-                key = tuple(a - 2 if i == h else a for i, a in enumerate(alpha))
-                out[key] = out.get(key, 0j) + c * alpha[h] * (alpha[h] - 1)
-    return out
-
-
 def verify_harmonics(D, level_max, points=200, seed=None, tol_gram=1e-10, tol_eigen=1e-12, tol_elements=1e-10, tol_product=1e-9):
     """Orthonormality, harmonicity, eigenvalue, and product checks up to level_max."""
-    from ._exact import QQi
-    from .basis import level_dimension
-    from .operators import VerificationReport
-
     report = VerificationReport(config=f"D={D}, harmonics up to level {level_max}")
 
     count_bad = 0
@@ -550,9 +521,9 @@ def verify_harmonics(D, level_max, points=200, seed=None, tol_gram=1e-10, tol_ei
         gram = np.array([[poly_inner(p.coefficients, q.coefficients, D) for q in polys] for p in polys])
         gram_dev = max(gram_dev, float(np.max(np.abs(gram - np.eye(len(polys))))))
         for chain, p in basis:
-            if _laplacian_exact(p.exact, D):
+            if _laplacian(p.exact, D):
                 lap_exact_bad += 1
-            lap = _laplacian_float(p.coefficients, D)
+            lap = _laplacian(p.coefficients, D)
             if lap:
                 lap_float_dev = max(lap_float_dev, max(abs(v) for v in lap.values()))
             for order in range(2, D + 1):

@@ -17,8 +17,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,20 +265,9 @@ def _max_entry(arr):
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def thread_count():
-    """Worker cap from FUZZYD_THREADS (0 or unset means run serially)."""
-    try:
-        return max(0, int(os.environ.get("FUZZYD_THREADS", "0")))
-    except ValueError:
-        return 0
-
-
-def _run_checks(jobs):
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return [f.result() for f in [pool.submit(job) for job in jobs]]
-    return [job() for job in jobs]
+def _gap_product(target, others):
+    """Conditioning factor prod max(1, |target - v|), accumulated in floats."""
+    return math.prod(max(1.0, float(abs(target - v))) for v in others)
 
 
 def _generator_pairs(D):
@@ -297,8 +284,8 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
     pairs = _generator_pairs(D)
     L = {(h, j): build_angular_momentum(cfg, h, j).to_dense() for h, j in pairs}
     X = {h: build_position(cfg, h).to_dense() for h in range(1, D + 1)}
-    L2 = build_casimir(cfg, D).to_dense()
     casimirs = {p: build_casimir(cfg, p).to_dense() for p in range(2, D + 1)}
+    L2 = casimirs[D]
     top = build_projector(cfg).to_dense()
 
     def gen(a, b):
@@ -447,7 +434,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         prod = np.eye(n, dtype=complex)
         for e in eigs:
             prod = prod @ (L2 - e * np.eye(n))
-        scale = max(1.0, float(np.prod([max(1.0, abs(eigs[-1] - e)) for e in eigs[:-1]])))
+        scale = _gap_product(eigs[-1], eigs[:-1])
         return Check(
             "minimal polynomial of the total casimir",
             _max_entry(prod) / scale,
@@ -465,12 +452,12 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
                 if m >= 3:
                     for w in range(v + 1):
                         prod = (casimirs[m] - casimir_eigenvalue(w, m) * np.eye(n)) @ prod
-                    scale = max(1.0, float(np.prod([max(1.0, abs(casimir_eigenvalue(v, m) - casimir_eigenvalue(w, m))) for w in range(v)])))
+                    scale = _gap_product(casimir_eigenvalue(v, m), [casimir_eigenvalue(w, m) for w in range(v)])
                 else:
                     l12 = L[(1, 2)]
                     for w in range(-v, v + 1):
                         prod = (l12 - w * np.eye(n)) @ prod
-                    scale = max(1.0, float(math.factorial(2 * v)))
+                    scale = _gap_product(v, range(-v, v))
                 dev = max(dev, _max_entry(prod) / scale)
         return Check(
             "nested casimir products annihilate their projector blocks",
@@ -526,7 +513,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         trace_dev = abs(np.trace(top).real - level_dimension(D, lam)) if lam > 0 else abs(np.trace(top).real - 1)
         return Check("top-level projector idempotent with correct rank", max(dev, trace_dev), TOL_HERMITIAN)
 
-    jobs = [
+    checks = [
         check_hermiticity,
         check_structure_constants,
         check_snyder_interior,
@@ -546,6 +533,5 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         check_top_projector,
     ]
     report = VerificationReport(config=f"D={D}, cutoff={lam}, k={k:.6g}")
-    for result in _run_checks(jobs):
-        report.checks.append(result)
+    report.checks.extend(check() for check in checks)
     return report

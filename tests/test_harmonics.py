@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyd.basis import FuzzyConfig, level_dimension
+from fuzzyd.basis import FuzzyConfig, enumerate_chains, level_dimension
+from fuzzyd.convergence import coordinate_coefficients, expand_product
 from fuzzyd.harmonics import (
     approximate_function,
     build_fuzzy_harmonic,
+    function_multiplication_matrix,
     harmonic_basis,
     harmonic_lookup,
     multiply_harmonics,
@@ -117,6 +119,44 @@ def test_multiply_reconstruction_and_norm_identity():
         assert np.max(np.abs(recon - poly_eval(prod, pts))) <= 1e-9
         assert sum(abs(v) ** 2 for v in g.values()) == pytest.approx(poly_inner(prod, prod, 3).real, abs=1e-9)
         assert all(k[-1] == a[-1] + b[-1] for k in g)
+
+
+def _multiplication_matrix_from_products(coeffs, D, src_cutoff, dst_cutoff):
+    # the exact route: expand f * Y_chain for every source chain
+    src = enumerate_chains(D, src_cutoff)
+    dst = enumerate_chains(D, dst_cutoff)
+    out = np.zeros((len(dst), len(src)), dtype=complex)
+    for col, chain in enumerate(src.chains):
+        for a, fa in coeffs.items():
+            for target, g in multiply_harmonics(a, chain, D).items():
+                if target in dst:
+                    out[dst.index_of(target), col] += fa * g
+    return out
+
+
+@pytest.mark.parametrize(
+    "D, coeffs, src_cutoff, dst_cutoff",
+    [(3, coordinate_coefficients(3, 3), c, c + 1) for c in range(1, 5)]
+    + [(4, coordinate_coefficients(4, 3), c, c + 1) for c in (1, 2)]
+    + [(3, {(2, 1): 1.0}, 3, 5), (3, {(2, 1): 1.0}, 3, 3)],
+)
+def test_multiplication_matrix_ladder_route_matches_exact_products(D, coeffs, src_cutoff, dst_cutoff):
+    ladder = function_multiplication_matrix(coeffs, D, src_cutoff, dst_cutoff)
+    exact = _multiplication_matrix_from_products(coeffs, D, src_cutoff, dst_cutoff)
+    assert np.max(np.abs(ladder - exact)) <= 1e-12
+
+
+def test_expand_product_matches_exact_products():
+    t3 = coordinate_coefficients(3, 3)
+    for f, g in [(t3, t3), ({(2, 1): 0.5, (1, 0): 0.3}, {(1, 1): 1.0, (2, -1): 0.7j})]:
+        exact = {}
+        for a, fa in f.items():
+            for b, gb in g.items():
+                for chain, v in multiply_harmonics(a, b, 3).items():
+                    exact[chain] = exact.get(chain, 0j) + fa * gb * v
+        got = expand_product(f, g, 3)
+        assert set(got) == {c for c, v in exact.items() if abs(v) > 1e-13}
+        assert max(abs(got[c] - exact[c]) for c in got) <= 1e-12
 
 
 CFG = FuzzyConfig(D=3, cutoff=2, k=100.0)
