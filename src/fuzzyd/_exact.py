@@ -73,7 +73,6 @@ def _coerce(x):
 
 QQI_ZERO = QQi(0)
 QQI_ONE = QQi(1)
-QQI_I = QQi(0, 1)
 
 
 def nullspace(rows, ncols):

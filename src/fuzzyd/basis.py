@@ -33,11 +33,6 @@ def is_valid_chain(chain, D=None, cutoff=None):
     return chain[-2] >= abs(chain[-1])
 
 
-def chain_level(chain, j):
-    """Entry l_j of a chain stored in descending order (j = 1 is last)."""
-    return chain[len(chain) - j]
-
-
 @dataclass(frozen=True)
 class FuzzyConfig:
     """One fuzzy sphere build: ambient dimension D, cutoff level, well stiffness k.

@@ -491,13 +491,17 @@ def build_fuzzy_harmonic(chain, cfg):
     return approximate_function({chain: 1.0}, cfg)
 
 
-def approximate_function(coeffs, cfg):
-    """Operator approximation of f = sum coeffs[chain] * Y_chain."""
+def _fuzzy_image(coeffs, cfg, positions):
+    """Symmetrized substitution of the position matrices into f, which must sit at degree <= 2*cutoff."""
     for chain in coeffs:
         if tuple(chain)[0] > 2 * cfg.cutoff:
             raise ValueError(f"coefficient on chain {chain} beyond degree 2*cutoff")
-    positions = [build_position(cfg, h).to_dense() for h in range(1, cfg.D + 1)]
     return SparseOperator.from_dense(_substitute(coeffs, cfg.D, positions))
+
+
+def approximate_function(coeffs, cfg):
+    """Operator approximation of f = sum coeffs[chain] * Y_chain."""
+    return _fuzzy_image(coeffs, cfg, [build_position(cfg, h).to_dense() for h in range(1, cfg.D + 1)])
 
 
 # ---------------------------------------------------------------------------

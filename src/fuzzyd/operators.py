@@ -14,7 +14,9 @@ Conventions recorded in every report:
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -265,6 +267,16 @@ def _max_entry(arr):
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def _diagonal(op):
+    """Diagonal of an operator built diagonal (projectors, parity); raises on any off-diagonal entry."""
+    diag = np.zeros(op.dim, dtype=complex)
+    for r, c, v in op.entries:
+        if r != c:
+            raise ValueError(f"expected a diagonal operator, found an entry at ({r}, {c})")
+        diag[r] = v
+    return diag
+
+
 def _gap_product(target, others):
     """Conditioning factor prod max(1, |target - v|), accumulated in floats."""
     return math.prod(max(1.0, float(abs(target - v))) for v in others)
@@ -275,22 +287,24 @@ def _generator_pairs(D):
 
 
 def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_nilpotent=TOL_NILPOTENT):
-    """Check every algebraic relation the operators are supposed to satisfy."""
+    """Check every algebraic relation the operators are supposed to satisfy.
+
+    Diagonal operators (projectors, parity) act as vectors by broadcasting.
+    """
     D, lam, k = cfg.D, cfg.cutoff, cfg.k
     basis = basis_of(cfg)
     n = len(basis)
     levels = np.array(basis.levels())
+    eye = np.eye(n)
 
     pairs = _generator_pairs(D)
     L = {(h, j): build_angular_momentum(cfg, h, j).to_dense() for h, j in pairs}
     X = {h: build_position(cfg, h).to_dense() for h in range(1, D + 1)}
     casimirs = {p: build_casimir(cfg, p).to_dense() for p in range(2, D + 1)}
     L2 = casimirs[D]
-    top = build_projector(cfg).to_dense()
+    top = _diagonal(build_projector(cfg))
 
     def gen(a, b):
-        if a == b:
-            return np.zeros((n, n), dtype=complex)
         return L[(a, b)] if a < b else -L[(b, a)]
 
     def check_hermiticity():
@@ -301,46 +315,46 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         return Check("hermiticity of generators and positions", dev, TOL_HERMITIAN)
 
     def check_structure_constants():
+        # the (b, a) commutator is the exact negative of (a, b), and (a, a)
+        # gives exactly 0, so unordered pairs attain the same maximum
         dev = 0.0
-        for h, j in pairs:
-            for p, s in pairs:
-                comm = L[(h, j)] @ L[(p, s)] - L[(p, s)] @ L[(h, j)]
-                expected = 1j * (
-                    (gen(j, s) if h == p else 0)
-                    + (gen(h, p) if j == s else 0)
-                    - (gen(j, p) if h == s else 0)
-                    - (gen(h, s) if j == p else 0)
-                )
-                dev = max(dev, _max_entry(comm - expected))
+        for (h, j), (p, s) in itertools.combinations(pairs, 2):
+            comm = L[(h, j)] @ L[(p, s)] - L[(p, s)] @ L[(h, j)]
+            expected = 1j * (
+                (gen(j, s) if h == p else 0)
+                + (gen(h, p) if j == s else 0)
+                - (gen(j, p) if h == s else 0)
+                - (gen(h, s) if j == p else 0)
+            )
+            dev = max(dev, _max_entry(comm - expected))
         return Check("so(D) structure constants", dev, tol_degree2)
 
-    def check_snyder_interior():
+    @functools.cache
+    def snyder_deviations():
+        # one commutator [x_h, x_j] per pair serves all three Snyder checks; the
+        # scalar on L_hj is diagonal, with its top-level projector term
         interior = levels < lam
-        dev = 0.0
-        for h in range(1, D + 1):
-            for j in range(h + 1, D + 1):
-                comm = X[h] @ X[j] - X[j] @ X[h]
-                resid = comm + (1j / k) * gen(h, j)
-                if interior.any():
-                    dev = max(dev, _max_entry(resid[:, interior]))
+        scalar = (-1.0 / k) * np.ones(n) + (1.0 / k + radial_weight(lam, cfg) ** 2 / (2 * lam + D - 2)) * top
+        dev_interior = dev_full = dev_without_i = 0.0
+        for h, j in pairs:
+            comm = X[h] @ X[j] - X[j] @ X[h]
+            dev_interior = max(dev_interior, _max_entry((comm + (1j / k) * L[(h, j)])[:, interior]))
+            dev_full = max(dev_full, _max_entry(comm - 1j * scalar[:, None] * L[(h, j)]))
+            dev_without_i = max(dev_without_i, _max_entry(comm - scalar[:, None] * L[(h, j)]))
+        return dev_interior, dev_full, dev_without_i
+
+    def check_snyder_interior():
         return Check(
             "snyder commutator, interior columns",
-            dev,
+            snyder_deviations()[0],
             tol_interior,
             "exact identity for the canonical truncated radial weight",
         )
 
     def check_snyder_full():
-        ctop = radial_weight(lam, cfg)
-        scalar = np.diag((-1.0 / k) * np.ones(n)) + (1.0 / k + ctop**2 / (2 * lam + D - 2)) * top
-        dev = 0.0
-        for h in range(1, D + 1):
-            for j in range(h + 1, D + 1):
-                comm = X[h] @ X[j] - X[j] @ X[h]
-                dev = max(dev, _max_entry(comm - 1j * scalar @ gen(h, j)))
         return Check(
             "snyder commutator with top-level projector term",
-            dev,
+            snyder_deviations()[1],
             tol_degree2,
             "overall factor i adopted (anti-Hermitian-consistent convention)",
         )
@@ -348,16 +362,9 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
     def check_snyder_without_i():
         # the variant lacking the overall i is incompatible with Hermitian
         # positions; its residual is recorded so the convention choice is visible
-        ctop = radial_weight(lam, cfg)
-        scalar = np.diag((-1.0 / k) * np.ones(n)) + (1.0 / k + ctop**2 / (2 * lam + D - 2)) * top
-        dev = 0.0
-        for h in range(1, D + 1):
-            for j in range(h + 1, D + 1):
-                comm = X[h] @ X[j] - X[j] @ X[h]
-                dev = max(dev, _max_entry(comm - scalar @ gen(h, j)))
         return Check(
             "snyder variant without the factor i (recorded, not asserted)",
-            dev,
+            snyder_deviations()[2],
             math.inf,
             "kept only to document the adopted convention",
         )
@@ -431,9 +438,9 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
 
     def check_minimal_polynomial():
         eigs = [l * (l + D - 2) for l in range(lam + 1)]
-        prod = np.eye(n, dtype=complex)
-        for e in eigs:
-            prod = prod @ (L2 - e * np.eye(n))
+        prod = L2 - eigs[0] * eye
+        for e in eigs[1:]:
+            prod = prod @ (L2 - e * eye)
         scale = _gap_product(eigs[-1], eigs[:-1])
         return Check(
             "minimal polynomial of the total casimir",
@@ -443,22 +450,20 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         )
 
     def check_nested_projector_polynomials():
-        d = D - 1
+        # order-m casimir (L_12 for m = 2) against its ascending eigenvalues up to the
+        # projector's label, on the projector's nonzero columns (the others stay 0)
         dev = 0.0
-        for m in range(d, 1, -1):
+        for m in range(D - 1, 1, -1):
             for v in range(lam + 1):
-                proj = build_projector(cfg, p=m + 1, value=v).to_dense()
-                prod = proj.copy()
                 if m >= 3:
-                    for w in range(v + 1):
-                        prod = (casimirs[m] - casimir_eigenvalue(w, m) * np.eye(n)) @ prod
-                    scale = _gap_product(casimir_eigenvalue(v, m), [casimir_eigenvalue(w, m) for w in range(v)])
+                    op, eigs = casimirs[m], [casimir_eigenvalue(w, m) for w in range(v + 1)]
                 else:
-                    l12 = L[(1, 2)]
-                    for w in range(-v, v + 1):
-                        prod = (l12 - w * np.eye(n)) @ prod
-                    scale = _gap_product(v, range(-v, v))
-                dev = max(dev, _max_entry(prod) / scale)
+                    op, eigs = L[(1, 2)], range(-v, v + 1)
+                proj = _diagonal(build_projector(cfg, p=m + 1, value=v))
+                prod = np.diag(proj)[:, np.flatnonzero(proj)]
+                for e in eigs:
+                    prod = (op - e * eye) @ prod
+                dev = max(dev, _max_entry(prod) / _gap_product(eigs[-1], eigs[:-1]))
         return Check(
             "nested casimir products annihilate their projector blocks",
             dev,
@@ -484,33 +489,37 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         )
 
     def check_generators_commute_with_casimirs():
+        # casimirs of order above max(h, j), always including the total one
         dev = 0.0
         for h, j in pairs:
-            dev = max(dev, _max_entry(L[(h, j)] @ L2 - L2 @ L[(h, j)]))
-            for p in range(max(h, j) + 1, D + 1):
+            for p in range(min(j + 1, D), D + 1):
                 dev = max(dev, _max_entry(L[(h, j)] @ casimirs[p] - casimirs[p] @ L[(h, j)]))
         return Check("generators commute with enclosing casimirs", dev, tol_degree2)
 
     def check_parity():
-        par = parity_operator(cfg).to_dense()
+        # par M par has entries s_i s_j M_ij
+        sign = _diagonal(parity_operator(cfg))
+        flip = sign[:, None] * sign[None, :]
         dev = 0.0
         for h in range(1, D + 1):
-            dev = max(dev, _max_entry(par @ X[h] @ par + X[h]))
+            dev = max(dev, _max_entry(flip * X[h] + X[h]))
         for h, j in pairs:
-            dev = max(dev, _max_entry(par @ L[(h, j)] @ par - L[(h, j)]))
+            dev = max(dev, _max_entry(flip * L[(h, j)] - L[(h, j)]))
         return Check("parity conjugation flips positions, fixes generators", dev, TOL_HERMITIAN)
 
     def check_level_projectors_commute():
+        # P L - L P has entries (p_i - p_j) L_ij
         dev = 0.0
         for l in range(lam + 1):
-            proj = build_projector(cfg, p=D, value=l).to_dense()
+            proj = _diagonal(build_projector(cfg, p=D, value=l))
+            gap = proj[:, None] - proj[None, :]
             for h, j in pairs:
-                dev = max(dev, _max_entry(proj @ L[(h, j)] - L[(h, j)] @ proj))
+                dev = max(dev, _max_entry(gap * L[(h, j)]))
         return Check("level projectors commute with every generator", dev, TOL_HERMITIAN)
 
     def check_top_projector():
-        dev = _max_entry(top @ top - top)
-        trace_dev = abs(np.trace(top).real - level_dimension(D, lam)) if lam > 0 else abs(np.trace(top).real - 1)
+        dev = _max_entry(top * top - top)
+        trace_dev = abs(top.sum().real - level_dimension(D, lam))
         return Check("top-level projector idempotent with correct rank", max(dev, trace_dev), TOL_HERMITIAN)
 
     checks = [

@@ -118,6 +118,14 @@ def test_product_diagnostic_for_coordinate_function():
         assert r.operator_norm <= r.norm_bound
 
 
+def test_product_diagnostic_rejects_degrees_beyond_twice_the_cutoff():
+    with pytest.raises(ValueError):
+        product_convergence_diagnostic({(3, 0): 1.0}, {(0, 0): 1.0}, 3, [1])
+    # f and g fit at cutoff 1, their product (degree 3) does not
+    with pytest.raises(ValueError):
+        product_convergence_diagnostic({(2, 0): 1.0}, {(1, 0): 1.0}, 3, [1])
+
+
 def test_expand_product_of_coordinates():
     t3 = coordinate_coefficients(3, 3)
     fg = expand_product(t3, t3, 3)

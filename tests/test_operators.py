@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import fuzzyd.operators
 from fuzzyd.basis import FuzzyConfig, enumerate_chains, level_dimension
 from fuzzyd.coefficients import radial_weight
+from fuzzyd.convergence import k_schedule
 from fuzzyd.operators import (
     SparseOperator,
     VerificationReport,
+    _diagonal,
     _gap_product,
     build_angular_momentum,
     build_casimir,
@@ -163,6 +166,139 @@ def test_gap_product_beyond_int64():
     assert _gap_product(11, range(-11, 11)) == pytest.approx(float(math.factorial(22)), rel=1e-14)
     assert _gap_product(0, []) == 1.0
     assert _gap_product(2, [2, 2.5, -1]) == 3.0
+
+
+def _consistency_config(D, cutoff):
+    # the k that `fuzzyd verify` uses by default
+    return FuzzyConfig(D=D, cutoff=cutoff, k=k_schedule("consistency", D, cutoff))
+
+
+def _dense_reference(cfg):
+    """Deviations of the checks of verify_algebra as dense n x n products over ordered pairs."""
+    D, lam, k = cfg.D, cfg.cutoff, cfg.k
+    n = len(enumerate_chains(D, lam))
+    levels = np.array(enumerate_chains(D, lam).levels())
+    pairs = [(h, j) for h in range(1, D + 1) for j in range(h + 1, D + 1)]
+    L = {(h, j): build_angular_momentum(cfg, h, j).to_dense() for h, j in pairs}
+    X = {h: build_position(cfg, h).to_dense() for h in range(1, D + 1)}
+    C = {p: build_casimir(cfg, p).to_dense() for p in range(2, D + 1)}
+    top = build_projector(cfg).to_dense()
+    par = parity_operator(cfg).to_dense()
+    amax = lambda m: float(np.max(np.abs(m)))
+
+    def gen(a, b):
+        if a == b:
+            return np.zeros((n, n), dtype=complex)
+        return L[(a, b)] if a < b else -L[(b, a)]
+
+    ref = {}
+    dev = 0.0
+    for h, j in pairs:
+        for p, s in pairs:
+            expected = 1j * (
+                (gen(j, s) if h == p else 0)
+                + (gen(h, p) if j == s else 0)
+                - (gen(j, p) if h == s else 0)
+                - (gen(h, s) if j == p else 0)
+            )
+            dev = max(dev, amax(L[(h, j)] @ L[(p, s)] - L[(p, s)] @ L[(h, j)] - expected))
+    ref["so(D) structure constants"] = dev
+
+    ctop = radial_weight(lam, cfg)
+    scalar = (-1.0 / k) * np.ones(n) + (1.0 / k + ctop**2 / (2 * lam + D - 2)) * np.diag(top)
+    interior, full, without_i = 0.0, 0.0, 0.0
+    for h, j in pairs:
+        comm = X[h] @ X[j] - X[j] @ X[h]
+        interior = max(interior, amax((comm + (1j / k) * gen(h, j))[:, levels < lam]))
+        full = max(full, amax(comm - 1j * np.diag(scalar) @ gen(h, j)))
+        without_i = max(without_i, amax(comm - np.diag(scalar) @ gen(h, j)))
+    ref["snyder commutator, interior columns"] = interior
+    ref["snyder commutator with top-level projector term"] = full
+    ref["snyder variant without the factor i (recorded, not asserted)"] = without_i
+
+    eigs = [l * (l + D - 2) for l in range(lam + 1)]
+    prod = np.eye(n, dtype=complex)
+    for e in eigs:
+        prod = prod @ (C[D] - e * np.eye(n))
+    ref["minimal polynomial of the total casimir"] = amax(prod) / _gap_product(eigs[-1], eigs[:-1])
+
+    dev = 0.0
+    for m in range(D - 1, 1, -1):
+        for v in range(lam + 1):
+            prod = build_projector(cfg, p=m + 1, value=v).to_dense()
+            if m >= 3:
+                for w in range(v + 1):
+                    prod = (C[m] - casimir_eigenvalue(w, m) * np.eye(n)) @ prod
+                scale = _gap_product(casimir_eigenvalue(v, m), [casimir_eigenvalue(w, m) for w in range(v)])
+            else:
+                for w in range(-v, v + 1):
+                    prod = (L[(1, 2)] - w * np.eye(n)) @ prod
+                scale = _gap_product(v, range(-v, v))
+            dev = max(dev, amax(prod) / scale)
+    ref["nested casimir products annihilate their projector blocks"] = dev
+
+    dev = 0.0
+    for h, j in pairs:
+        dev = max(dev, amax(L[(h, j)] @ C[D] - C[D] @ L[(h, j)]))
+        for p in range(j + 1, D + 1):
+            dev = max(dev, amax(L[(h, j)] @ C[p] - C[p] @ L[(h, j)]))
+    ref["generators commute with enclosing casimirs"] = dev
+
+    dev = max(amax(par @ X[h] @ par + X[h]) for h in X)
+    ref["parity conjugation flips positions, fixes generators"] = max(dev, max(amax(par @ M @ par - M) for M in L.values()))
+
+    dev = 0.0
+    for l in range(lam + 1):
+        proj = build_projector(cfg, p=D, value=l).to_dense()
+        dev = max(dev, max(amax(proj @ M - M @ proj) for M in L.values()))
+    ref["level projectors commute with every generator"] = dev
+
+    trace_dev = abs(np.trace(top).real - level_dimension(D, lam))
+    ref["top-level projector idempotent with correct rank"] = max(amax(top @ top - top), trace_dev)
+    return ref
+
+
+@pytest.mark.parametrize("D, cutoff", [(3, 5), (4, 3)])
+def test_verify_algebra_equals_dense_product_formulas(D, cutoff):
+    cfg = _consistency_config(D, cutoff)
+    got = {c.name: c.deviation for c in verify_algebra(cfg).checks}
+    for name, dev in _dense_reference(cfg).items():
+        assert got[name] == dev, name
+
+
+def test_diagonal_rejects_off_diagonal_entries():
+    assert list(_diagonal(parity_operator(CFG42))[:2]) == [1, -1]
+    with pytest.raises(ValueError):
+        _diagonal(SparseOperator.from_dict(3, {(0, 0): 1.0, (2, 1): 0.5}))
+
+
+def test_generator_leaking_between_levels_fails_projector_and_parity_checks(monkeypatch):
+    bm = enumerate_chains(4, 2)
+    i0, i1 = bm.index_of((0, 0, 0)), bm.index_of((1, 0, 0))
+    honest = build_angular_momentum
+
+    def leaky(cfg, h, j):
+        op = honest(cfg, h, j)
+        if (h, j) != (1, 2):
+            return op
+        data = {(r, c): v for r, c, v in op.entries}
+        data[(i1, i0)] = 0.5
+        return SparseOperator.from_dict(op.dim, data)
+
+    monkeypatch.setattr(fuzzyd.operators, "build_angular_momentum", leaky)
+    checks = {c.name: c for c in verify_algebra(CFG42).checks}
+    assert not checks["level projectors commute with every generator"].passed
+    assert not checks["parity conjugation flips positions, fixes generators"].passed
+
+
+@pytest.mark.parametrize(
+    "D, cutoff",
+    [(3, lam) for lam in range(4, 13)] + [(4, lam) for lam in range(3, 8)] + [(5, lam) for lam in range(2, 5)],
+)
+def test_verify_algebra_size_sweep(D, cutoff):
+    # size-dependent defects (such as an int64 wrap) show only at larger cutoffs
+    report = verify_algebra(_consistency_config(D, cutoff))
+    assert report.all_passed, report.to_text()
 
 
 def test_zero_cutoff_degenerate_algebra():
