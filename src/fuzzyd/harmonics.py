@@ -1,10 +1,14 @@
 """Harmonic polynomials on the sphere, their products, and fuzzy counterparts.
 
-The basis is built by exact linear algebra on monomial coefficient spaces:
-the kernel of the flat Laplacian gives the harmonic homogeneous polynomials
-of each degree, and sequential refinement by the commuting tower of casimirs
-plus the azimuthal generator isolates one exact (Gaussian-rational) vector
-per chain.  Phases are anchored by the ladder moves themselves: each chain is
+Each basis polynomial comes in closed form from the Gelfand-Tsetlin product
+formula: an azimuthal power (x_1 +- i x_2)^|l_1| times one homogenised
+Gegenbauer polynomial per casimir order, with exact Gaussian-rational
+coefficients.  Nothing in that construction uses the ladder recursion, so the
+basis is an independent oracle for it; the harmonics suite certifies the
+construction from its definitions by applying the flat Laplacian, every
+casimir of the commuting tower and the azimuthal generator in exact
+arithmetic, and by counting against the dimension of the harmonic space.
+Phases are anchored by the ladder moves themselves: each chain is
 reached from a canonical predecessor by a coordinate move whose amplitude has
 a known strict sign, which pins the unique basis satisfying the sin/cos
 ladder recurrences and makes the recursion and quadrature routes to the
@@ -16,11 +20,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import _moves
-from ._exact import QQI_ONE, QQi, nullspace
+from ._exact import QQi
 from .basis import dimension, enumerate_chains, iter_chains, level_dimension
 from .operators import SparseOperator, VerificationReport, build_position
 
@@ -73,8 +78,9 @@ def poly_mul(p, q):
     for a, ca in p.items():
         for b, cb in q.items():
             key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, 0j) + ca * cb
-    return {k: v for k, v in out.items() if v != 0}
+            term = ca * cb
+            out[key] = out[key] + term if key in out else term
+    return {k: v for k, v in out.items() if v}
 
 
 def coordinate_times(p, h):
@@ -158,72 +164,51 @@ def _casimir_exact(vec, order):
     return {k: v for k, v in out.items() if v}
 
 
-def _restricted_kernel(vectors, op, eigenvalue):
-    """Basis of the eigenvalue-kernel of `op` inside span(vectors), exactly."""
-    images = []
-    keys = set()
-    for v in vectors:
-        w = op(v)
-        for alpha, c in v.items():
-            w[alpha] = w.get(alpha, QQi(0)) - eigenvalue * c
-        w = {k: c for k, c in w.items() if c}
-        images.append(w)
-        keys.update(w)
-    keys = sorted(keys)
-    rows = [[img.get(k, QQi(0)) for img in images] for k in keys]
-    combos = nullspace(rows, len(vectors))
-    out = []
-    for combo in combos:
-        acc = {}
-        for x, v in zip(combo, vectors):
-            if x:
-                for alpha, c in v.items():
-                    acc[alpha] = acc.get(alpha, QQi(0)) + x * c
-        out.append({k: c for k, c in acc.items() if c})
-    return out
+def _azimuthal_power(D, m):
+    """(x_1 + i sgn(m) x_2)^|m| as an exact coefficient dict."""
+    i_sgn = QQi(0, 1 if m >= 0 else -1)
+    units = [QQi(1), i_sgn, QQi(-1), -i_sgn]
+    return {(abs(m) - j, j) + (0,) * (D - 2): math.comb(abs(m), j) * units[j % 4] for j in range(abs(m) + 1)}
+
+
+def _gegenbauer_factor(D, p, n, alpha):
+    """rho_p^n C_n^alpha(x_p / rho_p), rho_p^2 = x_1^2 + ... + x_p^2, as an exact coefficient dict.
+
+    Term k of the Gegenbauer sum, (-1)^k (alpha)_{n-k} 2^{n-2k} / (k! (n-2k)!)
+    x_p^{n-2k} rho_p^{2k}, is expanded by the multinomial theorem.
+    """
+    out = {}
+    for k in range(n // 2 + 1):
+        rising = math.prod((alpha + i for i in range(n - k)), start=Fraction(1))
+        c = (-1) ** k * rising * 2 ** (n - 2 * k) / math.factorial(n - 2 * k)
+        for beta in monomials(p, k):
+            key = [2 * b for b in beta] + [0] * (D - p)
+            key[p - 1] += n - 2 * k
+            key = tuple(key)
+            term = c / math.prod(math.factorial(b) for b in beta)
+            out[key] = out[key] + term if key in out else term
+    return {k: v for k, v in out.items() if v}
 
 
 @functools.lru_cache(maxsize=None)
 def _exact_chain_vectors(D, degree):
-    """Exact unnormalized harmonic vector per chain with top entry `degree`."""
-    mono = monomials(D, degree)
-    if degree < 2:
-        kernel = [{m: QQI_ONE} for m in mono]
-    else:
-        idx = {m: i for i, m in enumerate(monomials(D, degree - 2))}
-        rows = [[QQi(0)] * len(mono) for _ in idx]
-        for col, m in enumerate(mono):
-            for key, c in _laplacian({m: QQI_ONE}, D).items():
-                rows[idx[key]][col] = c
-        kernel = [
-            {mono[i]: c for i, c in enumerate(vec) if c} for vec in nullspace(rows, len(mono))
-        ]
-    if len(kernel) != level_dimension(D, degree):
-        raise RuntimeError(f"harmonic kernel dimension mismatch at D={D}, degree={degree}")
+    """Exact unnormalized harmonic vector per chain with top entry `degree`.
 
-    spaces = [((), kernel)]
-    for p in range(D - 1, 2, -1):
-        refined = []
-        for labels, vecs in spaces:
-            upper = labels[-1] if labels else degree
-            for m in range(upper + 1):
-                sub = _restricted_kernel(vecs, lambda v: _casimir_exact(v, p), QQi(m * (m + p - 2)))
-                if sub:
-                    refined.append((labels + (m,), sub))
-        spaces = refined
-    final = {}
-    for labels, vecs in spaces:
-        upper = labels[-1] if labels else degree
-        for m in range(-upper, upper + 1):
-            sub = _restricted_kernel(vecs, lambda v: _rotation_exact(v, 1, 2), QQi(0, m))
-            if not sub:
-                continue
-            if len(sub) != 1:
-                raise RuntimeError(f"chain labels {(degree,) + labels + (m,)} not one-dimensional")
-            final[(degree,) + labels + (m,)] = sub[0]
-    if len(final) != level_dimension(D, degree):
-        raise RuntimeError(f"refinement lost chains at D={D}, degree={degree}")
-    return final
+    Gelfand-Tsetlin product formula: for the chain (l_{D-1}, ..., l_2, l_1),
+    Y = (x_1 + i sgn(l_1) x_2)^|l_1| prod_{p=3..D} rho_p^n C_n^alpha(x_p / rho_p)
+    with n = l_{p-1} - l_{p-2} and alpha = l_{p-2} + (p-2)/2, reading |l_1|
+    for l_{p-2} at p = 3.
+    """
+    out = {}
+    for chain in iter_chains(D, degree):
+        if chain[0] != degree:
+            continue
+        vec = _azimuthal_power(D, chain[-1])
+        for p in range(3, D + 1):
+            lower = abs(chain[D - p + 1])
+            vec = poly_mul(vec, _gegenbauer_factor(D, p, chain[D - p] - lower, lower + Fraction(p - 2, 2)))
+        out[chain] = vec
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +504,9 @@ def verify_harmonics(D, level_max, points=200, seed=None, tol_gram=1e-10, tol_ei
     eig_bad = 0
     for l in range(level_max + 1):
         basis = harmonic_basis(D, l)
-        if len(basis) != level_dimension(D, l):
+        # harmonic polynomials of degree l: all of degree l modulo r^2 times degree l-2
+        harmonic_dim = len(monomials(D, l)) - (len(monomials(D, l - 2)) if l >= 2 else 0)
+        if not len(basis) == level_dimension(D, l) == harmonic_dim:
             count_bad += 1
         polys = [p for _, p in basis]
         gram = np.array([[poly_inner(p.coefficients, q.coefficients, D) for q in polys] for p in polys])
@@ -530,10 +517,9 @@ def verify_harmonics(D, level_max, points=200, seed=None, tol_gram=1e-10, tol_ei
             lap = _laplacian(p.coefficients, D)
             if lap:
                 lap_float_dev = max(lap_float_dev, max(abs(v) for v in lap.values()))
-            for order in range(2, D + 1):
-                m = chain[(D - 1) - (order - 1)]
-                expected = QQi(m * (m + order - 2))
-                image = _casimir_exact(p.exact, order)
+            tower = [(_casimir_exact(p.exact, order), QQi(m * (m + order - 2))) for order, m in zip(range(D, 1, -1), chain)]
+            tower.append((_rotation_exact(p.exact, 1, 2), QQi(0, chain[-1])))
+            for image, expected in tower:
                 defect = dict(image)
                 for alpha, c in p.exact.items():
                     defect[alpha] = defect.get(alpha, QQi(0)) - expected * c

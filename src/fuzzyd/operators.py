@@ -127,23 +127,35 @@ def build_generator_ladder(cfg, nu, sign, normalized=False):
         raise ValueError(f"ladder generator needs nu >= 3, got {nu}")
     l1 = build_angular_momentum(cfg, 1, nu).to_dense()
     l2 = build_angular_momentum(cfg, 2, nu).to_dense()
+    return _ladder_combination(l1, l2, sign, normalized)
+
+
+def _ladder_combination(l1, l2, sign, normalized=False):
+    """L_{2,nu} -+ i L_{1,nu} from the dense generators."""
     out = l2 - 1j * sign * l1
     if normalized:
         out /= math.sqrt(2.0)
     return SparseOperator.from_dense(out)
 
 
+def _generator_pairs(D):
+    return [(h, j) for h in range(1, D + 1) for j in range(h + 1, D + 1)]
+
+
+def _casimir(n, dense_generators):
+    """Sum of the squares of n x n dense generators, in the order given."""
+    acc = np.zeros((n, n), dtype=complex)
+    for m in dense_generators:
+        acc += m @ m
+    return SparseOperator.from_dense(acc)
+
+
 def build_casimir(cfg, p):
     """Sum of squared generators of the so(p) subalgebra, computed honestly."""
     if not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
-    n = dimension(cfg.D, cfg.cutoff)
-    acc = np.zeros((n, n), dtype=complex)
-    for h in range(1, p + 1):
-        for j in range(h + 1, p + 1):
-            m = build_angular_momentum(cfg, h, j).to_dense()
-            acc += m @ m
-    return SparseOperator.from_dense(acc)
+    gens = (build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(p))
+    return _casimir(dimension(cfg.D, cfg.cutoff), gens)
 
 
 def casimir_eigenvalue(label, p):
@@ -282,10 +294,6 @@ def _gap_product(target, others):
     return math.prod(max(1.0, float(abs(target - v))) for v in others)
 
 
-def _generator_pairs(D):
-    return [(h, j) for h in range(1, D + 1) for j in range(h + 1, D + 1)]
-
-
 def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_nilpotent=TOL_NILPOTENT):
     """Check every algebraic relation the operators are supposed to satisfy.
 
@@ -300,7 +308,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
     pairs = _generator_pairs(D)
     L = {(h, j): build_angular_momentum(cfg, h, j).to_dense() for h, j in pairs}
     X = {h: build_position(cfg, h).to_dense() for h in range(1, D + 1)}
-    casimirs = {p: build_casimir(cfg, p).to_dense() for p in range(2, D + 1)}
+    casimirs = {p: _casimir(n, (L[pair] for pair in _generator_pairs(p))).to_dense() for p in range(2, D + 1)}
     L2 = casimirs[D]
     top = _diagonal(build_projector(cfg))
 
@@ -472,15 +480,16 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         )
 
     def check_nilpotency():
+        # the Frobenius norm bounds the spectral norm from above and needs no SVD
         power = 2 * lam + 1
         dev = 0.0
         for sign in (+1, -1):
             xpm = build_position_ladder(cfg, sign).to_dense()
-            dev = max(dev, float(np.linalg.norm(np.linalg.matrix_power(xpm, power), 2)))
+            dev = max(dev, float(np.linalg.norm(np.linalg.matrix_power(xpm, power))))
         for nu in range(3, D + 1):
             for sign in (+1, -1):
-                lpm = build_generator_ladder(cfg, nu, sign).to_dense()
-                dev = max(dev, float(np.linalg.norm(np.linalg.matrix_power(lpm, power), 2)))
+                lpm = _ladder_combination(L[(1, nu)], L[(2, nu)], sign).to_dense()
+                dev = max(dev, float(np.linalg.norm(np.linalg.matrix_power(lpm, power))))
         return Check(
             f"azimuthal ladder operators nilpotent at power {power}",
             dev,

@@ -28,6 +28,8 @@ from .coefficients import radial_weight, reduced_element
 from .operators import (
     SparseOperator,
     VerificationReport,
+    _casimir,
+    _generator_pairs,
     _operator_from_action,
     build_angular_momentum,
     build_casimir,
@@ -100,13 +102,19 @@ def ambient_generator(cfg, h, j, orientation=-1):
 
 def ambient_casimir(cfg):
     """Total casimir of the ambient so(D+1) family; a scalar on the irrep."""
-    n = dimension(cfg.D, cfg.cutoff)
-    acc = np.zeros((n, n), dtype=complex)
-    for h in range(1, cfg.D + 2):
-        for j in range(h + 1, cfg.D + 2):
-            m = ambient_generator(cfg, h, j).to_dense()
-            acc += m @ m
-    return SparseOperator.from_dense(acc)
+    gens = (ambient_generator(cfg, h, j).to_dense() for h, j in _generator_pairs(cfg.D + 1))
+    return _casimir(dimension(cfg.D, cfg.cutoff), gens)
+
+
+def _dressing(cfg):
+    """Dressing value p(level) of every chain, in basis order."""
+    seq = dressing_sequence(cfg)
+    return np.array([seq.values[c[0]] for c in basis_of(cfg).chains])
+
+
+def _dress(amb, p, conjugate_left=True):
+    left = np.conjugate(p) if conjugate_left else p
+    return SparseOperator.from_dense(left[:, None] * amb * p[None, :])
 
 
 def realize_position(cfg, h, orientation=-1, conjugate_left=True):
@@ -115,12 +123,8 @@ def realize_position(cfg, h, orientation=-1, conjugate_left=True):
     conjugate_left=False gives the variant without conjugation on the left
     dressing factor; it is kept only so its residual can be reported.
     """
-    seq = dressing_sequence(cfg)
-    levels = [c[0] for c in basis_of(cfg).chains]
-    p = np.array([seq.values[l] for l in levels])
-    left = np.conjugate(p) if conjugate_left else p
     amb = ambient_generator(cfg, h, cfg.D + 1, orientation=orientation).to_dense()
-    return SparseOperator.from_dense(left[:, None] * amb * p[None, :])
+    return _dress(amb, _dressing(cfg), conjugate_left)
 
 
 def verify_isomorphism(cfg, tol_iso=TOL_ISO, tol_adjoint=TOL_ADJOINT, tol_sequence=TOL_SEQUENCE):
@@ -140,34 +144,44 @@ def verify_isomorphism(cfg, tol_iso=TOL_ISO, tol_adjoint=TOL_ADJOINT, tol_sequen
     report.add("dressing recursion, raising relation", seq.raise_residual, tol_sequence)
     report.add("dressing recursion, lowering relation", seq.lower_residual, tol_sequence)
 
-    dev_pos = 0.0
-    dev_adj = 0.0
-    dev_alt = 0.0
-    for h in range(1, D + 1):
-        realized = realize_position(cfg, h).to_dense()
+    # one pass over the so(D+1) generators in (h, j) order, one alive at a time:
+    # each feeds the ambient casimir, and is compared with the native generator
+    # (j <= D) or dressed into a position operator (j = D+1)
+    p = _dressing(cfg)
+    dev = dict.fromkeys(("gen", "pos", "adj", "alt", "par"), 0.0)
+
+    def compare(h, j, amb):
+        if j <= D:
+            nat = build_angular_momentum(cfg, h, j).to_dense()
+            dev["gen"] = max(dev["gen"], float(np.max(np.abs(amb - nat))))
+            return
+        realized = _dress(amb, p).to_dense()
         native = build_position(cfg, h).to_dense()
-        dev_pos = max(dev_pos, float(np.max(np.abs(realized - native))) if realized.size else 0.0)
-        dev_adj = max(dev_adj, float(np.max(np.abs(realized - realized.conj().T))))
-        alt = realize_position(cfg, h, conjugate_left=False).to_dense()
-        dev_alt = max(dev_alt, float(np.max(np.abs(alt - native))))
-    report.add("dressed generators equal position operators", dev_pos, tol_iso)
-    report.add("dressed generators are self-adjoint", dev_adj, tol_adjoint)
+        dev["pos"] = max(dev["pos"], float(np.max(np.abs(realized - native))) if realized.size else 0.0)
+        dev["adj"] = max(dev["adj"], float(np.max(np.abs(realized - realized.conj().T))))
+        alt = _dress(amb, p, conjugate_left=False).to_dense()
+        dev["alt"] = max(dev["alt"], float(np.max(np.abs(alt - native))))
+        # the unflipped orientation (+1) is the exact negation of the default
+        flipped = _dress(-amb, p).to_dense()
+        dev["par"] = max(dev["par"], float(np.max(np.abs(flipped + realized))))
+
+    def ambient_generators():
+        for h, j in _generator_pairs(D + 1):
+            amb = ambient_generator(cfg, h, j).to_dense()
+            compare(h, j, amb)
+            yield amb
+
+    amb_cas = _casimir(dimension(D, lam), ambient_generators()).to_dense()
+
+    report.add("dressed generators equal position operators", dev["pos"], tol_iso)
+    report.add("dressed generators are self-adjoint", dev["adj"], tol_adjoint)
     report.add(
         "variant without left conjugation (recorded, not asserted)",
-        dev_alt,
+        dev["alt"],
         math.inf,
         "the doubly-undressed form fails whenever the dressing is complex",
     )
-
-    dev_gen = 0.0
-    for h in range(1, D + 1):
-        for j in range(h + 1, D + 1):
-            amb = ambient_generator(cfg, h, j).to_dense()
-            nat = build_angular_momentum(cfg, h, j).to_dense()
-            dev_gen = max(dev_gen, float(np.max(np.abs(amb - nat))))
-    report.add("ambient generators restrict to the native ones", dev_gen, 1e-13)
-
-    amb_cas = ambient_casimir(cfg).to_dense()
+    report.add("ambient generators restrict to the native ones", dev["gen"], 1e-13)
     expect = lam * (lam + D - 1)
     report.add(
         "ambient total casimir is the expected scalar",
@@ -175,15 +189,9 @@ def verify_isomorphism(cfg, tol_iso=TOL_ISO, tol_adjoint=TOL_ADJOINT, tol_sequen
         1e-10,
         f"scalar {expect}",
     )
-
-    dev_par = 0.0
-    for h in range(1, D + 1):
-        flipped = realize_position(cfg, h, orientation=+1).to_dense()
-        realized = realize_position(cfg, h).to_dense()
-        dev_par = max(dev_par, float(np.max(np.abs(flipped + realized))))
     report.add(
         "negating the extra-index generators negates every position",
-        dev_par,
+        dev["par"],
         1e-13,
         "parity is an O(D) transformation inside so(D+1)",
     )

@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from fuzzyd import harmonics
+from fuzzyd._exact import QQi
 from fuzzyd.basis import FuzzyConfig, enumerate_chains, level_dimension
 from fuzzyd.convergence import coordinate_coefficients, expand_product
 from fuzzyd.harmonics import (
+    _casimir_exact,
+    _exact_chain_vectors,
+    _laplacian,
+    _rotation_exact,
     approximate_function,
     build_fuzzy_harmonic,
     function_multiplication_matrix,
     harmonic_basis,
     harmonic_lookup,
+    monomials,
     multiply_harmonics,
     poly_eval,
     poly_inner,
@@ -65,6 +72,129 @@ def test_constant_and_degree_one_values():
     assert plus[(0, 1, 0)] == pytest.approx(1j * kappa, abs=1e-14)
     assert minus[(1, 0, 0)] == pytest.approx(-kappa, abs=1e-14)
     assert minus[(0, 1, 0)] == pytest.approx(1j * kappa, abs=1e-14)
+
+
+def _harmonic_dimension(D, l):
+    # homogeneous polynomials of degree l modulo r^2 times those of degree l - 2
+    return len(monomials(D, l)) - (len(monomials(D, l - 2)) if l >= 2 else 0)
+
+
+def _is_eigenvector(image, vec, eigenvalue):
+    return not any(image.get(a, QQi(0)) - eigenvalue * vec.get(a, QQi(0)) for a in set(image) | set(vec))
+
+
+def _proportional(vec, ref):
+    b = next(iter(ref))
+    return set(vec) == set(ref) and all(vec[a] * ref[b] == vec[b] * ref[a] for a in ref)
+
+
+def test_counting_formula_is_the_harmonic_dimension():
+    for D in range(3, 10):
+        for l in range(9):
+            assert level_dimension(D, l) == _harmonic_dimension(D, l)
+
+
+@pytest.mark.parametrize("D", range(3, 8))
+def test_exact_vectors_solve_their_defining_equations(D):
+    for degree in range(5):
+        vectors = _exact_chain_vectors(D, degree)
+        assert len(vectors) == _harmonic_dimension(D, degree)
+        for chain, vec in vectors.items():
+            assert not _laplacian(vec, D)
+            for order, m in zip(range(D, 1, -1), chain):
+                assert _is_eigenvector(_casimir_exact(vec, order), vec, QQi(m * (m + order - 2)))
+            assert _is_eigenvector(_rotation_exact(vec, 1, 2), vec, QQi(0, chain[-1]))
+
+
+def test_closed_form_values():
+    assert _proportional(_exact_chain_vectors(3, 2)[(2, 0)], {(0, 0, 2): 2, (2, 0, 0): -1, (0, 2, 0): -1})
+    assert _proportional(_exact_chain_vectors(3, 1)[(1, -1)], {(1, 0, 0): 1, (0, 1, 0): QQi(0, -1)})
+    # D=4, chain (2, 1, 1): (x_1 + i x_2) x_4, the Gegenbauer factor C_1^{3/2}
+    assert _proportional(_exact_chain_vectors(4, 2)[(2, 1, 1)], {(1, 0, 0, 1): 1, (0, 1, 0, 1): QQi(0, 1)})
+
+
+@pytest.mark.parametrize("D, degree, pinned", [(4, 3, "D4_DEGREE3"), (5, 2, "D5_DEGREE2")])
+def test_float_coefficients_pinned(D, degree, pinned):
+    expected = globals()[pinned]
+    basis = harmonic_basis(D, degree)
+    assert [c for c, _ in basis] == list(expected)
+    for chain, pol in basis:
+        assert set(pol.coefficients) == set(expected[chain])
+        for alpha, v in pol.coefficients.items():
+            assert abs(v - expected[chain][alpha]) <= 1e-14
+
+
+@pytest.fixture
+def corrupt_basis(monkeypatch):
+    """Install `corrupt(D, degree, vectors) -> vectors` over the exact basis, with empty basis caches on both sides."""
+    real = harmonics._exact_chain_vectors
+
+    def install(corrupt):
+        monkeypatch.setattr(harmonics, "_exact_chain_vectors", lambda D, degree: corrupt(D, degree, dict(real(D, degree))))
+
+    harmonics.harmonic_basis.cache_clear()
+    yield install
+    harmonics.harmonic_basis.cache_clear()
+
+
+def _checks(report):
+    return {c.name: c.passed for c in report.checks}
+
+
+def test_dropped_chain_fails_the_count(corrupt_basis):
+    def drop(D, degree, vectors):
+        if degree == 2:
+            del vectors[(2, 2)]
+        return vectors
+
+    corrupt_basis(drop)
+    assert not _checks(verify_harmonics(3, 2))["basis sizes match the counting formula"]
+
+
+def test_radial_admixture_fails_the_exact_checks(corrupt_basis):
+    # r^2 Y_(1,1,1) has the lower labels of (3, 1, 1) but is not harmonic
+    real_vectors = harmonics._exact_chain_vectors
+    r2 = {tuple(2 * (i == h) for i in range(4)): 1 for h in range(4)}
+
+    def admix(D, degree, vectors):
+        if degree == 3:
+            lower = poly_mul(r2, real_vectors(D, 1)[(1, 1, 1)])
+            vec = dict(vectors[(3, 1, 1)])
+            for alpha, c in lower.items():
+                vec[alpha] = vec[alpha] + c if alpha in vec else c
+            vectors[(3, 1, 1)] = vec
+        return vectors
+
+    corrupt_basis(admix)
+    checks = _checks(verify_harmonics(4, 3))
+    assert not checks["flat laplacian annihilates every element, exactly"]
+    assert not checks["commuting-tower eigenvalues match chain labels, exactly"]
+
+
+def test_mixed_azimuthal_labels_fail_the_tower(corrupt_basis):
+    # same Laplacian and casimir labels, so only the azimuthal generator sees it
+    def mix(D, degree, vectors):
+        if degree == 2:
+            plus, minus = vectors[(2, 1)], vectors[(2, -1)]
+            vectors[(2, 1)] = {a: plus.get(a, QQi(0)) + minus.get(a, QQi(0)) for a in set(plus) | set(minus)}
+        return vectors
+
+    corrupt_basis(mix)
+    checks = _checks(verify_harmonics(3, 2))
+    assert checks["flat laplacian annihilates every element, exactly"]
+    assert not checks["commuting-tower eigenvalues match chain labels, exactly"]
+
+
+def test_wrong_azimuthal_sign_is_caught(corrupt_basis):
+    def flip(D, degree, vectors):
+        if degree == 2:
+            vectors[(2, 1)], vectors[(2, -1)] = vectors[(2, -1)], vectors[(2, 1)]
+        return vectors
+
+    corrupt_basis(flip)
+    # the ladder anchor of a flipped vector has zero overlap, so the basis refuses to phase it
+    with pytest.raises(RuntimeError, match="degenerate phase anchor"):
+        verify_harmonics(3, 2)
 
 
 def test_gram_matrices_are_identity():
@@ -213,3 +343,169 @@ def test_polynomial_json_shape():
     obj = pol.to_json_obj()
     assert obj["degree"] == 1
     assert all(len(term) == 3 for term in obj["terms"])
+
+
+# float coefficients of harmonic_basis as recorded with the earlier elimination construction
+D4_DEGREE3 = {
+    (3, 0, 0): {
+        (0, 0, 0, 3): 0.9003163161571063,
+        (0, 0, 2, 1): -0.9003163161571063,
+        (0, 2, 0, 1): -0.9003163161571063,
+        (2, 0, 0, 1): -0.9003163161571063,
+    },
+    (3, 1, -1): {
+        (0, 1, 0, 2): 1.4235250868343539j,
+        (0, 1, 2, 0): -0.28470501736687076j,
+        (0, 3, 0, 0): -0.28470501736687076j,
+        (1, 0, 0, 2): -1.4235250868343539,
+        (1, 0, 2, 0): 0.28470501736687076,
+        (1, 2, 0, 0): 0.28470501736687076,
+        (2, 1, 0, 0): -0.28470501736687076j,
+        (3, 0, 0, 0): 0.28470501736687076,
+    },
+    (3, 1, 0): {
+        (0, 0, 1, 2): 2.0131684841794812,
+        (0, 0, 3, 0): -0.4026336968358963,
+        (0, 2, 1, 0): -0.4026336968358963,
+        (2, 0, 1, 0): -0.4026336968358963,
+    },
+    (3, 1, 1): {
+        (0, 1, 0, 2): 1.4235250868343539j,
+        (0, 1, 2, 0): -0.28470501736687076j,
+        (0, 3, 0, 0): -0.28470501736687076j,
+        (1, 0, 0, 2): 1.4235250868343539,
+        (1, 0, 2, 0): -0.28470501736687076,
+        (1, 2, 0, 0): -0.28470501736687076,
+        (2, 1, 0, 0): -0.28470501736687076j,
+        (3, 0, 0, 0): -0.28470501736687076,
+    },
+    (3, 2, -2): {
+        (0, 2, 0, 1): -1.1026577908435837,
+        (1, 1, 0, 1): -2.2053155816871675j,
+        (2, 0, 0, 1): 1.1026577908435837,
+    },
+    (3, 2, -1): {
+        (0, 1, 1, 1): 2.205315581687168j,
+        (1, 0, 1, 1): -2.205315581687168,
+    },
+    (3, 2, 0): {
+        (0, 0, 2, 1): 1.800632632314212,
+        (0, 2, 0, 1): -0.900316316157106,
+        (2, 0, 0, 1): -0.900316316157106,
+    },
+    (3, 2, 1): {
+        (0, 1, 1, 1): 2.205315581687168j,
+        (1, 0, 1, 1): 2.205315581687168,
+    },
+    (3, 2, 2): {
+        (0, 2, 0, 1): -1.1026577908435837,
+        (1, 1, 0, 1): 2.2053155816871675j,
+        (2, 0, 0, 1): 1.1026577908435837,
+    },
+    (3, 3, -3): {
+        (0, 3, 0, 0): -0.45015815807855303j,
+        (1, 2, 0, 0): 1.3504744742356591,
+        (2, 1, 0, 0): 1.3504744742356591j,
+        (3, 0, 0, 0): -0.45015815807855303,
+    },
+    (3, 3, -2): {
+        (0, 2, 1, 0): -1.1026577908435837,
+        (1, 1, 1, 0): -2.2053155816871675j,
+        (2, 0, 1, 0): 1.1026577908435837,
+    },
+    (3, 3, -1): {
+        (0, 1, 2, 0): 1.3947640395181133j,
+        (0, 3, 0, 0): -0.34869100987952834j,
+        (1, 0, 2, 0): -1.3947640395181133,
+        (1, 2, 0, 0): 0.34869100987952834,
+        (2, 1, 0, 0): -0.34869100987952834j,
+        (3, 0, 0, 0): 0.34869100987952834,
+    },
+    (3, 3, 0): {
+        (0, 0, 3, 0): 0.8052673936717928,
+        (0, 2, 1, 0): -1.2079010905076892,
+        (2, 0, 1, 0): -1.2079010905076892,
+    },
+    (3, 3, 1): {
+        (0, 1, 2, 0): 1.3947640395181133j,
+        (0, 3, 0, 0): -0.34869100987952834j,
+        (1, 0, 2, 0): 1.3947640395181133,
+        (1, 2, 0, 0): -0.34869100987952834,
+        (2, 1, 0, 0): -0.34869100987952834j,
+        (3, 0, 0, 0): -0.34869100987952834,
+    },
+    (3, 3, 2): {
+        (0, 2, 1, 0): -1.1026577908435837,
+        (1, 1, 1, 0): 2.2053155816871675j,
+        (2, 0, 1, 0): 1.1026577908435837,
+    },
+    (3, 3, 3): {
+        (0, 3, 0, 0): -0.45015815807855303j,
+        (1, 2, 0, 0): -1.3504744742356591,
+        (2, 1, 0, 0): 1.3504744742356591j,
+        (3, 0, 0, 0): 0.45015815807855303,
+    },
+}
+D5_DEGREE2 = {
+    (2, 0, 0, 0): {
+        (0, 0, 0, 0, 2): 0.7293395739449994,
+        (0, 0, 0, 2, 0): -0.18233489348624984,
+        (0, 0, 2, 0, 0): -0.18233489348624984,
+        (0, 2, 0, 0, 0): -0.18233489348624984,
+        (2, 0, 0, 0, 0): -0.18233489348624984,
+    },
+    (2, 1, 0, 0): {
+        (0, 0, 0, 1, 1): 1.1531871206814976,
+    },
+    (2, 1, 1, -1): {
+        (0, 1, 0, 0, 1): 0.8154264330108766j,
+        (1, 0, 0, 0, 1): -0.8154264330108766,
+    },
+    (2, 1, 1, 0): {
+        (0, 0, 1, 0, 1): 1.1531871206814976,
+    },
+    (2, 1, 1, 1): {
+        (0, 1, 0, 0, 1): 0.8154264330108766j,
+        (1, 0, 0, 0, 1): 0.8154264330108766,
+    },
+    (2, 2, 0, 0): {
+        (0, 0, 0, 2, 0): 0.7061800059047489,
+        (0, 0, 2, 0, 0): -0.23539333530158296,
+        (0, 2, 0, 0, 0): -0.23539333530158296,
+        (2, 0, 0, 0, 0): -0.23539333530158296,
+    },
+    (2, 2, 1, -1): {
+        (0, 1, 0, 1, 0): 0.8154264330108766j,
+        (1, 0, 0, 1, 0): -0.8154264330108766,
+    },
+    (2, 2, 1, 0): {
+        (0, 0, 1, 1, 0): 1.1531871206814976,
+    },
+    (2, 2, 1, 1): {
+        (0, 1, 0, 1, 0): 0.8154264330108766j,
+        (1, 0, 0, 1, 0): 0.8154264330108766,
+    },
+    (2, 2, 2, -2): {
+        (0, 2, 0, 0, 0): -0.4077132165054383,
+        (1, 1, 0, 0, 0): -0.8154264330108766j,
+        (2, 0, 0, 0, 0): 0.4077132165054383,
+    },
+    (2, 2, 2, -1): {
+        (0, 1, 1, 0, 0): 0.8154264330108766j,
+        (1, 0, 1, 0, 0): -0.8154264330108766,
+    },
+    (2, 2, 2, 0): {
+        (0, 0, 2, 0, 0): 0.6657928945514722,
+        (0, 2, 0, 0, 0): -0.3328964472757361,
+        (2, 0, 0, 0, 0): -0.3328964472757361,
+    },
+    (2, 2, 2, 1): {
+        (0, 1, 1, 0, 0): 0.8154264330108766j,
+        (1, 0, 1, 0, 0): 0.8154264330108766,
+    },
+    (2, 2, 2, 2): {
+        (0, 2, 0, 0, 0): -0.4077132165054383,
+        (1, 1, 0, 0, 0): 0.8154264330108766j,
+        (2, 0, 0, 0, 0): 0.4077132165054383,
+    },
+}
