@@ -104,7 +104,7 @@ def generator_terms(D, chain, h, j):
     head = chain[: d - (j - 2)]
     sub = chain[d - (j - 2):]
     # sign convention: matches the differential operators (x_h d_j - x_j d_h)/i
-    # acting on the ladder-anchored harmonic basis, so the so(D) structure
+    # acting on the phased harmonic basis, so the so(D) structure
     # constants come out with the standard +i orientation
     for sub2, amp in t_terms(j - 1, sub, h):
         if sub2[0] == sub[0] - 1:

@@ -26,7 +26,7 @@ from .harmonics import (
     poly_inner,
     sample_sphere_points,
 )
-from .operators import build_position
+from .operators import _position_matrix, _radial_matrix
 
 SCHEDULE_NAMES = ("consistency", "strong-x", "product", "power")
 RANDOM_VECTORS = 5
@@ -112,11 +112,12 @@ def x_convergence_diagnostic(D, cutoffs, schedule="strong-x", alpha=None):
     for cutoff in cutoffs:
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
         cfg = FuzzyConfig(D=D, cutoff=cutoff, k=k)
+        radial = _radial_matrix(cfg)
         dev = 0.0
         bdev = 0.0
         for h in range(1, D + 1):
-            x = build_position(cfg, h).to_dense()
             t_ext = multiplication_matrix(D, h, cutoff, cutoff + 1)
+            x = radial * t_ext[: len(radial)]
             dev = max(dev, float(np.linalg.norm(x - t_ext[: len(x)], 2)))
             bdev = max(bdev, float(np.linalg.norm(_embed(x, len(t_ext)) - t_ext, 2)))
         rows.append(XRow(cutoff=cutoff, k=k, deviation=dev, boundary_deviation=bdev))
@@ -165,10 +166,10 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
     for cutoff in cutoffs:
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
         cfg = FuzzyConfig(D=D, cutoff=cutoff, k=k)
-        positions = [build_position(cfg, h).to_dense() for h in range(1, D + 1)]
-        f_hat = _fuzzy_image(f_coeffs, cfg, positions).to_dense()
-        g_hat = f_hat if g_coeffs == f_coeffs else _fuzzy_image(g_coeffs, cfg, positions).to_dense()
-        fg_hat = _fuzzy_image(fg, cfg, positions).to_dense()
+        positions = [_position_matrix(cfg, h) for h in range(1, D + 1)]
+        f_hat = _fuzzy_image(f_coeffs, cfg, positions)
+        g_hat = f_hat if g_coeffs == f_coeffs else _fuzzy_image(g_coeffs, cfg, positions)
+        fg_hat = _fuzzy_image(fg, cfg, positions)
         mult = function_multiplication_matrix(f_coeffs, D, cutoff, cutoff + deg_f)
         approx_defect = _embed(f_hat, len(mult)) - mult
         product_defect = f_hat @ g_hat - fg_hat

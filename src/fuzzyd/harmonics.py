@@ -8,11 +8,11 @@ basis is an independent oracle for it; the harmonics suite certifies the
 construction from its definitions by applying the flat Laplacian, every
 casimir of the commuting tower and the azimuthal generator in exact
 arithmetic, and by counting against the dimension of the harmonic space.
-Phases are anchored by the ladder moves themselves: each chain is
-reached from a canonical predecessor by a coordinate move whose amplitude has
-a known strict sign, which pins the unique basis satisfying the sin/cos
-ladder recurrences and makes the recursion and quadrature routes to the
-multiplication matrix elements agree including signs.
+Each polynomial is normalised and multiplied by (-1)^{l_1} when l_1 < 0;
+that closed-form phase is the one the sin/cos ladder recurrences assume.  It
+is not imposed through the ladder moves but checked against them: the
+recursion and quadrature routes to the multiplication matrix elements agree
+only if every sign is right.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import numpy as np
 from . import _moves
 from ._exact import QQi
 from .basis import dimension, enumerate_chains, iter_chains, level_dimension
-from .operators import SparseOperator, VerificationReport, build_position
+from .operators import SparseOperator, VerificationReport, _drop_noise, _move_matrix, _position_matrix
 
-ANCHOR_FLOOR = 1e-8
 RNG_PRODUCT_SEED = 7261
 
 
@@ -50,13 +49,13 @@ def monomials(D, degree):
     return list(gen((), degree, D))
 
 
+@functools.lru_cache(maxsize=None)
 def sphere_integral(alpha, D=None):
-    """Exact monomial moment over the unit sphere in R^len(alpha).
+    """Exact monomial moment over the unit sphere in R^len(alpha), for a tuple `alpha`.
 
     Zero when any exponent is odd, else 2 * prod Gamma((a_i+1)/2) /
     Gamma(sum (a_i+1)/2).
     """
-    alpha = tuple(alpha)
     if D is not None and len(alpha) != D:
         raise ValueError(f"exponent tuple {alpha} does not match dimension {D}")
     if any(a < 0 for a in alpha):
@@ -223,7 +222,7 @@ class HarmonicPolynomial:
     degree: int
     coefficients: dict = field(repr=False)
     exact: dict = field(repr=False)      # unnormalized Gaussian-rational coefficients
-    scale: complex = field(repr=False)   # coefficients == scale * exact
+    scale: float = field(repr=False)     # coefficients == scale * exact
 
     def __call__(self, points):
         return poly_eval(self.coefficients, points)
@@ -233,62 +232,19 @@ class HarmonicPolynomial:
         return {"degree": self.degree, "terms": [[list(a), v.real, v.imag] for a, v in terms]}
 
 
-def _anchor_move(chain):
-    """(predecessor chain, move, expected sign) pinning this chain's phase.
-
-    move is "plus"/"minus" (azimuthal raise/lower) or an integer coordinate
-    index; the amplitude of the move between the two basis polynomials is
-    strictly positive/negative as given by `sign`.
-    """
-    if chain[-1] > 0:
-        return tuple(v - 1 for v in chain), "plus", 1.0
-    if chain[-1] < 0:
-        return tuple(v - 1 for v in chain[:-1]) + (chain[-1] + 1,), "minus", -1.0
-    d = len(chain)
-    m = next(j for j in range(2, d + 1) if chain[d - j] > 0)
-    pred = tuple(v - 1 if d - i >= m else v for i, v in enumerate(chain))
-    return pred, m + 1, 1.0
-
-
-def _apply_move(poly, move):
-    if move == "plus":
-        return {k: v + 1j * w for k, v, w in _zip_terms(coordinate_times(poly, 1), coordinate_times(poly, 2))}
-    if move == "minus":
-        return {k: v - 1j * w for k, v, w in _zip_terms(coordinate_times(poly, 1), coordinate_times(poly, 2))}
-    return coordinate_times(poly, move)
-
-
-def _zip_terms(p, q):
-    for k in set(p) | set(q):
-        yield k, p.get(k, 0j), q.get(k, 0j)
-
-
 @functools.lru_cache(maxsize=None)
 def harmonic_basis(D, degree):
-    """Orthonormal, phase-anchored harmonic polynomials of one degree.
+    """Orthonormal harmonic polynomials of one degree, phased (-1)^{l_1} for l_1 < 0.
 
     Returns a list of (chain, HarmonicPolynomial) in canonical chain order;
     one entry per chain with top entry `degree`.
     """
     exact = _exact_chain_vectors(D, degree)
     out = []
-    lower = {c: p for c, p in harmonic_basis(D, degree - 1)} if degree > 0 else {}
     for chain in sorted(exact):
         vec = exact[chain]
         floats = {alpha: complex(c) for alpha, c in vec.items()}
-        norm = math.sqrt(poly_inner(floats, floats, D).real)
-        scale = 1.0 / norm
-        if degree == 0:
-            # positive constant 1/sqrt(vol)
-            anchor = floats[(0,) * D]
-            scale *= abs(anchor) / anchor
-        else:
-            pred, move, sign = _anchor_move(chain)
-            moved = _apply_move(lower[pred].coefficients, move)
-            overlap = poly_inner({a: scale * c for a, c in floats.items()}, moved, D)
-            if abs(overlap) < ANCHOR_FLOOR:
-                raise RuntimeError(f"degenerate phase anchor for chain {chain}")
-            scale *= (sign * abs(overlap) / overlap).conjugate()
+        scale = (-1) ** max(-chain[-1], 0) / math.sqrt(poly_inner(floats, floats, D).real)
         coeffs = {alpha: scale * c for alpha, c in floats.items()}
         out.append((chain, HarmonicPolynomial(chain=chain, degree=degree, coefficients=coeffs, exact=vec, scale=scale)))
     return out
@@ -344,14 +300,9 @@ def position_matrix_elements(D, h, level_max):
 
 def multiplication_matrix(D, h, src_cutoff, dst_cutoff):
     """Dense matrix of t_h mapping the src chain basis into the dst chain basis."""
-    src = enumerate_chains(D, src_cutoff)
-    dst = enumerate_chains(D, dst_cutoff)
-    out = np.zeros((len(dst), len(src)), dtype=complex)
-    for col, chain in enumerate(src.chains):
-        for target, amp in _moves.t_terms(D, chain, h):
-            if target in dst:
-                out[dst.index_of(target), col] += amp
-    return out
+    src = enumerate_chains(D, src_cutoff).chains
+    dst = enumerate_chains(D, dst_cutoff).chains
+    return _move_matrix(src, dst, lambda chain: _moves.t_terms(D, chain, h))
 
 
 def function_multiplication_matrix(coeffs, D, src_cutoff, dst_cutoff):
@@ -481,12 +432,12 @@ def _fuzzy_image(coeffs, cfg, positions):
     for chain in coeffs:
         if tuple(chain)[0] > 2 * cfg.cutoff:
             raise ValueError(f"coefficient on chain {chain} beyond degree 2*cutoff")
-    return SparseOperator.from_dense(_substitute(coeffs, cfg.D, positions))
+    return _drop_noise(_substitute(coeffs, cfg.D, positions))
 
 
 def approximate_function(coeffs, cfg):
     """Operator approximation of f = sum coeffs[chain] * Y_chain."""
-    return _fuzzy_image(coeffs, cfg, [build_position(cfg, h).to_dense() for h in range(1, cfg.D + 1)])
+    return SparseOperator.from_dense(_fuzzy_image(coeffs, cfg, [_position_matrix(cfg, h) for h in range(1, cfg.D + 1)]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Operators on the chain basis and verification of their algebraic relations.
 
+Every operator is a dense numpy array, and `_move_matrix` is the only place
+where a chain move becomes a matrix entry.  `SparseOperator` is the written
+form: the public `build_*` functions return one, and the CLI stores it.
+
 Conventions recorded in every report:
   * the commutator of two position operators carries the overall factor i
     (the anti-Hermitian-consistent choice; the un-i'd variant is recorded as a
     residual, never asserted);
-  * azimuthal ladder combinations default to the plain normalization
-    O_+- = O_2 -+ i O_1 (positions: x_1 +- i x_2); pass normalized=True for
-    the 1/sqrt(2) variant;
+  * azimuthal ladder combinations use the plain normalization
+    O_+- = O_2 -+ i O_1 (positions: x_1 +- i x_2);
   * level-changing transitions are weighted by the canonical truncated radial
     weight, which makes the interior commutation relations exact identities.
 """
@@ -34,21 +37,17 @@ TOL_DEGREE2 = 1e-12
 TOL_INTERIOR = 1e-13
 TOL_NILPOTENT = 1e-9
 
+SPAN_SEED = 2002
+SPAN_EDGE_FLOOR = 1e-6
+SPAN_GAP_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Complex square operator stored as sorted coordinate triplets."""
+    """Complex square operator stored as sorted coordinate triplets; the written form of a dense array."""
 
     dim: int
     entries: tuple  # ((row, col, complex), ...) sorted by (row, col)
-
-    @classmethod
-    def from_dict(cls, dim, data):
-        items = sorted((r, c, complex(v)) for (r, c), v in data.items() if abs(v) >= ENTRY_DROP)
-        for r, c, _ in items:
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ValueError(f"entry ({r}, {c}) outside dimension {dim}")
-        return cls(dim=dim, entries=tuple(items))
 
     @classmethod
     def from_dense(cls, arr):
@@ -72,70 +71,60 @@ class SparseOperator:
     def from_json_obj(cls, obj):
         return cls(dim=int(obj["dim"]), entries=tuple((int(r), int(c), complex(re, im)) for r, c, re, im in obj["entries"]))
 
-    def __neg__(self):
-        return SparseOperator(self.dim, tuple((r, c, -v) for r, c, v in self.entries))
+
+def _drop_noise(arr):
+    """Zero, in place, the entries a SparseOperator would drop (below ENTRY_DROP)."""
+    arr[np.abs(arr) < ENTRY_DROP] = 0
+    return arr
 
 
-def _operator_from_action(basis, action):
-    data = {}
-    for col, chain in enumerate(basis.chains):
-        for target, amp in action(chain):
-            if target in basis and amp != 0.0:
-                key = (basis.index_of(target), col)
-                data[key] = data.get(key, 0j) + amp
-    return SparseOperator.from_dict(len(basis), data)
+def _move_matrix(src, dst, terms):
+    """Dense len(dst) x len(src) matrix of a chain move; the only place a move becomes an entry.
+
+    `src` and `dst` are sequences of chains and `terms(chain)` yields
+    (target chain, amplitude); each term is added once, targets outside `dst`
+    are skipped, and entries below ENTRY_DROP are zeroed (among the nonzero
+    ones only, which needs no n x n temporary).
+    """
+    rows = {chain: i for i, chain in enumerate(dst)}
+    out = np.zeros((len(dst), len(src)), dtype=complex)
+    for col, chain in enumerate(src):
+        for target, amp in terms(chain):
+            row = rows.get(target)
+            if row is not None:
+                out[row, col] += amp
+    r, c = np.nonzero(out)
+    out[r, c] = _drop_noise(out[r, c])
+    return out
 
 
-def build_angular_momentum(cfg, h, j):
-    """Rotation generator on the chain basis; accepts h > j as -L_{j,h}."""
-    if h == j or not (1 <= min(h, j) and max(h, j) <= cfg.D):
-        raise ValueError(f"generator indices ({h}, {j}) invalid for D={cfg.D}")
-    if h > j:
-        return -build_angular_momentum(cfg, j, h)
-    basis = basis_of(cfg)
-    return _operator_from_action(basis, lambda chain: _moves.generator_terms(cfg.D, chain, h, j))
+def _generator_matrix(cfg, h, j):
+    """Dense rotation generator L_{h,j}, h < j, on the chain basis."""
+    chains = basis_of(cfg).chains
+    return _move_matrix(chains, chains, lambda chain: _moves.generator_terms(cfg.D, chain, h, j))
 
 
-def build_position(cfg, h):
-    """Projected coordinate operator: coordinate move weighted by radial factors."""
-    if not 1 <= h <= cfg.D:
-        raise ValueError(f"coordinate index {h} outside 1..{cfg.D}")
-    basis = basis_of(cfg)
-
-    def action(chain):
-        for target, amp in _moves.t_terms(cfg.D, chain, h):
-            yield target, amp * radial_weight(max(chain[0], target[0]), cfg)
-
-    return _operator_from_action(basis, action)
+def _radial_matrix(cfg):
+    """R[i, j] = radial_weight(max(level_i, level_j)), with one weight evaluated per level."""
+    weights = np.array([radial_weight(l, cfg) for l in range(cfg.cutoff + 1)])
+    levels = np.array(basis_of(cfg).levels())
+    return weights[np.maximum.outer(levels, levels)]
 
 
-def build_position_ladder(cfg, sign, normalized=False):
-    """x_1 + i*sign*x_2 as a single azimuthal move (1/sqrt(2) if normalized)."""
-    basis = basis_of(cfg)
-    scale = 1.0 / math.sqrt(2.0) if normalized else 1.0
-
-    def action(chain):
-        for target, amp in _moves.azimuthal_terms(cfg.D, chain, sign):
-            yield target, scale * amp * radial_weight(max(chain[0], target[0]), cfg)
-
-    return _operator_from_action(basis, action)
+def _position_matrix(cfg, h):
+    """Dense x_h = R * t_h: the coordinate move weighted by the truncated radial factors."""
+    chains = basis_of(cfg).chains
+    return _radial_matrix(cfg) * _move_matrix(chains, chains, lambda chain: _moves.t_terms(cfg.D, chain, h))
 
 
-def build_generator_ladder(cfg, nu, sign, normalized=False):
-    """L_{2,nu} -+ i L_{1,nu} for nu >= 3 (sign=+1 is the raising combination)."""
-    if nu < 3:
-        raise ValueError(f"ladder generator needs nu >= 3, got {nu}")
-    l1 = build_angular_momentum(cfg, 1, nu).to_dense()
-    l2 = build_angular_momentum(cfg, 2, nu).to_dense()
-    return _ladder_combination(l1, l2, sign, normalized)
+def _position_ladder(x1, x2, sign):
+    """x_1 + i*sign*x_2 from the dense positions."""
+    return _drop_noise(x1 + 1j * sign * x2)
 
 
-def _ladder_combination(l1, l2, sign, normalized=False):
+def _ladder_combination(l1, l2, sign):
     """L_{2,nu} -+ i L_{1,nu} from the dense generators."""
-    out = l2 - 1j * sign * l1
-    if normalized:
-        out /= math.sqrt(2.0)
-    return SparseOperator.from_dense(out)
+    return _drop_noise(l2 - 1j * sign * l1)
 
 
 def _generator_pairs(D):
@@ -147,15 +136,58 @@ def _casimir(n, dense_generators):
     acc = np.zeros((n, n), dtype=complex)
     for m in dense_generators:
         acc += m @ m
-    return SparseOperator.from_dense(acc)
+    return _drop_noise(acc)
+
+
+def _casimir_matrix(cfg, p):
+    """Dense order-p casimir, summed in _generator_pairs(p) order."""
+    gens = (_generator_matrix(cfg, h, j) for h, j in _generator_pairs(p))
+    return _casimir(dimension(cfg.D, cfg.cutoff), gens)
+
+
+def _label_projector(basis, p, value):
+    """0/1 diagonal of the projector on chains whose branching label l_{p-1} equals `value`."""
+    d = basis.D - 1
+    return np.array([float(c[d - (p - 1)] == value) for c in basis.chains])
+
+
+def _parity(basis):
+    """Diagonal (-1)^level."""
+    return np.array([float((-1) ** c[0]) for c in basis.chains])
+
+
+def build_angular_momentum(cfg, h, j):
+    """Rotation generator on the chain basis; accepts h > j as -L_{j,h}."""
+    if h == j or not (1 <= min(h, j) and max(h, j) <= cfg.D):
+        raise ValueError(f"generator indices ({h}, {j}) invalid for D={cfg.D}")
+    return SparseOperator.from_dense(_generator_matrix(cfg, h, j) if h < j else -_generator_matrix(cfg, j, h))
+
+
+def build_position(cfg, h):
+    """Projected coordinate operator: coordinate move weighted by radial factors."""
+    if not 1 <= h <= cfg.D:
+        raise ValueError(f"coordinate index {h} outside 1..{cfg.D}")
+    return SparseOperator.from_dense(_position_matrix(cfg, h))
+
+
+def build_position_ladder(cfg, sign):
+    """x_1 + i*sign*x_2 (sign=+1 is the raising combination)."""
+    return SparseOperator.from_dense(_position_ladder(_position_matrix(cfg, 1), _position_matrix(cfg, 2), sign))
+
+
+def build_generator_ladder(cfg, nu, sign):
+    """L_{2,nu} -+ i L_{1,nu} for nu >= 3 (sign=+1 is the raising combination)."""
+    if nu < 3:
+        raise ValueError(f"ladder generator needs nu >= 3, got {nu}")
+    l1, l2 = (_generator_matrix(cfg, h, nu) for h in (1, 2))
+    return SparseOperator.from_dense(_ladder_combination(l1, l2, sign))
 
 
 def build_casimir(cfg, p):
     """Sum of squared generators of the so(p) subalgebra, computed honestly."""
     if not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
-    gens = (build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(p))
-    return _casimir(dimension(cfg.D, cfg.cutoff), gens)
+    return SparseOperator.from_dense(_casimir_matrix(cfg, p))
 
 
 def casimir_eigenvalue(label, p):
@@ -173,23 +205,18 @@ def build_projector(cfg, p=None, value=None):
     """
     basis = basis_of(cfg)
     if p is None and value is None:
-        sel = [c[0] == cfg.cutoff for c in basis.chains]
-    else:
-        if not 2 <= p <= cfg.D:
-            raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
-        d = cfg.D - 1
-        sel = [c[d - (p - 1)] == value for c in basis.chains]
-        if not any(sel):
-            raise ValueError(f"no chain has branching label l_{p - 1} = {value}")
-    data = {(i, i): 1.0 + 0j for i, keep in enumerate(sel) if keep}
-    return SparseOperator.from_dict(len(basis), data)
+        p, value = cfg.D, cfg.cutoff
+    elif not 2 <= p <= cfg.D:
+        raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
+    diag = _label_projector(basis, p, value)
+    if not diag.any():
+        raise ValueError(f"no chain has branching label l_{p - 1} = {value}")
+    return SparseOperator.from_dense(np.diag(diag))
 
 
 def parity_operator(cfg):
     """Diagonal (-1)^level; conjugation flips the sign of every position operator."""
-    basis = basis_of(cfg)
-    data = {(i, i): complex((-1) ** c[0]) for i, c in enumerate(basis.chains)}
-    return SparseOperator.from_dict(len(basis), data)
+    return SparseOperator.from_dense(np.diag(_parity(basis_of(cfg))))
 
 
 def position_square_expected(cfg, l):
@@ -279,14 +306,45 @@ def _max_entry(arr):
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def _diagonal(op):
-    """Diagonal of an operator built diagonal (projectors, parity); raises on any off-diagonal entry."""
-    diag = np.zeros(op.dim, dtype=complex)
-    for r, c, v in op.entries:
-        if r != c:
-            raise ValueError(f"expected a diagonal operator, found an entry at ({r}, {c})")
-        diag[r] = v
-    return diag
+def _commutant_test(ops):
+    """(coupled components, minimum relative eigenvalue gap) of the *-algebra generated by Hermitian `ops`.
+
+    Burnside: the algebra is the full matrix algebra iff it leaves no proper
+    subspace invariant.  A generic Hermitian element A = sum a_h O_h +
+    sum_{h,j} B_hj O_h O_j (B symmetric, seeded) has a simple spectrum, so
+    every invariant subspace is spanned by eigenvectors of A; the eigenvectors
+    form one coupled component when the graph with an edge wherever some
+    |(V^+ O_h V)_ij| exceeds SPAN_EDGE_FLOOR is connected.  The gap is
+    relative to the spectral radius of A (inf in dimension 1).
+    """
+    n = ops[0].shape[0]
+    rng = np.random.default_rng(SPAN_SEED)
+    a = rng.standard_normal(len(ops))
+    b = rng.standard_normal((len(ops), len(ops)))
+    b = b + b.T
+    A = np.zeros((n, n), dtype=complex)
+    for h, o in enumerate(ops):
+        A += a[h] * o
+        A += o @ sum(c * q for c, q in zip(b[h], ops))
+    w, V = np.linalg.eigh(A)  # reads one triangle, so rounding asymmetry is ignored
+    del A
+    gap = float(np.min(np.diff(w)) / np.max(np.abs(w))) if n > 1 else math.inf
+    Vh = V.conj().T
+    coupled = np.zeros((n, n), dtype=bool)
+    for o in ops:
+        coupled |= np.abs(Vh @ (o @ V)) > SPAN_EDGE_FLOOR
+    seen = np.zeros(n, dtype=bool)
+    components = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        components += 1
+        frontier = [start]
+        seen[start] = True
+        while len(frontier):
+            frontier = np.flatnonzero(coupled[frontier].any(axis=0) & ~seen)
+            seen[frontier] = True
+    return components, gap
 
 
 def _gap_product(target, others):
@@ -306,11 +364,11 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
     eye = np.eye(n)
 
     pairs = _generator_pairs(D)
-    L = {(h, j): build_angular_momentum(cfg, h, j).to_dense() for h, j in pairs}
-    X = {h: build_position(cfg, h).to_dense() for h in range(1, D + 1)}
-    casimirs = {p: _casimir(n, (L[pair] for pair in _generator_pairs(p))).to_dense() for p in range(2, D + 1)}
+    L = {(h, j): _generator_matrix(cfg, h, j) for h, j in pairs}
+    X = {h: _position_matrix(cfg, h) for h in range(1, D + 1)}
+    casimirs = {p: _casimir(n, (L[pair] for pair in _generator_pairs(p))) for p in range(2, D + 1)}
     L2 = casimirs[D]
-    top = _diagonal(build_projector(cfg))
+    top = _label_projector(basis, D, lam)
 
     def gen(a, b):
         return L[(a, b)] if a < b else -L[(b, a)]
@@ -378,34 +436,13 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         )
 
     def check_positions_span_algebra():
-        # the coordinate operators generate the whole matrix algebra: the span
-        # of their words saturates at dimension n^2 (numerical spanning only;
-        # no explicit polynomial for each projector is constructed)
-        if n > 16:
-            return Check("coordinate words span the full matrix algebra", 0.0, 0.0, "skipped above dimension 16")
-        span = []
-
-        def absorb(mat):
-            v = mat.ravel().astype(complex)
-            for b in span:
-                v = v - (b.conj() @ v) * b
-            norm = np.linalg.norm(v)
-            if norm > 1e-10:
-                span.append(v / norm)
-                return True
-            return False
-
-        frontier = [np.eye(n, dtype=complex)]
-        absorb(frontier[0])
-        while frontier and len(span) < n * n:
-            grown = []
-            for w in frontier:
-                for h in range(1, D + 1):
-                    m = X[h] @ w
-                    if absorb(m):
-                        grown.append(m)
-            frontier = grown
-        return Check("coordinate words span the full matrix algebra", float(n * n - len(span)), 0.0)
+        components, gap = _commutant_test([X[h] for h in range(1, D + 1)])
+        return Check(
+            "coordinate words span the full matrix algebra",
+            float(components - 1 + (gap <= SPAN_GAP_FLOOR)),
+            0.0,
+            f"Burnside test: {components} coupled component(s), minimum relative eigenvalue gap {gap:.3g}",
+        )
 
     def check_vector_covariance():
         dev = 0.0
@@ -467,7 +504,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
                     op, eigs = casimirs[m], [casimir_eigenvalue(w, m) for w in range(v + 1)]
                 else:
                     op, eigs = L[(1, 2)], range(-v, v + 1)
-                proj = _diagonal(build_projector(cfg, p=m + 1, value=v))
+                proj = _label_projector(basis, m + 1, v)
                 prod = np.diag(proj)[:, np.flatnonzero(proj)]
                 for e in eigs:
                     prod = (op - e * eye) @ prod
@@ -484,11 +521,11 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         power = 2 * lam + 1
         dev = 0.0
         for sign in (+1, -1):
-            xpm = build_position_ladder(cfg, sign).to_dense()
+            xpm = _position_ladder(X[1], X[2], sign)
             dev = max(dev, float(np.linalg.norm(np.linalg.matrix_power(xpm, power))))
         for nu in range(3, D + 1):
             for sign in (+1, -1):
-                lpm = _ladder_combination(L[(1, nu)], L[(2, nu)], sign).to_dense()
+                lpm = _ladder_combination(L[(1, nu)], L[(2, nu)], sign)
                 dev = max(dev, float(np.linalg.norm(np.linalg.matrix_power(lpm, power))))
         return Check(
             f"azimuthal ladder operators nilpotent at power {power}",
@@ -507,7 +544,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
 
     def check_parity():
         # par M par has entries s_i s_j M_ij
-        sign = _diagonal(parity_operator(cfg))
+        sign = _parity(basis)
         flip = sign[:, None] * sign[None, :]
         dev = 0.0
         for h in range(1, D + 1):
@@ -520,7 +557,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         # P L - L P has entries (p_i - p_j) L_ij
         dev = 0.0
         for l in range(lam + 1):
-            proj = _diagonal(build_projector(cfg, p=D, value=l))
+            proj = _label_projector(basis, D, l)
             gap = proj[:, None] - proj[None, :]
             for h, j in pairs:
                 dev = max(dev, _max_entry(gap * L[(h, j)]))

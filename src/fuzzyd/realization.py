@@ -29,11 +29,12 @@ from .operators import (
     SparseOperator,
     VerificationReport,
     _casimir,
+    _casimir_matrix,
+    _drop_noise,
+    _generator_matrix,
     _generator_pairs,
-    _operator_from_action,
-    build_angular_momentum,
-    build_casimir,
-    build_position,
+    _move_matrix,
+    _position_matrix,
 )
 
 TOL_ISO = 1e-10
@@ -47,8 +48,7 @@ def level_operator(cfg):
     Computed honestly from the built total casimir through the scalar map
     level = (2 - D + sqrt((D-2)^2 + 4*casimir)) / 2.
     """
-    c = build_casimir(cfg, cfg.D).to_dense()
-    diag = np.real(np.diag(c))
+    diag = np.real(np.diag(_casimir_matrix(cfg, cfg.D)))
     vals = 0.5 * (2 - cfg.D + np.sqrt((cfg.D - 2) ** 2 + 4.0 * diag))
     return SparseOperator.from_dense(np.diag(vals.astype(complex)))
 
@@ -80,6 +80,18 @@ def dressing_sequence(cfg):
     return DressingSequence(values=tuple(p), raise_residual=raise_res, lower_residual=lower_res)
 
 
+def _ambient_matrix(cfg, h, j, orientation=-1):
+    """Dense so(D+1) generator L_{h,j} on the identified chain basis (the cutoff prepended to every chain)."""
+    sign = orientation if j == cfg.D + 1 else 1
+    chains = [(cfg.cutoff,) + chain for chain in basis_of(cfg).chains]
+
+    def terms(chain):
+        for target, amp in _moves.generator_terms(cfg.D + 1, chain, h, j):
+            yield target, sign * amp
+
+    return _move_matrix(chains, chains, terms)
+
+
 def ambient_generator(cfg, h, j, orientation=-1):
     """Generator L_{h,j} of so(D+1) acting on the identified chain basis.
 
@@ -87,23 +99,15 @@ def ambient_generator(cfg, h, j, orientation=-1):
     j = D+1 the default orientation -1 applies the parity flip described in
     the module docstring; pass orientation=+1 for the unflipped family.
     """
-    D, lam = cfg.D, cfg.cutoff
-    if not 1 <= h < j <= D + 1:
-        raise ValueError(f"ambient generator indices ({h}, {j}) invalid for so({D + 1})")
-    basis = basis_of(cfg)
-    sign = orientation if j == D + 1 else 1
-
-    def action(chain):
-        for target, amp in _moves.generator_terms(D + 1, (lam,) + chain, h, j):
-            yield target[1:], sign * amp
-
-    return _operator_from_action(basis, action)
+    if not 1 <= h < j <= cfg.D + 1:
+        raise ValueError(f"ambient generator indices ({h}, {j}) invalid for so({cfg.D + 1})")
+    return SparseOperator.from_dense(_ambient_matrix(cfg, h, j, orientation))
 
 
 def ambient_casimir(cfg):
     """Total casimir of the ambient so(D+1) family; a scalar on the irrep."""
-    gens = (ambient_generator(cfg, h, j).to_dense() for h, j in _generator_pairs(cfg.D + 1))
-    return _casimir(dimension(cfg.D, cfg.cutoff), gens)
+    gens = (_ambient_matrix(cfg, h, j) for h, j in _generator_pairs(cfg.D + 1))
+    return SparseOperator.from_dense(_casimir(dimension(cfg.D, cfg.cutoff), gens))
 
 
 def _dressing(cfg):
@@ -114,7 +118,7 @@ def _dressing(cfg):
 
 def _dress(amb, p, conjugate_left=True):
     left = np.conjugate(p) if conjugate_left else p
-    return SparseOperator.from_dense(left[:, None] * amb * p[None, :])
+    return _drop_noise(left[:, None] * amb * p[None, :])
 
 
 def realize_position(cfg, h, orientation=-1, conjugate_left=True):
@@ -123,8 +127,8 @@ def realize_position(cfg, h, orientation=-1, conjugate_left=True):
     conjugate_left=False gives the variant without conjugation on the left
     dressing factor; it is kept only so its residual can be reported.
     """
-    amb = ambient_generator(cfg, h, cfg.D + 1, orientation=orientation).to_dense()
-    return _dress(amb, _dressing(cfg), conjugate_left)
+    amb = _ambient_matrix(cfg, h, cfg.D + 1, orientation)
+    return SparseOperator.from_dense(_dress(amb, _dressing(cfg), conjugate_left))
 
 
 def verify_isomorphism(cfg, tol_iso=TOL_ISO, tol_adjoint=TOL_ADJOINT, tol_sequence=TOL_SEQUENCE):
@@ -152,26 +156,26 @@ def verify_isomorphism(cfg, tol_iso=TOL_ISO, tol_adjoint=TOL_ADJOINT, tol_sequen
 
     def compare(h, j, amb):
         if j <= D:
-            nat = build_angular_momentum(cfg, h, j).to_dense()
+            nat = _generator_matrix(cfg, h, j)
             dev["gen"] = max(dev["gen"], float(np.max(np.abs(amb - nat))))
             return
-        realized = _dress(amb, p).to_dense()
-        native = build_position(cfg, h).to_dense()
+        realized = _dress(amb, p)
+        native = _position_matrix(cfg, h)
         dev["pos"] = max(dev["pos"], float(np.max(np.abs(realized - native))) if realized.size else 0.0)
         dev["adj"] = max(dev["adj"], float(np.max(np.abs(realized - realized.conj().T))))
-        alt = _dress(amb, p, conjugate_left=False).to_dense()
+        alt = _dress(amb, p, conjugate_left=False)
         dev["alt"] = max(dev["alt"], float(np.max(np.abs(alt - native))))
-        # the unflipped orientation (+1) is the exact negation of the default
-        flipped = _dress(-amb, p).to_dense()
+        # the unflipped orientation (+1), built on its own, dressed like the default
+        flipped = _dress(_ambient_matrix(cfg, h, j, orientation=+1), p)
         dev["par"] = max(dev["par"], float(np.max(np.abs(flipped + realized))))
 
     def ambient_generators():
         for h, j in _generator_pairs(D + 1):
-            amb = ambient_generator(cfg, h, j).to_dense()
+            amb = _ambient_matrix(cfg, h, j)
             compare(h, j, amb)
             yield amb
 
-    amb_cas = _casimir(dimension(D, lam), ambient_generators()).to_dense()
+    amb_cas = _casimir(dimension(D, lam), ambient_generators())
 
     report.add("dressed generators equal position operators", dev["pos"], tol_iso)
     report.add("dressed generators are self-adjoint", dev["adj"], tol_adjoint)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -78,3 +79,58 @@ def test_converge_tables(tmp_path):
     assert main(["converge", "--d", "3", "--lambda-max", "2", "--mode", "product", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "product_convergence.csv").exists()
     assert main(["converge", "--d", "3", "--lambda-max", "1", "--mode", "x", "--out", str(tmp_path)]) == 2
+
+
+# sha256 of every build file except the casimirs (BLAS rounding) and the manifest (timing, paths);
+# generators, positions, projectors and the basis use IEEE arithmetic only, so these hold on any platform
+BUILD_SHA256 = {
+    (4, 3): {
+        "L_1_2.json": "eee564b960ab6b28b5cf2e887f5ea3fefdcca45609ef14c222db8873168b3a13",
+        "L_1_3.json": "099f1a6562719b6f2580a625b5837d82782c5c2ba854eef50862cedb61d7b4eb",
+        "L_1_4.json": "6c2fc90be69ac8336650e77922893cd046ea8fee07bf2d971be2307e40eaa2a4",
+        "L_2_3.json": "c7303b17658116c40e4f968b15f68770da1bcc455c444e6851ff248f7c129a17",
+        "L_2_4.json": "b2cb48a399ad82a81f33b67f3ae790b733a6e2cee94a5d46b02035bb8f9d3a2b",
+        "L_3_4.json": "393456f58c9b76f1df493cc9e903b8901287ae928a30c8319fd6d846703b8cab",
+        "P_level_0.json": "cbccb3af73464025c365f7a5713983025a9672944be435769ea2439560ce4517",
+        "P_level_1.json": "ca563f5d47d5d2e4c5255e3a53b88d951d7fdd5cb20e971876126eda337dc283",
+        "P_level_2.json": "cbeee0c3a31eeaf4388bf7ce98bdbc68a5036f724e1de7ec98d38b4aca1d4260",
+        "P_level_3.json": "a82f16ad3635e593298259ffdcfd4b8cb291c8346ba00b0b2d98679eb2797699",
+        "P_top.json": "a82f16ad3635e593298259ffdcfd4b8cb291c8346ba00b0b2d98679eb2797699",
+        "basis.json": "ecba2613cc118552cc5ba9dd3d48c6385a42df9d419a65473722ad5376d44cf3",
+        "x_1.json": "feefc9adebabc57b0ca5639c39d796ba61186f22bf75b7a9188ba888ec089540",
+        "x_2.json": "8fed81d31ed7ad004fb1fbd6c9ef3f30bdf37de149519e96d354cebb60c847fb",
+        "x_3.json": "cd4ed33e156a20c7010ea9a72d40ed4e26c9b3a6584b7edadda7ebfe16009005",
+        "x_4.json": "de31e4b6a492ba4e21c847794887cb3343969e164c35881aac4857b1ba351fbb",
+    },
+    (5, 2): {
+        "L_1_2.json": "ff048374d9ba5528cb95d462b54920175b50e679b0167fd3cff1281eec92ef20",
+        "L_1_3.json": "c581aa94894230f92bf62be3f389efe50c27e3f15b0db66ba2f15dd615f29030",
+        "L_1_4.json": "5d59e6ea2561dc1f15011ed23b3c906d4888ede706f3af7d7c20f6af45709f63",
+        "L_1_5.json": "4f2cb845d4df30827d5978d890519efc75a39ebda3e2313448db6480fcb22fc5",
+        "L_2_3.json": "1f55691b7edf961ed50eed5734004b766fa60d56c18df2cbbe35fa53bcdc4b50",
+        "L_2_4.json": "16fff55bb716fbfa416edab378cee30371152142577e60c41f2779f1aee37f97",
+        "L_2_5.json": "91a81e791fe856310e3fccf7e02c0d4ce5d9ed75a9ca73bdca53ff37eff940b9",
+        "L_3_4.json": "4876822377842be75334e320488cd423f212a49dced6b796bf0c1bbe6edcb0bd",
+        "L_3_5.json": "63490f94c145f9790181173b9b7f14b9a4a26bd88a68e6f712db8914ace06689",
+        "L_4_5.json": "744cf9ae09dc2e4174a2d6aa1451aab59ce16d0f1860a7a2cab9bc40abdc6544",
+        "P_level_0.json": "fa8be3000b6522d53f29abf48ba0f4392e1bc2f27bc62656250ef5d98fa40349",
+        "P_level_1.json": "0ea2047f0ec7ee4d56b350b45b504f481e62218df19e5b54e98e1ce7e96af6f3",
+        "P_level_2.json": "80f34af36711fb3aa3ad2f30cbd3fc7cad027e213121330af9c962b84aaa66e2",
+        "P_top.json": "80f34af36711fb3aa3ad2f30cbd3fc7cad027e213121330af9c962b84aaa66e2",
+        "basis.json": "d3bca121404a4248622564088ee436fac312ec0da0adb1c149654df5d5952910",
+        "x_1.json": "8e1b9cf5efbc47458ce6520affadbc77f86a247b2fb1231336daddb23968ccbe",
+        "x_2.json": "bcc4e881e86836844619d29fea6680694543881834ddbb64f0bea18cf6d2c8d1",
+        "x_3.json": "984d949c170109c63ea505ab57de3b1ba8413f0c091eb69338d54d2db8be3a28",
+        "x_4.json": "2ca1601fa656a09a7e78214f1b99236a916c634b6fc5526bde71e99bd0301319",
+        "x_5.json": "f7acd30adb538e8cbaf747c28c406f6a18dfcda663d8ecfbf28a94ea16c93051",
+    },
+}
+
+
+@pytest.mark.parametrize("D, cutoff", sorted(BUILD_SHA256))
+def test_build_files_have_fixed_hashes(tmp_path, D, cutoff):
+    assert main(["build", "--d", str(D), "--lambda", str(cutoff), "--out", str(tmp_path)]) == 0
+    written = {p.name for p in tmp_path.iterdir() if not p.name.startswith("C_") and p.name != "manifest.json"}
+    assert written == set(BUILD_SHA256[(D, cutoff)])
+    for name, digest in BUILD_SHA256[(D, cutoff)].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

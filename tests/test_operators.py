@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 import fuzzyd.operators
-from fuzzyd.basis import FuzzyConfig, enumerate_chains, level_dimension
+from fuzzyd.basis import FuzzyConfig, dimension, enumerate_chains, level_dimension
 from fuzzyd.coefficients import radial_weight
 from fuzzyd.convergence import k_schedule
 from fuzzyd.operators import (
     SparseOperator,
     VerificationReport,
-    _diagonal,
+    _commutant_test,
     _gap_product,
+    _generator_matrix,
+    _generator_pairs,
+    _position_matrix,
     build_angular_momentum,
     build_casimir,
     build_generator_ladder,
@@ -114,13 +117,12 @@ def test_position_square_levels():
     assert position_square_expected(CFG42, 2) == pytest.approx(radial_weight(2, CFG42) ** 2 * 2 / 6, abs=1e-15)
 
 
-def test_ladder_normalization_flag():
-    plain = build_position_ladder(CFG42, +1).to_dense()
-    scaled = build_position_ladder(CFG42, +1, normalized=True).to_dense()
-    assert np.allclose(plain / np.sqrt(2.0), scaled)
-    gplain = build_generator_ladder(CFG42, 3, -1).to_dense()
-    gscaled = build_generator_ladder(CFG42, 3, -1, normalized=True).to_dense()
-    assert np.allclose(gplain / np.sqrt(2.0), gscaled)
+def test_ladders_are_plain_combinations():
+    x1, x2 = (build_position(CFG42, h).to_dense() for h in (1, 2))
+    l1, l2 = (build_angular_momentum(CFG42, h, 3).to_dense() for h in (1, 2))
+    for sign in (+1, -1):
+        assert np.array_equal(build_position_ladder(CFG42, sign).to_dense(), x1 + 1j * sign * x2)
+        assert np.array_equal(build_generator_ladder(CFG42, 3, sign).to_dense(), l2 - 1j * sign * l1)
     with pytest.raises(ValueError):
         build_generator_ladder(CFG42, 2, +1)
 
@@ -266,26 +268,18 @@ def test_verify_algebra_equals_dense_product_formulas(D, cutoff):
         assert got[name] == dev, name
 
 
-def test_diagonal_rejects_off_diagonal_entries():
-    assert list(_diagonal(parity_operator(CFG42))[:2]) == [1, -1]
-    with pytest.raises(ValueError):
-        _diagonal(SparseOperator.from_dict(3, {(0, 0): 1.0, (2, 1): 0.5}))
-
-
 def test_generator_leaking_between_levels_fails_projector_and_parity_checks(monkeypatch):
     bm = enumerate_chains(4, 2)
     i0, i1 = bm.index_of((0, 0, 0)), bm.index_of((1, 0, 0))
-    honest = build_angular_momentum
+    honest = _generator_matrix
 
     def leaky(cfg, h, j):
         op = honest(cfg, h, j)
-        if (h, j) != (1, 2):
-            return op
-        data = {(r, c): v for r, c, v in op.entries}
-        data[(i1, i0)] = 0.5
-        return SparseOperator.from_dict(op.dim, data)
+        if (h, j) == (1, 2):
+            op[i1, i0] = 0.5
+        return op
 
-    monkeypatch.setattr(fuzzyd.operators, "build_angular_momentum", leaky)
+    monkeypatch.setattr(fuzzyd.operators, "_generator_matrix", leaky)
     checks = {c.name: c for c in verify_algebra(CFG42).checks}
     assert not checks["level projectors commute with every generator"].passed
     assert not checks["parity conjugation flips positions, fixes generators"].passed
@@ -299,6 +293,81 @@ def test_verify_algebra_size_sweep(D, cutoff):
     # size-dependent defects (such as an int64 wrap) show only at larger cutoffs
     report = verify_algebra(_consistency_config(D, cutoff))
     assert report.all_passed, report.to_text()
+
+
+def _word_span_deficit(ops):
+    """n^2 minus the dimension of the span of all words in `ops` (the identity included), by closure.
+
+    Gram-Schmidt runs twice per word: a single pass loses orthogonality and
+    over-counts (it finds n^2 + 1 directions at D=3, cutoff 3).
+    """
+    n = ops[0].shape[0]
+    span = []
+
+    def absorb(mat):
+        v = mat.ravel().astype(complex)
+        for _ in range(2):
+            for b in span:
+                v = v - (b.conj() @ v) * b
+        norm = np.linalg.norm(v)
+        if norm > 1e-10:
+            span.append(v / norm)
+            return True
+        return False
+
+    frontier = [np.eye(n, dtype=complex)]
+    absorb(frontier[0])
+    while frontier and len(span) < n * n:
+        grown = []
+        for w in frontier:
+            for op in ops:
+                m = op @ w
+                if absorb(m):
+                    grown.append(m)
+        frontier = grown
+    return n * n - len(span)
+
+
+SMALL_CONFIGS = [(3, lam) for lam in range(4)] + [(4, lam) for lam in range(3)] + [(5, 1), (6, 1), (7, 1), (8, 1)]
+
+
+@pytest.mark.parametrize("D, cutoff", SMALL_CONFIGS)
+def test_burnside_test_agrees_with_word_span_closure(D, cutoff):
+    # below n = 16 the closure of coordinate words is cheap enough to serve as the oracle
+    cfg = _consistency_config(D, cutoff)
+    positions = [_position_matrix(cfg, h) for h in range(1, D + 1)]
+    assert len(positions[0]) <= 16
+    assert _word_span_deficit(positions) == 0
+    components, gap = _commutant_test(positions)
+    assert components == 1 and gap > fuzzyd.operators.SPAN_GAP_FLOOR
+    check = next(c for c in verify_algebra(cfg).checks if c.name == "coordinate words span the full matrix algebra")
+    assert check.passed and check.deviation == 0.0
+
+
+@pytest.mark.parametrize("D, cutoff", [(3, 1), (3, 3), (4, 2), (3, 8), (4, 5)])
+def test_generators_alone_are_reducible(D, cutoff):
+    # generators keep every level: one component per level, and words miss every off-block entry
+    cfg = _consistency_config(D, cutoff)
+    generators = [_generator_matrix(cfg, h, j) for h, j in _generator_pairs(D)]
+    assert _commutant_test(generators)[0] == cutoff + 1
+    n = dimension(D, cutoff)
+    if n <= 16:
+        assert _word_span_deficit(generators) == n * n - sum(level_dimension(D, l) ** 2 for l in range(cutoff + 1))
+
+
+def test_span_check_fails_for_a_reducible_position_set(monkeypatch):
+    # positions with every coupling from level 0 removed leave the constant state invariant
+    honest = _position_matrix
+
+    def cut(cfg, h):
+        x = honest(cfg, h)
+        x[0, :] = 0
+        x[:, 0] = 0
+        return x
+
+    monkeypatch.setattr(fuzzyd.operators, "_position_matrix", cut)
+    check = next(c for c in verify_algebra(CFG42).checks if c.name == "coordinate words span the full matrix algebra")
+    assert not check.passed and check.deviation >= 1.0
 
 
 def test_zero_cutoff_degenerate_algebra():
@@ -326,8 +395,6 @@ def test_sparse_operator_drops_noise_and_validates():
     assert op.entries == ((2, 0, 0.5j),)
     with pytest.raises(ValueError):
         SparseOperator.from_dense(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        SparseOperator.from_dict(2, {(2, 0): 1.0})
 
 
 def test_report_semantics(tmp_path):

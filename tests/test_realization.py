@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fuzzyd import realization
 from fuzzyd.basis import FuzzyConfig, enumerate_chains
 from fuzzyd.coefficients import radial_weight, reduced_element
 from fuzzyd.operators import build_angular_momentum, build_position
@@ -97,6 +98,15 @@ def test_orientation_flip_negates_positions():
         a = realize_position(cfg, h).to_dense()
         b = realize_position(cfg, h, orientation=+1).to_dense()
         assert np.max(np.abs(a + b)) == 0.0
+
+
+def test_orientation_check_fails_when_the_flip_is_ignored(monkeypatch):
+    honest = realization._ambient_matrix
+    monkeypatch.setattr(realization, "_ambient_matrix", lambda cfg, h, j, orientation=-1: honest(cfg, h, j))
+    cfg = FuzzyConfig(D=3, cutoff=3, k=1e3)
+    checks = {c.name: c for c in verify_isomorphism(cfg).checks}
+    assert not checks["negating the extra-index generators negates every position"].passed
+    assert checks["dressed generators equal position operators"].passed
 
 
 def test_isomorphism_report():
