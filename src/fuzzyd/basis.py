@@ -50,7 +50,7 @@ class FuzzyConfig:
             raise ValueError(f"ambient dimension must be an integer >= 3, got {self.D}")
         if not isinstance(self.cutoff, int) or self.cutoff < 0:
             raise ValueError(f"cutoff must be an integer >= 0, got {self.cutoff}")
-        if self.k <= 0:
+        if not self.k > 0:
             raise ValueError(f"stiffness k must be positive, got {self.k}")
         energy = self.cutoff * (self.cutoff + self.D - 2)
         if not energy < 2.0 * math.sqrt(2.0 * self.k):

@@ -52,8 +52,8 @@ def k_schedule(name, D, cutoff, alpha=None):
     if name == "consistency":
         return max(1.0, float(energy) ** 2)
     if name == "power":
-        if alpha is None or alpha < 2:
-            raise ValueError("power schedule needs alpha >= 2 (weaker powers violate the cutoff consistency bound)")
+        if alpha is None or not alpha >= 2:
+            raise ValueError(f"power schedule needs alpha >= 2, got {alpha} (weaker ones violate the cutoff consistency bound)")
         return max(1.0, float(energy) ** alpha)
     if name == "strong-x":
         return max(1.0, cutoff * dimension(D, cutoff) ** 2 * float(centrifugal_coeff(cutoff, D)))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -66,6 +67,13 @@ def test_branching_counts():
             for l in range(lam + 1):
                 assert per_level[l] == level_dimension(D, l)
             assert sum(per_level.values()) == dimension(D, lam)
+            # chains with l_{p-1} = v, every order p: the labels l_{D-1} >= .. >= l_p lie in [|v|, lam],
+            # and below them sits one so(p) irrep of label v (a single chain for p = 2)
+            for p in range(2, D + 1):
+                for v in range(-lam if p == 2 else 0, lam + 1):
+                    count = sum(1 for c in bm.chains if c[D - p] == v)
+                    irrep = level_dimension(p, v) if p >= 3 else 1
+                    assert count == math.comb(lam - abs(v) + D - p, D - p) * irrep, (D, lam, p, v)
 
 
 def test_index_roundtrip_and_errors():
@@ -102,6 +110,8 @@ def test_config_validation():
         FuzzyConfig(D=4, cutoff=-1, k=100.0)
     with pytest.raises(ValueError):
         FuzzyConfig(D=4, cutoff=2, k=0.0)
+    with pytest.raises(ValueError, match="stiffness k must be positive, got nan"):
+        FuzzyConfig(D=4, cutoff=2, k=float("nan"))
     # cutoff energy 8 needs 8 < 2*sqrt(2k), i.e. k > 8
     with pytest.raises(ValueError):
         FuzzyConfig(D=4, cutoff=2, k=7.9)

@@ -60,6 +60,12 @@ def test_config_errors_exit_two(capsys):
     assert main(["build", "--d", "2", "--lambda", "1", "--out", "/tmp/unused"]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["verify", "--suite", "algebra", "--d", "4", "--lambda", "2", "--k", "5"]) == 2
+    # NaN fails every ordered comparison, so each bound is written to reject it
+    capsys.readouterr()
+    assert main(["verify", "--suite", "algebra", "--d", "3", "--lambda", "1", "--schedule", "power", "--alpha", "nan"]) == 2
+    assert "got nan" in capsys.readouterr().err
+    assert main(["verify", "--suite", "algebra", "--d", "3", "--lambda", "1", "--k", "nan"]) == 2
+    assert "stiffness k must be positive, got nan" in capsys.readouterr().err
 
 
 def test_malformed_flags_exit_two():

@@ -9,10 +9,11 @@ from fuzzyd.basis import FuzzyConfig, dimension, enumerate_chains, level_dimensi
 from fuzzyd.coefficients import radial_weight
 from fuzzyd.convergence import k_schedule
 from fuzzyd.operators import (
+    TOL_DEGREE2,
+    TOL_NILPOTENT,
     SparseOperator,
     VerificationReport,
     _commutant_test,
-    _gap_product,
     _generator_matrix,
     _generator_pairs,
     _position_matrix,
@@ -158,25 +159,13 @@ def test_verify_algebra_passes_where_gap_products_exceed_int64():
     assert report.all_passed, report.to_text()
 
 
-def test_gap_product_beyond_int64():
-    # nested check at D=4, cutoff 11: so(3) label v = 11 against the labels below
-    eigs = [casimir_eigenvalue(w, 3) for w in range(11)]
-    scale = _gap_product(casimir_eigenvalue(11, 3), eigs)
-    assert scale > 2.0**63
-    assert scale == pytest.approx(float(math.factorial(22)), rel=1e-14)
-    # azimuthal branch: prod_{w=-v}^{v-1} |v - w| = (2v)!
-    assert _gap_product(11, range(-11, 11)) == pytest.approx(float(math.factorial(22)), rel=1e-14)
-    assert _gap_product(0, []) == 1.0
-    assert _gap_product(2, [2, 2.5, -1]) == 3.0
-
-
 def _consistency_config(D, cutoff):
     # the k that `fuzzyd verify` uses by default
     return FuzzyConfig(D=D, cutoff=cutoff, k=k_schedule("consistency", D, cutoff))
 
 
 def _dense_reference(cfg):
-    """Deviations of the checks of verify_algebra as dense n x n products over ordered pairs."""
+    """Deviations of the checks of verify_algebra as dense n x n products over ordered pairs and full projectors."""
     D, lam, k = cfg.D, cfg.cutoff, cfg.k
     n = len(enumerate_chains(D, lam))
     levels = np.array(enumerate_chains(D, lam).levels())
@@ -218,33 +207,43 @@ def _dense_reference(cfg):
     ref["snyder commutator with top-level projector term"] = full
     ref["snyder variant without the factor i (recorded, not asserted)"] = without_i
 
-    eigs = [l * (l + D - 2) for l in range(lam + 1)]
-    prod = np.eye(n, dtype=complex)
-    for e in eigs:
-        prod = prod @ (C[D] - e * np.eye(n))
-    ref["minimal polynomial of the total casimir"] = amax(prod) / _gap_product(eigs[-1], eigs[:-1])
+    chains = np.array(enumerate_chains(D, lam).chains)
+    label = {p: chains[:, D - p] for p in range(2, D + 1)}  # l_{p-1} of every chain
+    counts = {2: {v: math.comb(lam - abs(v) + D - 2, D - 2) for v in range(-lam, lam + 1)}}
+    for p in range(3, D + 1):
+        counts[p] = {v: math.comb(lam - v + D - p, D - p) * level_dimension(p, v) for v in range(lam + 1)}
+    bad = 0
+    for p in range(2, D + 1):
+        # eigenvalues of the built operator (L_12 for p = 2) counted per label value
+        eigs = np.linalg.eigvalsh(L[(1, 2)] if p == 2 else C[p])
+        for v, count in counts[p].items():
+            bad += int(np.sum(np.abs(eigs - (v if p == 2 else casimir_eigenvalue(v, p))) < 1e-9) != count)
+    ref["casimir eigenvalue multiplicities match branching counts"] = float(bad)
 
-    dev = 0.0
-    for m in range(D - 1, 1, -1):
-        for v in range(lam + 1):
-            prod = build_projector(cfg, p=m + 1, value=v).to_dense()
-            if m >= 3:
-                for w in range(v + 1):
-                    prod = (C[m] - casimir_eigenvalue(w, m) * np.eye(n)) @ prod
-                scale = _gap_product(casimir_eigenvalue(v, m), [casimir_eigenvalue(w, m) for w in range(v)])
-            else:
-                for w in range(-v, v + 1):
-                    prod = (L[(1, 2)] - w * np.eye(n)) @ prod
-                scale = _gap_product(v, range(-v, v))
-            dev = max(dev, amax(prod) / scale)
+    # per-eigenspace residuals (O - e I) @ P with the full projector on each label value
+    def eigenspace_residual(op, p, values, eig):
+        return max(amax((op - eig(v) * np.eye(n)) @ build_projector(cfg, p=p, value=v).to_dense()) for v in values)
+
+    ref["minimal polynomial of the total casimir"] = eigenspace_residual(C[D], D, range(lam + 1), lambda v: casimir_eigenvalue(v, D))
+    dev = eigenspace_residual(L[(1, 2)], 2, range(-lam, lam + 1), lambda v: v)
+    for m in range(3, D):
+        dev = max(dev, eigenspace_residual(C[m], m, range(lam + 1), lambda v: casimir_eigenvalue(v, m)))
     ref["nested casimir products annihilate their projector blocks"] = dev
 
     dev = 0.0
     for h, j in pairs:
-        dev = max(dev, amax(L[(h, j)] @ C[D] - C[D] @ L[(h, j)]))
-        for p in range(j + 1, D + 1):
-            dev = max(dev, amax(L[(h, j)] @ C[p] - C[p] @ L[(h, j)]))
+        for p in range(min(j + 1, D), D + 1):
+            c = np.diag(casimir_eigenvalue(label[p], p).astype(float))
+            dev = max(dev, amax(L[(h, j)] @ c - c @ L[(h, j)]))
     ref["generators commute with enclosing casimirs"] = dev
+
+    # ladder entries outside the l_1 grading
+    shift = label[2][:, None] - label[2][None, :]
+    dev = 0.0
+    for sign in (+1, -1):
+        ladders = [build_position_ladder(cfg, sign)] + [build_generator_ladder(cfg, nu, sign) for nu in range(3, D + 1)]
+        dev = max(dev, max(amax(op.to_dense()[shift != sign]) for op in ladders))
+    ref[f"azimuthal ladder operators nilpotent at power {2 * lam + 1}"] = dev
 
     dev = max(amax(par @ X[h] @ par + X[h]) for h in X)
     ref["parity conjugation flips positions, fixes generators"] = max(dev, max(amax(par @ M @ par - M) for M in L.values()))
@@ -260,37 +259,112 @@ def _dense_reference(cfg):
     return ref
 
 
+def _assert_casimir_product_formulas_pass(cfg):
+    """The dense polynomial, commutator and matrix-power forms that the label residuals imply still pass."""
+    D, lam = cfg.D, cfg.cutoff
+    n = dimension(D, lam)
+    eye = np.eye(n)
+    pairs = _generator_pairs(D)
+    L = {(h, j): _generator_matrix(cfg, h, j) for h, j in pairs}
+    C = {p: build_casimir(cfg, p).to_dense() for p in range(2, D + 1)}
+    amax = lambda m: float(np.max(np.abs(m)))
+
+    def gap_product(target, others):
+        return math.prod(max(1.0, float(abs(target - v))) for v in others)
+
+    # minimal polynomial of the total casimir, normalised by its conditioning factor
+    eigs = [casimir_eigenvalue(l, D) for l in range(lam + 1)]
+    prod = eye.astype(complex)
+    for e in eigs:
+        prod = prod @ (C[D] - e * eye)
+    assert amax(prod) / gap_product(eigs[-1], eigs[:-1]) <= TOL_DEGREE2
+
+    # nested products on the projector of l_m = v, against the eigenvalues up to v
+    for m in range(D - 1, 1, -1):
+        for v in range(lam + 1):
+            op, eigs = (C[m], [casimir_eigenvalue(w, m) for w in range(v + 1)]) if m >= 3 else (L[(1, 2)], range(-v, v + 1))
+            prod = build_projector(cfg, p=m + 1, value=v).to_dense()
+            for e in eigs:
+                prod = (op - e * eye) @ prod
+            assert amax(prod) / gap_product(eigs[-1], eigs[:-1]) <= TOL_DEGREE2, (m, v)
+
+    # commutators with the built casimirs
+    for h, j in pairs:
+        for p in range(min(j + 1, D), D + 1):
+            assert amax(L[(h, j)] @ C[p] - C[p] @ L[(h, j)]) <= TOL_DEGREE2, (h, j, p)
+
+    # general eigenvalues of every casimir against the branching labels
+    chains = enumerate_chains(D, lam).chains
+    for p in range(2, D + 1):
+        expected = np.sort([casimir_eigenvalue(c[D - p], p) for c in chains])
+        assert np.allclose(np.sort(np.real(np.linalg.eigvals(C[p]))), expected, atol=1e-9), p
+
+    # dense powers of the azimuthal ladders
+    ladders = [build_position_ladder(cfg, s) for s in (1, -1)]
+    ladders += [build_generator_ladder(cfg, nu, s) for nu in range(3, D + 1) for s in (1, -1)]
+    for op in ladders:
+        assert np.linalg.norm(np.linalg.matrix_power(op.to_dense(), 2 * lam + 1)) <= TOL_NILPOTENT
+
+
 @pytest.mark.parametrize("D, cutoff", [(3, 5), (4, 3)])
 def test_verify_algebra_equals_dense_product_formulas(D, cutoff):
     cfg = _consistency_config(D, cutoff)
     got = {c.name: c.deviation for c in verify_algebra(cfg).checks}
     for name, dev in _dense_reference(cfg).items():
         assert got[name] == dev, name
+    _assert_casimir_product_formulas_pass(cfg)
+
+
+def _checks_with_generator_entry(monkeypatch, pair, entries):
+    """verify_algebra at D=4, cutoff 2 with `entries` {(row chain, col chain): value} written into L_pair."""
+    bm = enumerate_chains(4, 2)
+    honest = _generator_matrix
+
+    def tampered(cfg, h, j):
+        op = honest(cfg, h, j)
+        if (h, j) == pair:
+            for (row, col), value in entries.items():
+                op[bm.index_of(row), bm.index_of(col)] = value
+        return op
+
+    monkeypatch.setattr(fuzzyd.operators, "_generator_matrix", tampered)
+    return {c.name: c for c in verify_algebra(CFG42).checks}
 
 
 def test_generator_leaking_between_levels_fails_projector_and_parity_checks(monkeypatch):
-    bm = enumerate_chains(4, 2)
-    i0, i1 = bm.index_of((0, 0, 0)), bm.index_of((1, 0, 0))
-    honest = _generator_matrix
-
-    def leaky(cfg, h, j):
-        op = honest(cfg, h, j)
-        if (h, j) == (1, 2):
-            op[i1, i0] = 0.5
-        return op
-
-    monkeypatch.setattr(fuzzyd.operators, "_generator_matrix", leaky)
-    checks = {c.name: c for c in verify_algebra(CFG42).checks}
+    checks = _checks_with_generator_entry(monkeypatch, (1, 2), {((1, 0, 0), (0, 0, 0)): 0.5})
     assert not checks["level projectors commute with every generator"].passed
     assert not checks["parity conjugation flips positions, fixes generators"].passed
 
 
+def test_generator_leaking_between_l2_values_fails_the_casimir_checks(monkeypatch):
+    # a Hermitian L_12 entry joining l_2 = 0 and l_2 = 1 inside level 1, both at l_1 = 0
+    a, b = (1, 0, 0), (1, 1, 0)
+    checks = _checks_with_generator_entry(monkeypatch, (1, 2), {(a, b): 0.5, (b, a): 0.5})
+    for name in (
+        "generators commute with enclosing casimirs",
+        "casimir operators diagonal with branching eigenvalues",
+        "minimal polynomial of the total casimir",
+        "nested casimir products annihilate their projector blocks",
+    ):
+        assert not checks[name].passed, name
+    assert checks["hermiticity of generators and positions"].passed
+
+
+def test_generator_entry_keeping_l1_fails_nilpotency(monkeypatch):
+    # an L_13 entry between two chains of equal l_1 puts a grade-0 entry into L_23 -+ i L_13
+    checks = _checks_with_generator_entry(monkeypatch, (1, 3), {((1, 1, 0), (1, 0, 0)): 0.5})
+    nilpotency = checks["azimuthal ladder operators nilpotent at power 5"]
+    assert not nilpotency.passed and nilpotency.deviation == 0.5
+
+
 @pytest.mark.parametrize(
     "D, cutoff",
-    [(3, lam) for lam in range(4, 13)] + [(4, lam) for lam in range(3, 8)] + [(5, lam) for lam in range(2, 5)],
+    [(3, lam) for lam in range(4, 13)] + [(3, 23)] + [(4, lam) for lam in range(3, 8)] + [(5, lam) for lam in range(2, 5)],
 )
 def test_verify_algebra_size_sweep(D, cutoff):
-    # size-dependent defects (such as an int64 wrap) show only at larger cutoffs
+    # size-dependent defects (such as an int64 wrap, or one ulp of a casimir diagonal
+    # amplified by a commutator at D=3 cutoff 23) show only at larger cutoffs
     report = verify_algebra(_consistency_config(D, cutoff))
     assert report.all_passed, report.to_text()
 
