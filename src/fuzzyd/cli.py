@@ -99,19 +99,12 @@ def cmd_verify(args):
     cfg = _config(args)
     reports = []
     if args.suite in ("algebra", "all"):
-        reports.append(
-            verify_algebra(
-                cfg,
-                tol_degree2=args.tol_degree2,
-                tol_interior=args.tol_interior,
-                tol_nilpotent=args.tol_nilpotent,
-            )
-        )
+        reports.append(verify_algebra(cfg, tol_degree2=args.tol_degree2))
     if args.suite in ("harmonics", "all"):
         level_max = min(cfg.cutoff + 1, 4)
-        reports.append(verify_harmonics(cfg.D, level_max, tol_elements=args.tol_elements))
+        reports.append(verify_harmonics(cfg.D, level_max))
     if args.suite in ("isomorphism", "all"):
-        reports.append(verify_isomorphism(cfg, tol_iso=args.tol_iso))
+        reports.append(verify_isomorphism(cfg))
     for rep in reports:
         print(rep.to_text())
     if args.out:
@@ -160,10 +153,6 @@ def main(argv=None):
     v.add_argument("--suite", choices=("algebra", "harmonics", "isomorphism", "all"), default="all")
     v.add_argument("--out", default=None, help="optional directory for JSON/CSV reports")
     v.add_argument("--tol-degree2", dest="tol_degree2", type=float, default=1e-12, help="tolerance for degree-2 operator identities (default 1e-12)")
-    v.add_argument("--tol-interior", dest="tol_interior", type=float, default=1e-13, help="tolerance for the interior commutator identity (default 1e-13)")
-    v.add_argument("--tol-nilpotent", dest="tol_nilpotent", type=float, default=1e-9, help="tolerance for high-power nilpotency (default 1e-9)")
-    v.add_argument("--tol-elements", dest="tol_elements", type=float, default=1e-10, help="tolerance for recursion-vs-quadrature elements (default 1e-10)")
-    v.add_argument("--tol-iso", dest="tol_iso", type=float, default=1e-10, help="tolerance for the realization match (default 1e-10)")
 
     c = sub.add_parser("converge", help="emit commutative-limit diagnostic tables")
     c.add_argument("--d", type=int, required=True)

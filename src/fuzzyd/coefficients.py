@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+CASCADE_TOL = 1e-12
+
 
 def _root(num, den):
     # num, den exact integers; transitions with num <= 0 vanish
@@ -203,12 +205,12 @@ def _cascade_recursive(n, l_top, l_mid, l_low, p):
     return cur
 
 
-def cascade_coeffs(n, l_top, l_mid, l_low, p, check_tol=1e-12):
+def cascade_coeffs(n, l_top, l_mid, l_low, p):
     """Cascade weights of depth n; closed form, cross-checked against the recursion.
 
     Requires n >= 1, p >= 2, l_top >= l_mid >= |l_low|.  For n >= 2 the closed
     form is recomputed through the site-by-site recursion and the two must
-    agree to `check_tol`.
+    agree to CASCADE_TOL.
     """
     if n < 1 or p < 2 or l_top < l_mid or l_mid < abs(l_low):
         raise ValueError(f"invalid cascade indices n={n}, l_top={l_top}, l_mid={l_mid}, l_low={l_low}, p={p}")
@@ -217,6 +219,6 @@ def cascade_coeffs(n, l_top, l_mid, l_low, p, check_tol=1e-12):
     )
     rec = _cascade_recursive(n, l_top, l_mid, l_low, p)
     dev = max(abs(a - b) for a, b in zip(closed, rec))
-    if dev > check_tol:
+    if dev > CASCADE_TOL:
         raise ValueError(f"cascade recursion disagrees with closed form by {dev:.3e}")
     return closed

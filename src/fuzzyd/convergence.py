@@ -19,11 +19,11 @@ from .basis import FuzzyConfig, dimension, enumerate_chains
 from .coefficients import centrifugal_coeff
 from .harmonics import (
     _fuzzy_image,
+    _project,
     function_multiplication_matrix,
-    harmonic_lookup,
+    harmonic_basis,
     multiplication_matrix,
     poly_eval,
-    poly_inner,
     sample_sphere_points,
 )
 from .operators import _position_matrix, _radial_matrix
@@ -152,7 +152,7 @@ def function_sup_norm(coeffs, D, samples=512, seed=RNG_SEED):
     pts = sample_sphere_points(D, samples, seed)
     vals = np.zeros(samples, dtype=complex)
     for chain, c in coeffs.items():
-        vals += c * poly_eval(harmonic_lookup(D, tuple(chain)[0])[tuple(chain)].coefficients, pts)
+        vals += c * poly_eval(harmonic_basis(D, tuple(chain)[0])[tuple(chain)].coefficients, pts)
     return float(np.max(np.abs(vals)))
 
 
@@ -194,12 +194,7 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
 def coordinate_coefficients(D, h):
     """Harmonic expansion coefficients of the unit coordinate t_h."""
     mono = tuple(1 if i == h - 1 else 0 for i in range(D))
-    out = {}
-    for chain, pol in harmonic_lookup(D, 1).items():
-        val = poly_inner(pol.coefficients, {mono: 1.0 + 0j}, D)
-        if abs(val) > 1e-14:
-            out[chain] = val
-    return out
+    return {chain: val for chain, val in _project({mono: 1.0 + 0j}, D, (1,)).items() if abs(val) > 1e-14}
 
 
 def write_csv(path, D, rows):

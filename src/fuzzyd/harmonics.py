@@ -9,10 +9,16 @@ construction from its definitions by applying the flat Laplacian, every
 casimir of the commuting tower and the azimuthal generator in exact
 arithmetic, and by counting against the dimension of the harmonic space.
 Each polynomial is normalised and multiplied by (-1)^{l_1} when l_1 < 0;
-that closed-form phase is the one the sin/cos ladder recurrences assume.  It
-is not imposed through the ladder moves but checked against them: the
-recursion and quadrature routes to the multiplication matrix elements agree
-only if every sign is right.
+that closed-form phase is the one the sin/cos ladder recurrences assume.
+
+Every expansion coefficient on this basis is one sphere inner product
+<Y_c, P>, taken by `_project`: products of harmonics, the coordinates, and
+the quadrature matrix of t_h.  On the unit sphere a polynomial of degree d
+has components in degrees d, d - 2, ... only, and harmonics of different
+degree are orthogonal, so projecting on those degrees is the whole
+expansion.  The quadrature matrix is compared with `multiplication_matrix`,
+the ladder-recursion matrix the diagnostics use; the phases are not imposed
+through the ladder moves, and the two agree only if every sign is right.
 """
 
 from __future__ import annotations
@@ -27,9 +33,15 @@ import numpy as np
 from . import _moves
 from ._exact import QQi
 from .basis import dimension, enumerate_chains, iter_chains, level_dimension
-from .operators import SparseOperator, VerificationReport, _drop_noise, _move_matrix, _position_matrix
+from .operators import SparseOperator, VerificationReport, _drop_noise, _max_entry, _move_matrix, _position_matrix
 
 RNG_PRODUCT_SEED = 7261
+PRODUCT_POINTS = 200
+
+TOL_GRAM = 1e-10
+TOL_EIGEN = 1e-12
+TOL_ELEMENTS = 1e-10
+TOL_PRODUCT = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -236,66 +248,49 @@ class HarmonicPolynomial:
 def harmonic_basis(D, degree):
     """Orthonormal harmonic polynomials of one degree, phased (-1)^{l_1} for l_1 < 0.
 
-    Returns a list of (chain, HarmonicPolynomial) in canonical chain order;
-    one entry per chain with top entry `degree`.
+    Returns {chain: HarmonicPolynomial} in canonical chain order; one entry
+    per chain with top entry `degree`.  The dict is cached and shared, so
+    callers must not modify it.
     """
     exact = _exact_chain_vectors(D, degree)
-    out = []
+    out = {}
     for chain in sorted(exact):
         vec = exact[chain]
         floats = {alpha: complex(c) for alpha, c in vec.items()}
         scale = (-1) ** max(-chain[-1], 0) / math.sqrt(poly_inner(floats, floats, D).real)
         coeffs = {alpha: scale * c for alpha, c in floats.items()}
-        out.append((chain, HarmonicPolynomial(chain=chain, degree=degree, coefficients=coeffs, exact=vec, scale=scale)))
+        out[chain] = HarmonicPolynomial(chain=chain, degree=degree, coefficients=coeffs, exact=vec, scale=scale)
     return out
 
 
-def harmonic_lookup(D, degree):
-    return dict(harmonic_basis(D, degree))
+def _project(poly, D, degrees):
+    """{chain: <Y_chain, poly>} over the basis of each degree in `degrees`, in that order."""
+    return {
+        chain: poly_inner(pol.coefficients, poly, D)
+        for degree in degrees
+        for chain, pol in harmonic_basis(D, degree).items()
+    }
 
 
 # ---------------------------------------------------------------------------
-# multiplication matrix elements, two ways
-
-
-@dataclass(frozen=True)
-class PositionElements:
-    """Matrix elements <Y_dst, t_h Y_src> keyed by (src chain, dst chain)."""
-
-    ladder: dict
-    quadrature: dict
-    max_discrepancy: float
+# multiplication matrices: ladder recursion, and quadrature as its oracle
 
 
 def position_matrix_elements(D, h, level_max):
-    """Multiplication-operator elements up to level_max, recursion vs quadrature.
+    """Quadrature matrix <Y_dst, t_h Y_src>, shaped like multiplication_matrix(D, h, level_max, level_max + 1).
 
-    Sources run over all chains with top entry <= level_max; targets reach
-    level_max + 1.  The ladder route is the pure coefficient recursion; the
-    quadrature route multiplies polynomials and projects with exact monomial
-    moments.  Their maximum absolute disagreement is reported alongside.
+    Column src projects t_h Y_src on the basis of degrees src[0] +- 1, where
+    all of it lies; every other entry is 0.
     """
-    ladder = {}
-    for src in iter_chains(D, level_max):
-        for dst, amp in _moves.t_terms(D, src, h):
-            ladder[(src, dst)] = amp
-    lookup = {deg: harmonic_lookup(D, deg) for deg in range(level_max + 2)}
-    quad = {}
-    dev = 0.0
-    for src in iter_chains(D, level_max):
-        moved = coordinate_times(lookup[src[0]][src].coefficients, h)
-        for deg in (src[0] - 1, src[0] + 1):
-            if deg < 0:
-                continue
-            for dst, pol in lookup[deg].items():
-                val = poly_inner(pol.coefficients, moved, D)
-                key = (src, dst)
-                if abs(val) > 1e-14 or key in ladder:
-                    quad[key] = val
-                dev = max(dev, abs(val - ladder.get(key, 0j)))
-    for key, amp in ladder.items():
-        dev = max(dev, abs(amp - quad.get(key, 0j)))
-    return PositionElements(ladder=ladder, quadrature=quad, max_discrepancy=dev)
+    src = enumerate_chains(D, level_max)
+    dst = enumerate_chains(D, level_max + 1)
+    out = np.zeros((len(dst), len(src)), dtype=complex)
+    for col, chain in enumerate(src.chains):
+        moved = coordinate_times(harmonic_basis(D, chain[0])[chain].coefficients, h)
+        degrees = [d for d in (chain[0] - 1, chain[0] + 1) if d >= 0]
+        for target, val in _project(moved, D, degrees).items():
+            out[dst.index_of(target), col] = val
+    return out
 
 
 def multiplication_matrix(D, h, src_cutoff, dst_cutoff):
@@ -323,65 +318,16 @@ def function_multiplication_matrix(coeffs, D, src_cutoff, dst_cutoff):
 # products of harmonics
 
 
-def _harmonic_split(poly, D, degree):
-    """Split a homogeneous polynomial into harmonic parts per degree.
+def multiply_harmonics(a, b, D):
+    """Expansion coefficients of the product Y_a * Y_b over the chain basis, entries above 1e-13.
 
-    Iterates the decomposition P = H + r^2 Q: Q solves lap(r^2 Q) = lap(P)
-    on the coefficient space, H = P - r^2 Q is harmonic.  Returns a dict
-    {remaining degree: harmonic polynomial} with r^2 factors dropped (r = 1
-    on the sphere).
+    The product has degree a[0] + b[0]; on the sphere its components lie in
+    degrees a[0] + b[0], a[0] + b[0] - 2, ..., 0 or 1, and it is projected on each.
     """
-    parts = {}
-    current = poly
-    deg = degree
-    while deg >= 0:
-        if deg < 2:
-            parts[deg] = current
-            break
-        mono_q = monomials(D, deg - 2)
-        idx = {m: i for i, m in enumerate(mono_q)}
-        n = len(mono_q)
-        mat = np.zeros((n, n), dtype=float)
-        for col, beta in enumerate(mono_q):
-            r2q = {beta[:hh] + (beta[hh] + 2,) + beta[hh + 1:]: 1.0 for hh in range(D)}
-            for key, c in _laplacian(r2q, D).items():
-                mat[idx[key], col] += c
-        rhs = np.zeros(n, dtype=complex)
-        for key, c in _laplacian(current, D).items():
-            rhs[idx[key]] += c
-        q = np.linalg.solve(mat, rhs)
-        qpoly = {m: q[i] for i, m in enumerate(mono_q) if q[i] != 0}
-        harmonic = dict(current)
-        for beta, c in qpoly.items():
-            for hh in range(D):
-                key = tuple(b + 2 if i == hh else b for i, b in enumerate(beta))
-                harmonic[key] = harmonic.get(key, 0j) - c
-        parts[deg] = {k: v for k, v in harmonic.items() if abs(v) > 0}
-        current = qpoly
-        deg -= 2
-    return parts
-
-
-def multiply_harmonics(a, b, D, tol=1e-13):
-    """Expansion coefficients of the product Y_a * Y_b over the chain basis.
-
-    The product polynomial is split into harmonic components degree by degree
-    and each component projected onto the basis of its degree.  Only entries
-    above `tol` are returned.
-    """
-    pa = harmonic_lookup(D, a[0])[tuple(a)]
-    pb = harmonic_lookup(D, b[0])[tuple(b)]
-    product = poly_mul(pa.coefficients, pb.coefficients)
-    total = a[0] + b[0]
-    gamma = {}
-    for deg, part in _harmonic_split(product, D, total).items():
-        if not part:
-            continue
-        for chain, pol in harmonic_lookup(D, deg).items():
-            val = poly_inner(pol.coefficients, part, D)
-            if abs(val) > tol:
-                gamma[chain] = val
-    return gamma
+    a, b = tuple(a), tuple(b)
+    product = poly_mul(harmonic_basis(D, a[0])[a].coefficients, harmonic_basis(D, b[0])[b].coefficients)
+    gamma = _project(product, D, range(a[0] + b[0], -1, -2))
+    return {chain: val for chain, val in gamma.items() if abs(val) > 1e-13}
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +360,7 @@ def _substitute(coeffs, D, ops):
     acc = np.zeros((n, n), dtype=complex)
     for chain, c in coeffs.items():
         chain = tuple(chain)
-        for alpha, p in harmonic_lookup(D, chain[0])[chain].coefficients.items():
+        for alpha, p in harmonic_basis(D, chain[0])[chain].coefficients.items():
             acc += (c * p) * _symmetrized_word(alpha, ops, cache)
     return acc
 
@@ -444,7 +390,7 @@ def approximate_function(coeffs, cfg):
 # verification suite
 
 
-def verify_harmonics(D, level_max, points=200, seed=None, tol_gram=1e-10, tol_eigen=1e-12, tol_elements=1e-10, tol_product=1e-9):
+def verify_harmonics(D, level_max):
     """Orthonormality, harmonicity, eigenvalue, and product checks up to level_max."""
     report = VerificationReport(config=f"D={D}, harmonics up to level {level_max}")
 
@@ -459,10 +405,10 @@ def verify_harmonics(D, level_max, points=200, seed=None, tol_gram=1e-10, tol_ei
         harmonic_dim = len(monomials(D, l)) - (len(monomials(D, l - 2)) if l >= 2 else 0)
         if not len(basis) == level_dimension(D, l) == harmonic_dim:
             count_bad += 1
-        polys = [p for _, p in basis]
+        polys = list(basis.values())
         gram = np.array([[poly_inner(p.coefficients, q.coefficients, D) for q in polys] for p in polys])
         gram_dev = max(gram_dev, float(np.max(np.abs(gram - np.eye(len(polys))))))
-        for chain, p in basis:
+        for chain, p in basis.items():
             if _laplacian(p.exact, D):
                 lap_exact_bad += 1
             lap = _laplacian(p.coefficients, D)
@@ -477,34 +423,33 @@ def verify_harmonics(D, level_max, points=200, seed=None, tol_gram=1e-10, tol_ei
                 if any(defect.values()):
                     eig_bad += 1
     report.add("basis sizes match the counting formula", float(count_bad), 0.0)
-    report.add("orthonormal under the sphere inner product", gram_dev, tol_gram)
+    report.add("orthonormal under the sphere inner product", gram_dev, TOL_GRAM)
     report.add("flat laplacian annihilates every element, exactly", float(lap_exact_bad), 0.0, "exact rational arithmetic")
-    report.add("flat laplacian annihilates every element, floats", lap_float_dev, tol_eigen)
+    report.add("flat laplacian annihilates every element, floats", lap_float_dev, TOL_EIGEN)
     report.add("commuting-tower eigenvalues match chain labels, exactly", float(eig_bad), 0.0, "exact rational arithmetic")
 
-    dev = 0.0
-    for h in range(1, D + 1):
-        dev = max(dev, position_matrix_elements(D, h, max(level_max - 1, 0)).max_discrepancy)
-    report.add("multiplication elements: recursion vs quadrature", dev, tol_elements)
+    top = max(level_max - 1, 0)
+    dev = max(
+        _max_entry(position_matrix_elements(D, h, top) - multiplication_matrix(D, h, top, top + 1)) for h in range(1, D + 1)
+    )
+    report.add("multiplication elements: recursion vs quadrature", dev, TOL_ELEMENTS)
 
-    pts = sample_sphere_points(D, points, RNG_PRODUCT_SEED if seed is None else seed)
+    pts = sample_sphere_points(D, PRODUCT_POINTS, RNG_PRODUCT_SEED)
     prod_dev = 0.0
     parseval_dev = 0.0
-    level_one = [c for c, _ in harmonic_basis(D, 1)]
+    level_one = list(harmonic_basis(D, 1))
     pairs = [(a, b) for a in level_one for b in level_one[: len(level_one) // 2 + 1]]
     for a, b in pairs[:6]:
         gamma = multiply_harmonics(a, b, D)
-        pa = harmonic_lookup(D, 1)[a].coefficients
-        pb = harmonic_lookup(D, 1)[b].coefficients
-        product = poly_mul(pa, pb)
+        product = poly_mul(harmonic_basis(D, 1)[a].coefficients, harmonic_basis(D, 1)[b].coefficients)
         recon = np.zeros(len(pts), dtype=complex)
         for c, g in gamma.items():
-            recon += g * poly_eval(harmonic_lookup(D, c[0])[c].coefficients, pts)
+            recon += g * poly_eval(harmonic_basis(D, c[0])[c].coefficients, pts)
         prod_dev = max(prod_dev, float(np.max(np.abs(recon - poly_eval(product, pts)))))
         parseval_dev = max(
             parseval_dev,
             abs(sum(abs(g) ** 2 for g in gamma.values()) - poly_inner(product, product, D).real),
         )
-    report.add("products reconstruct pointwise on random sphere points", prod_dev, tol_product)
-    report.add("products satisfy the norm identity", parseval_dev, tol_product)
+    report.add("products reconstruct pointwise on random sphere points", prod_dev, TOL_PRODUCT)
+    report.add("products satisfy the norm identity", parseval_dev, TOL_PRODUCT)
     return report

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _moves
 from .basis import basis_of, dimension, level_dimension
-from .coefficients import centrifugal_coeff, radial_weight
+from .coefficients import centrifugal_coeff, radial_weight, updown_weights
 
 ENTRY_DROP = 1e-15
 
@@ -225,13 +225,18 @@ def parity_operator(cfg):
 
 
 def position_square_expected(cfg, l):
-    """Exact per-level value of the squared distance operator."""
-    D, k = cfg.D, cfg.k
-    den = 2 * l + D - 2
+    """Exact per-level value of the squared distance operator.
+
+    Below the cutoff, 1 + (b(l) + b(l+1) up + b(l-1) down) / 2k with b the
+    centrifugal coefficient and (up, down) = updown_weights(l, D - 1), summed
+    exactly; at the cutoff only the lowering sector remains, w(l)^2 down.
+    """
+    D = cfg.D
     if l == cfg.cutoff:
-        return radial_weight(l, cfg) ** 2 * l / den if l > 0 else 0.0
-    b = lambda m: float(centrifugal_coeff(m, D))
-    return 1.0 + (b(l) + b(l + 1) * (l + D - 2) / den + b(l - 1) * l / den) / (2.0 * k)
+        return radial_weight(l, cfg) ** 2 * l / (2 * l + D - 2)
+    up, down = updown_weights(l, D - 1)
+    b = lambda m: centrifugal_coeff(m, D)
+    return 1.0 + float(b(l) + b(l + 1) * up + b(l - 1) * down) / (2.0 * cfg.k)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,7 @@ def _diagonal_residual(op, diag):
     return _max_entry(op)
 
 
-def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_nilpotent=TOL_NILPOTENT):
+def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     """Check every algebraic relation the operators are supposed to satisfy.
 
     Diagonal operators (projectors, parity) act as vectors by broadcasting.
@@ -424,7 +429,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         return Check(
             "snyder commutator, interior columns",
             snyder_deviations()[0],
-            tol_interior,
+            TOL_INTERIOR,
             "exact identity for the canonical truncated radial weight",
         )
 
@@ -517,7 +522,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2, tol_interior=TOL_INTERIOR, tol_
         return Check(
             f"azimuthal ladder operators nilpotent at power {power}",
             dev,
-            tol_nilpotent,
+            TOL_NILPOTENT,
             "largest ladder entry not shifting l_1 by exactly +-1; plain normalization O_2 -+ i O_1",
         )
 

@@ -131,7 +131,7 @@ def realize_position(cfg, h, orientation=-1, conjugate_left=True):
     return SparseOperator.from_dense(_dress(amb, _dressing(cfg), conjugate_left))
 
 
-def verify_isomorphism(cfg, tol_iso=TOL_ISO, tol_adjoint=TOL_ADJOINT, tol_sequence=TOL_SEQUENCE):
+def verify_isomorphism(cfg):
     """Numerical checks that the dressed realization reproduces the algebra."""
     D, lam = cfg.D, cfg.cutoff
     report = VerificationReport(config=f"D={D}, cutoff={lam}, k={cfg.k:.6g}")
@@ -145,8 +145,8 @@ def verify_isomorphism(cfg, tol_iso=TOL_ISO, tol_adjoint=TOL_ADJOINT, tol_sequen
     )
 
     seq = dressing_sequence(cfg)
-    report.add("dressing recursion, raising relation", seq.raise_residual, tol_sequence)
-    report.add("dressing recursion, lowering relation", seq.lower_residual, tol_sequence)
+    report.add("dressing recursion, raising relation", seq.raise_residual, TOL_SEQUENCE)
+    report.add("dressing recursion, lowering relation", seq.lower_residual, TOL_SEQUENCE)
 
     # one pass over the so(D+1) generators in (h, j) order, one alive at a time:
     # each feeds the ambient casimir, and is compared with the native generator
@@ -177,8 +177,8 @@ def verify_isomorphism(cfg, tol_iso=TOL_ISO, tol_adjoint=TOL_ADJOINT, tol_sequen
 
     amb_cas = _casimir(dimension(D, lam), ambient_generators())
 
-    report.add("dressed generators equal position operators", dev["pos"], tol_iso)
-    report.add("dressed generators are self-adjoint", dev["adj"], tol_adjoint)
+    report.add("dressed generators equal position operators", dev["pos"], TOL_ISO)
+    report.add("dressed generators are self-adjoint", dev["adj"], TOL_ADJOINT)
     report.add(
         "variant without left conjugation (recorded, not asserted)",
         dev["alt"],

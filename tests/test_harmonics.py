@@ -16,8 +16,8 @@ from fuzzyd.harmonics import (
     build_fuzzy_harmonic,
     function_multiplication_matrix,
     harmonic_basis,
-    harmonic_lookup,
     monomials,
+    multiplication_matrix,
     multiply_harmonics,
     poly_eval,
     poly_inner,
@@ -56,11 +56,11 @@ def test_basis_counts():
 
 
 def test_constant_and_degree_one_values():
-    lk0 = harmonic_lookup(3, 0)
+    lk0 = harmonic_basis(3, 0)
     [(chain, pol)] = lk0.items()
     assert chain == (0, 0)
     assert pol.coefficients[(0, 0, 0)] == pytest.approx(1 / math.sqrt(4 * math.pi), abs=1e-15)
-    lk1 = harmonic_lookup(3, 1)
+    lk1 = harmonic_basis(3, 1)
     t3 = lk1[(1, 0)].coefficients
     assert set(t3) == {(0, 0, 1)}
     assert t3[(0, 0, 1)] == pytest.approx(math.sqrt(3 / (4 * math.pi)), abs=1e-14)
@@ -117,8 +117,8 @@ def test_closed_form_values():
 def test_float_coefficients_pinned(D, degree, pinned):
     expected = globals()[pinned]
     basis = harmonic_basis(D, degree)
-    assert [c for c, _ in basis] == list(expected)
-    for chain, pol in basis:
+    assert list(basis) == list(expected)
+    for chain, pol in basis.items():
         assert set(pol.coefficients) == set(expected[chain])
         for alpha, v in pol.coefficients.items():
             assert abs(v - expected[chain][alpha]) <= 1e-14
@@ -201,7 +201,7 @@ def test_wrong_azimuthal_sign_is_caught(corrupt_basis):
 def test_gram_matrices_are_identity():
     for D, lmax in [(3, 4), (4, 3), (5, 2)]:
         for l in range(lmax + 1):
-            polys = [p.coefficients for _, p in harmonic_basis(D, l)]
+            polys = [p.coefficients for p in harmonic_basis(D, l).values()]
             gram = np.array([[poly_inner(p, q, D) for q in polys] for p in polys])
             assert np.max(np.abs(gram - np.eye(len(polys)))) <= 1e-10
 
@@ -212,18 +212,26 @@ def test_harmonics_suite_passes():
         assert report.all_passed, report.to_text()
 
 
+def _elements_deviation(D, h, level_max):
+    """max |quadrature - ladder recursion| over the matrix of t_h."""
+    quad = position_matrix_elements(D, h, level_max)
+    return float(np.max(np.abs(quad - multiplication_matrix(D, h, level_max, level_max + 1))))
+
+
 def test_position_elements_support_pattern():
-    pe = position_matrix_elements(3, 3, 2)
-    for (src, dst) in pe.ladder:
-        assert abs(src[0] - dst[0]) == 1
-    assert pe.ladder[((0, 0), (1, 0))] == pytest.approx(1 / math.sqrt(3), abs=1e-14)
-    assert pe.max_discrepancy <= 1e-10
+    quad = position_matrix_elements(3, 3, 2)
+    src = enumerate_chains(3, 2)
+    dst = enumerate_chains(3, 3)
+    assert quad.shape == (len(dst), len(src))
+    for row, col in zip(*np.nonzero(np.abs(quad) > 1e-14)):
+        assert abs(src.chains[col][0] - dst.chains[row][0]) == 1
+    assert quad[dst.index_of((1, 0)), src.index_of((0, 0))] == pytest.approx(1 / math.sqrt(3), abs=1e-14)
+    assert _elements_deviation(3, 3, 2) <= 1e-10
 
 
 def test_position_elements_agree_both_routes():
     for D, h, lmax in [(3, 1, 3), (3, 2, 3), (4, 2, 2), (4, 4, 2), (5, 3, 1)]:
-        pe = position_matrix_elements(D, h, lmax)
-        assert pe.max_discrepancy <= 1e-10
+        assert _elements_deviation(D, h, lmax) <= 1e-10
 
 
 @pytest.mark.parametrize("D, level_max", [(3, 7), (4, 4)])
@@ -231,7 +239,25 @@ def test_closed_form_phases_agree_with_the_recursion_above_verify_levels(D, leve
     # verify_harmonics compares the two routes up to level 3; a wrong sign at any
     # level would show as a discrepancy of twice the matrix element
     for h in range(1, D + 1):
-        assert position_matrix_elements(D, h, level_max).max_discrepancy <= 1e-10
+        assert _elements_deviation(D, h, level_max) <= 1e-10
+
+
+def test_perturbed_multiplication_matrix_fails_the_elements_check(monkeypatch):
+    # the check compares the very matrix the diagnostics use: one entry off by 1% must show
+    real = harmonics.multiplication_matrix
+
+    def perturbed(D, h, src_cutoff, dst_cutoff):
+        out = real(D, h, src_cutoff, dst_cutoff)
+        if h == 3:
+            out[enumerate_chains(D, dst_cutoff).index_of((1, 0)), 0] *= 1.01  # <Y_(1,0), t_3 Y_(0,0)> = 1/sqrt(3)
+        return out
+
+    assert _checks(verify_harmonics(3, 2))["multiplication elements: recursion vs quadrature"]
+    monkeypatch.setattr(harmonics, "multiplication_matrix", perturbed)
+    report = verify_harmonics(3, 2)
+    [check] = [c for c in report.checks if c.name == "multiplication elements: recursion vs quadrature"]
+    assert not check.passed
+    assert check.deviation == pytest.approx(0.01 / math.sqrt(3), rel=1e-6)
 
 
 def test_multiply_by_constant():
@@ -251,10 +277,10 @@ def test_multiply_reconstruction_and_norm_identity():
     pts = sample_sphere_points(3, 200, seed=4321)
     for a, b in [((1, 0), (1, 1)), ((1, 1), (1, 1)), ((2, 1), (1, -1))]:
         g = multiply_harmonics(a, b, 3)
-        prod = poly_mul(harmonic_lookup(3, a[0])[a].coefficients, harmonic_lookup(3, b[0])[b].coefficients)
+        prod = poly_mul(harmonic_basis(3, a[0])[a].coefficients, harmonic_basis(3, b[0])[b].coefficients)
         recon = np.zeros(len(pts), dtype=complex)
         for c, v in g.items():
-            recon += v * poly_eval(harmonic_lookup(3, c[0])[c].coefficients, pts)
+            recon += v * poly_eval(harmonic_basis(3, c[0])[c].coefficients, pts)
         assert np.max(np.abs(recon - poly_eval(prod, pts))) <= 1e-9
         assert sum(abs(v) ** 2 for v in g.values()) == pytest.approx(poly_inner(prod, prod, 3).real, abs=1e-9)
         assert all(k[-1] == a[-1] + b[-1] for k in g)
@@ -323,9 +349,9 @@ def test_fuzzy_hermitian_pairing():
     # same phase that relates the polynomial to its conjugate
     for chain in [(1, 1), (2, 1), (2, 2)]:
         flipped = chain[:-1] + (-chain[-1],)
-        pol = harmonic_lookup(3, chain[0])[chain].coefficients
+        pol = harmonic_basis(3, chain[0])[chain].coefficients
         conj = {a: np.conjugate(v) for a, v in pol.items()}
-        flip = harmonic_lookup(3, chain[0])[flipped].coefficients
+        flip = harmonic_basis(3, chain[0])[flipped].coefficients
         ratios = [flip[a] / conj[a] for a in conj]
         phase = ratios[0]
         assert np.allclose(ratios, phase, atol=1e-12)
@@ -348,7 +374,7 @@ def test_approximate_function():
 
 
 def test_polynomial_json_shape():
-    pol = harmonic_lookup(3, 1)[(1, 1)]
+    pol = harmonic_basis(3, 1)[(1, 1)]
     obj = pol.to_json_obj()
     assert obj["degree"] == 1
     assert all(len(term) == 3 for term in obj["terms"])

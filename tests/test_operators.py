@@ -351,6 +351,29 @@ def test_generator_leaking_between_l2_values_fails_the_casimir_checks(monkeypatc
     assert checks["hermiticity of generators and positions"].passed
 
 
+def test_lower_casimir_residual_fails_the_spectra_check(monkeypatch):
+    # only C_3 is off, so C_4 and the minimal polynomial stay clean; the spectra
+    # check must read the residual of every order, not only the total casimir
+    honest = fuzzyd.operators._casimir
+
+    def shifted(n, dense_generators):
+        gens = list(dense_generators)
+        out = honest(n, gens)
+        if len(gens) == len(_generator_pairs(3)):
+            out[0, 0] += 1e-9
+        return out
+
+    monkeypatch.setattr(fuzzyd.operators, "_casimir", shifted)
+    checks = {c.name: c for c in verify_algebra(CFG42).checks}
+    for name in (
+        "casimir operators diagonal with branching eigenvalues",
+        "nested casimir products annihilate their projector blocks",
+    ):
+        assert not checks[name].passed, name
+        assert checks[name].deviation == pytest.approx(1e-9, rel=1e-6)
+    assert checks["minimal polynomial of the total casimir"].passed
+
+
 def test_generator_entry_keeping_l1_fails_nilpotency(monkeypatch):
     # an L_13 entry between two chains of equal l_1 puts a grade-0 entry into L_23 -+ i L_13
     checks = _checks_with_generator_entry(monkeypatch, (1, 3), {((1, 1, 0), (1, 0, 0)): 0.5})
