@@ -9,7 +9,7 @@ from .coefficients import (
     reduced_element,
     updown_weights,
 )
-from .convergence import Schedule, k_schedule, product_convergence_diagnostic, x_convergence_diagnostic
+from .convergence import k_schedule, product_convergence_diagnostic, x_convergence_diagnostic
 from .harmonics import (
     HarmonicPolynomial,
     approximate_function,
@@ -38,7 +38,6 @@ __all__ = [
     "BasisMap",
     "FuzzyConfig",
     "HarmonicPolynomial",
-    "Schedule",
     "SparseOperator",
     "VerificationReport",
     "approximate_function",

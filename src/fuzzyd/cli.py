@@ -26,7 +26,7 @@ from .convergence import (
     x_convergence_diagnostic,
 )
 from .harmonics import verify_harmonics
-from .operators import build_angular_momentum, build_casimir, build_position, build_projector, verify_algebra
+from .operators import TOL_DEGREE2, build_angular_momentum, build_casimir, build_position, build_projector, verify_algebra
 from .realization import verify_isomorphism
 
 
@@ -152,7 +152,13 @@ def main(argv=None):
     _add_config_flags(v)
     v.add_argument("--suite", choices=("algebra", "harmonics", "isomorphism", "all"), default="all")
     v.add_argument("--out", default=None, help="optional directory for JSON/CSV reports")
-    v.add_argument("--tol-degree2", dest="tol_degree2", type=float, default=1e-12, help="tolerance for degree-2 operator identities (default 1e-12)")
+    v.add_argument(
+        "--tol-degree2",
+        dest="tol_degree2",
+        type=float,
+        default=TOL_DEGREE2,
+        help=f"tolerance for degree-2 operator identities, finite and >= 0 (default {TOL_DEGREE2:g})",
+    )
 
     c = sub.add_parser("converge", help="emit commutative-limit diagnostic tables")
     c.add_argument("--d", type=int, required=True)

@@ -69,17 +69,6 @@ def k_schedule(name, D, cutoff, alpha=None):
     return math.exp(log_k) if log_k < 700.0 else math.inf
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Named stiffness schedule; strictly increasing in the cutoff."""
-
-    name: str
-    alpha: float = 0.0
-
-    def k(self, D, cutoff):
-        return k_schedule(self.name, D, cutoff, alpha=self.alpha or None)
-
-
 def _embed(dense, rows):
     """Extend an operator by zero rows into a larger cutoff's basis (chain bases are prefixes)."""
     return np.vstack([dense, np.zeros((rows - dense.shape[0], dense.shape[1]), dtype=complex)])

@@ -8,6 +8,10 @@ form: the public `build_*` functions return one, and the CLI stores it.
 its chain label l_{p-1} fixes, and L_12 with l_1; the polynomial, multiplicity
 and commutator checks of the casimir tower read those residuals and the
 labels, and the azimuthal ladders are checked against their l_1 grading.
+That the coordinates generate the full matrix algebra is certified from the
+same matrices and labels (Schur and Burnside): each level is connected under
+the generators, x couples every pair of adjacent levels, and the top value of
+the squared distance is isolated from the interior ones.
 
 Conventions recorded in every report:
   * the commutator of two position operators carries the overall factor i
@@ -41,10 +45,6 @@ TOL_HERMITIAN = 1e-13
 TOL_DEGREE2 = 1e-12
 TOL_INTERIOR = 1e-13
 TOL_NILPOTENT = 1e-9
-
-SPAN_SEED = 2002
-SPAN_EDGE_FLOOR = 1e-6
-SPAN_GAP_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -316,36 +316,14 @@ def _max_entry(arr):
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def _commutant_test(ops):
-    """(coupled components, minimum relative eigenvalue gap) of the *-algebra generated by Hermitian `ops`.
-
-    Burnside: the algebra is the full matrix algebra iff it leaves no proper
-    subspace invariant.  A generic Hermitian element A = sum a_h O_h +
-    sum_{h,j} B_hj O_h O_j (B symmetric, seeded) has a simple spectrum, so
-    every invariant subspace is spanned by eigenvectors of A; the eigenvectors
-    form one coupled component when the graph with an edge wherever some
-    |(V^+ O_h V)_ij| exceeds SPAN_EDGE_FLOOR is connected.  The gap is
-    relative to the spectral radius of A (inf in dimension 1).
-    """
-    n = ops[0].shape[0]
-    rng = np.random.default_rng(SPAN_SEED)
-    a = rng.standard_normal(len(ops))
-    b = rng.standard_normal((len(ops), len(ops)))
-    b = b + b.T
-    A = np.zeros((n, n), dtype=complex)
-    for h, o in enumerate(ops):
-        A += a[h] * o
-        A += o @ sum(c * q for c, q in zip(b[h], ops))
-    w, V = np.linalg.eigh(A)  # reads one triangle, so rounding asymmetry is ignored
-    del A
-    gap = float(np.min(np.diff(w)) / np.max(np.abs(w))) if n > 1 else math.inf
-    Vh = V.conj().T
-    coupled = np.zeros((n, n), dtype=bool)
+def _components(ops):
+    """Connected components of the graph on the basis states with an edge wherever some op in `ops` is nonzero."""
+    coupled = np.zeros(ops[0].shape, dtype=bool)
     for o in ops:
-        coupled |= np.abs(Vh @ (o @ V)) > SPAN_EDGE_FLOOR
-    seen = np.zeros(n, dtype=bool)
+        coupled |= o != 0
+    seen = np.zeros(len(coupled), dtype=bool)
     components = 0
-    for start in range(n):
+    for start in range(len(coupled)):
         if seen[start]:
             continue
         components += 1
@@ -354,7 +332,7 @@ def _commutant_test(ops):
         while len(frontier):
             frontier = np.flatnonzero(coupled[frontier].any(axis=0) & ~seen)
             seen[frontier] = True
-    return components, gap
+    return components
 
 
 def _diagonal_residual(op, diag):
@@ -369,11 +347,15 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
 
     Diagonal operators (projectors, parity) act as vectors by broadcasting.
     """
+    if not 0 <= tol_degree2 < math.inf:
+        raise ValueError(f"degree-2 tolerance must be finite and >= 0, got {tol_degree2}")
     D, lam, k = cfg.D, cfg.cutoff, cfg.k
     basis = basis_of(cfg)
     n = len(basis)
     labels = np.array(basis.chains).reshape(n, D - 1)  # column D - p holds l_{p-1}
     levels, azimuthal = labels[:, 0], labels[:, -1]
+    bounds = np.searchsorted(levels, np.arange(lam + 2))  # chains are ordered by level
+    blocks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
     pairs = _generator_pairs(D)
     L = {(h, j): _generator_matrix(cfg, h, j) for h, j in pairs}
@@ -452,12 +434,23 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         )
 
     def check_positions_span_algebra():
-        components, gap = _commutant_test([X[h] for h in range(1, D + 1)])
+        # Schur/Burnside certificate, as a count of failed premises: (1) each level is an so(D)
+        # irrep, since the diagonal casimir tower separates its chains and a connected generator
+        # graph leaves only scalars commuting (per level, so a leak merging two levels cannot
+        # cancel a split one); (2) x couples every level m to m + 1, which makes
+        # v -> (P_{m+1} x_h v)_h injective on level m (Schur, vector covariance); (3) the top value
+        # of sum x_h^2 is isolated, so P_top and, through the Snyder top term, every L_hj P_top lie
+        # in the algebra; from M(top) the x blocks then reach every level
+        split = sum(_components([M[b, b] for M in L.values()]) != 1 for b in blocks)
+        uncoupled = sum(not any(x[blocks[m + 1], blocks[m]].any() for x in X.values()) for m in range(lam))
+        e_top = position_square_expected(cfg, lam)
+        top_gap = min((abs(e_top - position_square_expected(cfg, l)) for l in range(lam)), default=math.inf)
         return Check(
             "coordinate words span the full matrix algebra",
-            float(components - 1 + (gap <= SPAN_GAP_FLOOR)),
+            float(split + uncoupled + (not top_gap > 2 * tol_degree2)),
             0.0,
-            f"Burnside test: {components} coupled component(s), minimum relative eigenvalue gap {gap:.3g}",
+            f"Schur/Burnside certificate: {split} level(s) split under the generators, {uncoupled} adjacent "
+            f"level pair(s) not coupled by x, top squared-distance value {top_gap:.3g} away from every interior one",
         )
 
     def check_vector_covariance():

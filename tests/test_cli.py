@@ -66,6 +66,10 @@ def test_config_errors_exit_two(capsys):
     assert "got nan" in capsys.readouterr().err
     assert main(["verify", "--suite", "algebra", "--d", "3", "--lambda", "1", "--k", "nan"]) == 2
     assert "stiffness k must be positive, got nan" in capsys.readouterr().err
+    # a degree-2 tolerance that would leave its checks unasserted (inf) or failing (nan, < 0)
+    for tol in ("inf", "nan", "-1"):
+        assert main(["verify", "--suite", "algebra", "--d", "3", "--lambda", "2", "--tol-degree2", tol]) == 2
+        assert f"degree-2 tolerance must be finite and >= 0, got {float(tol)}" in capsys.readouterr().err
 
 
 def test_malformed_flags_exit_two():

@@ -6,7 +6,6 @@ import pytest
 from fuzzyd.basis import FuzzyConfig, enumerate_chains
 from fuzzyd.coefficients import centrifugal_coeff
 from fuzzyd.convergence import (
-    Schedule,
     coordinate_coefficients,
     expand_product,
     k_schedule,
@@ -36,8 +35,7 @@ def test_schedules_increase_and_satisfy_cutoff_bound():
             assert all(a < b for a, b in zip(ks[1:], ks[2:]))
             for lam, k in enumerate(ks):
                 FuzzyConfig(D=D, cutoff=lam, k=k)  # consistency bound enforced here
-    sched = Schedule("power", alpha=2.5)
-    assert sched.k(3, 2) == pytest.approx(6**2.5)
+    assert k_schedule("power", 3, 2, alpha=2.5) == pytest.approx(6**2.5)
 
 
 def test_x_diagnostic_decreasing_and_small():

@@ -13,7 +13,7 @@ from fuzzyd.operators import (
     TOL_NILPOTENT,
     SparseOperator,
     VerificationReport,
-    _commutant_test,
+    _components,
     _generator_matrix,
     _generator_pairs,
     _position_matrix,
@@ -381,15 +381,60 @@ def test_generator_entry_keeping_l1_fails_nilpotency(monkeypatch):
     assert not nilpotency.passed and nilpotency.deviation == 0.5
 
 
-@pytest.mark.parametrize(
-    "D, cutoff",
-    [(3, lam) for lam in range(4, 13)] + [(3, 23)] + [(4, lam) for lam in range(3, 8)] + [(5, lam) for lam in range(2, 5)],
+SWEEP_CONFIGS = (
+    [(3, lam) for lam in range(4, 13)] + [(3, 23), (3, 28)] + [(4, lam) for lam in range(3, 8)] + [(5, lam) for lam in range(2, 5)]
 )
-def test_verify_algebra_size_sweep(D, cutoff):
+
+
+@pytest.mark.parametrize(
+    "D, cutoff, k",
+    [pytest.param(D, lam, None, id=f"{D}-{lam}") for D, lam in SWEEP_CONFIGS]
+    + [pytest.param(3, 6, math.inf, id="3-6-k=inf")],
+)
+def test_verify_algebra_size_sweep(D, cutoff, k):
     # size-dependent defects (such as an int64 wrap, or one ulp of a casimir diagonal
-    # amplified by a commutator at D=3 cutoff 23) show only at larger cutoffs
-    report = verify_algebra(_consistency_config(D, cutoff))
+    # amplified by a commutator at D=3 cutoff 23) show only at larger cutoffs; at
+    # k = inf every interior squared distance is 1 and the interior Snyder scalar 0
+    cfg = _consistency_config(D, cutoff) if k is None else FuzzyConfig(D=D, cutoff=cutoff, k=k)
+    report = verify_algebra(cfg)
     assert report.all_passed, report.to_text()
+
+
+SPAN_SEED = 2002
+SPAN_EDGE_FLOOR = 1e-6
+SPAN_GAP_FLOOR = 1e-8
+
+
+def _commutant_test(ops):
+    """(coupled components, minimum relative eigenvalue gap) of the *-algebra generated by Hermitian `ops`.
+
+    The Burnside oracle for the span check: the algebra is the full matrix
+    algebra iff it leaves no proper subspace invariant.  A generic Hermitian
+    element A = sum a_h O_h + sum_{h,j} B_hj O_h O_j (B symmetric, seeded) has
+    a simple spectrum, so every invariant subspace is spanned by eigenvectors
+    of A; they form one coupled component when the graph with an edge wherever
+    some |(V^+ O_h V)_ij| exceeds SPAN_EDGE_FLOOR is connected.  The gap is
+    relative to the spectral radius of A (inf in dimension 1); it shrinks
+    toward the commutative limit (5e-10 at D=3 cutoff 28), which is why the
+    package certifies the span structurally instead.
+    """
+    n = ops[0].shape[0]
+    rng = np.random.default_rng(SPAN_SEED)
+    a = rng.standard_normal(len(ops))
+    b = rng.standard_normal((len(ops), len(ops)))
+    b = b + b.T
+    A = np.zeros((n, n), dtype=complex)
+    for h, o in enumerate(ops):
+        A += a[h] * o
+        A += o @ sum(c * q for c, q in zip(b[h], ops))
+    w, V = np.linalg.eigh(A)  # reads one triangle, so rounding asymmetry is ignored
+    gap = float(np.min(np.diff(w)) / np.max(np.abs(w))) if n > 1 else math.inf
+    Vh = V.conj().T
+    return _components([np.abs(Vh @ (o @ V)) > SPAN_EDGE_FLOOR for o in ops]), gap
+
+
+def _span_check(cfg):
+    return next(c for c in verify_algebra(cfg).checks if c.name == "coordinate words span the full matrix algebra")
 
 
 def _word_span_deficit(ops):
@@ -436,8 +481,23 @@ def test_burnside_test_agrees_with_word_span_closure(D, cutoff):
     assert len(positions[0]) <= 16
     assert _word_span_deficit(positions) == 0
     components, gap = _commutant_test(positions)
-    assert components == 1 and gap > fuzzyd.operators.SPAN_GAP_FLOOR
-    check = next(c for c in verify_algebra(cfg).checks if c.name == "coordinate words span the full matrix algebra")
+    assert components == 1 and gap > SPAN_GAP_FLOOR
+    check = _span_check(cfg)
+    assert check.passed and check.deviation == 0.0
+
+
+@pytest.mark.parametrize(
+    "D, cutoff",
+    [(3, lam) for lam in (4, 6, 9, 12, 16)] + [(4, lam) for lam in (3, 5, 8)] + [(5, lam) for lam in (2, 4, 5)] + [(6, 2), (6, 3), (7, 2), (8, 2)],
+)
+def test_span_certificate_agrees_with_burnside_oracle(D, cutoff):
+    # where the eigenvalue gap of the oracle's generic element is still well above its floor
+    cfg = _consistency_config(D, cutoff)
+    positions = [_position_matrix(cfg, h) for h in range(1, D + 1)]
+    assert len(positions[0]) <= 300
+    components, gap = _commutant_test(positions)
+    check = _span_check(cfg)
+    assert components == 1 and gap > SPAN_GAP_FLOOR
     assert check.passed and check.deviation == 0.0
 
 
@@ -446,6 +506,7 @@ def test_generators_alone_are_reducible(D, cutoff):
     # generators keep every level: one component per level, and words miss every off-block entry
     cfg = _consistency_config(D, cutoff)
     generators = [_generator_matrix(cfg, h, j) for h, j in _generator_pairs(D)]
+    assert _components(generators) == cutoff + 1
     assert _commutant_test(generators)[0] == cutoff + 1
     n = dimension(D, cutoff)
     if n <= 16:
@@ -463,8 +524,46 @@ def test_span_check_fails_for_a_reducible_position_set(monkeypatch):
         return x
 
     monkeypatch.setattr(fuzzyd.operators, "_position_matrix", cut)
-    check = next(c for c in verify_algebra(CFG42).checks if c.name == "coordinate words span the full matrix algebra")
-    assert not check.passed and check.deviation >= 1.0
+    assert _commutant_test([cut(CFG42, h) for h in range(1, 5)])[0] > 1
+    check = _span_check(CFG42)
+    assert not check.passed and check.deviation == 1.0
+    assert "1 adjacent level pair(s) not coupled" in check.notes
+
+
+def test_span_check_fails_for_a_chain_cut_off_inside_its_level(monkeypatch):
+    # generators with every entry of one level-1 chain zeroed split that level; a leak
+    # merging levels 0 and 2 keeps the total count at cutoff + 1, and must not hide it
+    bm = enumerate_chains(4, 2)
+    cut, a, b = bm.index_of((1, 1, 0)), bm.index_of((0, 0, 0)), bm.index_of((2, 0, 0))
+    honest = _generator_matrix
+
+    def split(cfg, h, j):
+        op = honest(cfg, h, j)
+        op[cut, :] = 0
+        op[:, cut] = 0
+        if (h, j) == (1, 2):
+            op[a, b] = op[b, a] = 0.5
+        return op
+
+    monkeypatch.setattr(fuzzyd.operators, "_generator_matrix", split)
+    generators = [split(CFG42, h, j) for h, j in _generator_pairs(4)]
+    assert _components(generators) == CFG42.cutoff + 1
+    check = _span_check(CFG42)
+    assert not check.passed and check.deviation == 1.0
+    assert "1 level(s) split" in check.notes
+
+
+def test_span_check_fails_when_the_top_squared_distance_is_not_isolated(monkeypatch):
+    # with the top value equal to an interior one, sum x_h^2 no longer separates P_top
+    honest = position_square_expected
+
+    def flat(cfg, l):
+        return honest(cfg, min(l, cfg.cutoff - 1))
+
+    monkeypatch.setattr(fuzzyd.operators, "position_square_expected", flat)
+    check = _span_check(CFG42)
+    assert not check.passed and check.deviation == 1.0
+    assert "value 0 away from every interior one" in check.notes
 
 
 def test_zero_cutoff_degenerate_algebra():
