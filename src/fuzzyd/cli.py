@@ -26,7 +26,15 @@ from .convergence import (
     x_convergence_diagnostic,
 )
 from .harmonics import verify_harmonics
-from .operators import TOL_DEGREE2, build_angular_momentum, build_casimir, build_position, build_projector, verify_algebra
+from .operators import (
+    TOL_DEGREE2,
+    SparseOperator,
+    _casimir_tower,
+    _generator_matrix,
+    build_position,
+    build_projector,
+    verify_algebra,
+)
 from .realization import verify_isomorphism
 
 
@@ -54,11 +62,20 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _output_dir(path):
+    """Create the output directory; an OSError (say, `path` names a file) becomes a usage error, exit 2."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {path}: {exc.strerror or exc}") from None
+    return out
+
+
 def cmd_build(args):
     t0 = time.time()
     cfg = _config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     written = []
 
     def emit(name, op):
@@ -68,13 +85,19 @@ def cmd_build(args):
 
     _write_json(out / "basis.json", basis_of(cfg).to_json_obj())
     written.append(str(out / "basis.json"))
-    for h in range(1, cfg.D + 1):
-        for j in range(h + 1, cfg.D + 1):
-            emit(f"L_{h}_{j}", build_angular_momentum(cfg, h, j))
+
+    def generator(h, j):
+        dense = _generator_matrix(cfg, h, j)
+        emit(f"L_{h}_{j}", SparseOperator.from_dense(dense))
+        return dense
+
+    # each L_hj is built and written once, then squared once by the casimir pass;
+    # each C_p is written and freed as soon as the pass has it
+    for p, casimir in _casimir_tower(cfg, range(2, cfg.D + 1), generator):
+        emit(f"C_{p}", SparseOperator.from_dense(casimir))
+        del casimir
     for h in range(1, cfg.D + 1):
         emit(f"x_{h}", build_position(cfg, h))
-    for p in range(2, cfg.D + 1):
-        emit(f"C_{p}", build_casimir(cfg, p))
     emit("P_top", build_projector(cfg))
     for l in range(cfg.cutoff + 1):
         emit(f"P_level_{l}", build_projector(cfg, p=cfg.D, value=l))
@@ -97,6 +120,7 @@ def cmd_build(args):
 
 def cmd_verify(args):
     cfg = _config(args)
+    out = _output_dir(args.out) if args.out else None
     reports = []
     if args.suite in ("algebra", "all"):
         reports.append(verify_algebra(cfg, tol_degree2=args.tol_degree2))
@@ -107,9 +131,7 @@ def cmd_verify(args):
         reports.append(verify_isomorphism(cfg))
     for rep in reports:
         print(rep.to_text())
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         for i, rep in enumerate(reports):
             stem = ["algebra", "harmonics", "isomorphism"][i] if args.suite == "all" else args.suite
             rep.save(json_path=out / f"report_{stem}.json", csv_path=out / f"report_{stem}.csv")
@@ -120,8 +142,7 @@ def cmd_converge(args):
     if args.lam_max < 2:
         print("error: --lambda-max must be at least 2", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     cutoffs = range(1, args.lam_max + 1)
     if args.mode == "x":
         rows = x_convergence_diagnostic(args.d, cutoffs, args.schedule, alpha=args.alpha)

@@ -4,6 +4,11 @@ Every operator is a dense numpy array, and `_move_matrix` is the only place
 where a chain move becomes a matrix entry.  `SparseOperator` is the written
 form: the public `build_*` functions return one, and the CLI stores it.
 
+The casimirs C_2 .. C_D come from one pass, `_casimir_tower`: each generator
+is squared once, and its square is added to every order it belongs to on the
+level blocks only (generators keep the level), in the same order as the dense
+per-order sum, so every entry is bit for bit that sum.
+
 `verify_algebra` compares each casimir once with the diagonal l(l+p-2) that
 its chain label l_{p-1} fixes, and L_12 with l_1; the polynomial, multiplicity
 and commutator checks of the casimir tower read those residuals and the
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _moves
-from .basis import basis_of, dimension, level_dimension
+from .basis import basis_of, level_dimension
 from .coefficients import centrifugal_coeff, radial_weight, updown_weights
 
 ENTRY_DROP = 1e-15
@@ -144,10 +149,50 @@ def _casimir(n, dense_generators):
     return _drop_noise(acc)
 
 
-def _casimir_matrix(cfg, p):
-    """Dense order-p casimir, summed in _generator_pairs(p) order."""
-    gens = (_generator_matrix(cfg, h, j) for h, j in _generator_pairs(p))
-    return _casimir(dimension(cfg.D, cfg.cutoff), gens)
+def _level_blocks(basis):
+    """The slice of basis ordinals on each level 0..cutoff (chains are ordered by level)."""
+    bounds = np.searchsorted(basis.levels(), np.arange(basis.cutoff + 2))
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _block_diagonal(n, parts, blocks):
+    """Dense n x n matrix holding `parts` on the diagonal `blocks`, each noise-dropped, +0 elsewhere."""
+    out = np.zeros((n, n), dtype=complex)
+    for part, b in zip(parts, blocks):
+        out[b, b] = _drop_noise(part)
+    return out
+
+
+def _casimir_tower(cfg, orders, generator=None):
+    """One pass over the casimir tower: yields (p, dense C_p) for each p in `orders`, squaring each generator once.
+
+    `generator(h, j)` gives the dense L_hj (`_generator_matrix` when None); it
+    is called once per pair of so(max(orders)), in _generator_pairs order.
+    Each square is added to every order p >= j, and C_p is yielded as soon as
+    its last pair (p - 1, p) is in.  Only the level blocks are accumulated: a
+    generator keeps the level, so its square is exactly +-0 off the blocks, and
+    each order's additions come in _generator_pairs(p) order, so every entry
+    equals the dense `_casimir` sum bit for bit.  A generator joining two
+    levels raises RuntimeError.
+    """
+    basis = basis_of(cfg)
+    blocks = _level_blocks(basis)
+    acc = {}  # order -> level blocks, allocated once the first square is in and its generator freed
+    for h, j in _generator_pairs(max(orders)):
+        m = generator(h, j) if generator else _generator_matrix(cfg, h, j)
+        if sum(np.count_nonzero(m[b, b]) for b in blocks) != np.count_nonzero(m):
+            raise RuntimeError(f"generator L_{h}_{j} joins two levels; its square would leave the level blocks")
+        square = m @ m
+        del m
+        for p in orders:
+            if p >= j:
+                if p not in acc:
+                    acc[p] = [np.zeros((b.stop - b.start,) * 2, dtype=complex) for b in blocks]
+                for part, b in zip(acc[p], blocks):
+                    part += square[b, b]
+        del square
+        if h == j - 1 and j in orders:
+            yield j, _block_diagonal(len(basis), acc.pop(j), blocks)
 
 
 def _label_projector(basis, p, value):
@@ -189,10 +234,11 @@ def build_generator_ladder(cfg, nu, sign):
 
 
 def build_casimir(cfg, p):
-    """Sum of squared generators of the so(p) subalgebra, computed honestly."""
+    """Sum of the squared generators of the so(p) subalgebra: the casimir tower pass with the single order p."""
     if not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
-    return SparseOperator.from_dense(_casimir_matrix(cfg, p))
+    [(_, casimir)] = _casimir_tower(cfg, (p,))
+    return SparseOperator.from_dense(casimir)
 
 
 def casimir_eigenvalue(label, p):
@@ -354,8 +400,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     n = len(basis)
     labels = np.array(basis.chains).reshape(n, D - 1)  # column D - p holds l_{p-1}
     levels, azimuthal = labels[:, 0], labels[:, -1]
-    bounds = np.searchsorted(levels, np.arange(lam + 2))  # chains are ordered by level
-    blocks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    blocks = _level_blocks(basis)
 
     pairs = _generator_pairs(D)
     L = {(h, j): _generator_matrix(cfg, h, j) for h, j in pairs}

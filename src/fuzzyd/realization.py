@@ -29,7 +29,8 @@ from .operators import (
     SparseOperator,
     VerificationReport,
     _casimir,
-    _casimir_matrix,
+    _casimir_tower,
+    _diagonal_residual,
     _drop_noise,
     _generator_matrix,
     _generator_pairs,
@@ -48,7 +49,8 @@ def level_operator(cfg):
     Computed honestly from the built total casimir through the scalar map
     level = (2 - D + sqrt((D-2)^2 + 4*casimir)) / 2.
     """
-    diag = np.real(np.diag(_casimir_matrix(cfg, cfg.D)))
+    [(_, casimir)] = _casimir_tower(cfg, (cfg.D,))
+    diag = np.real(np.diag(casimir))
     vals = 0.5 * (2 - cfg.D + np.sqrt((cfg.D - 2) ** 2 + 4.0 * diag))
     return SparseOperator.from_dense(np.diag(vals.astype(complex)))
 
@@ -189,7 +191,7 @@ def verify_isomorphism(cfg):
     expect = lam * (lam + D - 1)
     report.add(
         "ambient total casimir is the expected scalar",
-        float(np.max(np.abs(amb_cas - expect * np.eye(amb_cas.shape[0])))),
+        _diagonal_residual(amb_cas, np.full(len(amb_cas), float(expect))),
         1e-10,
         f"scalar {expect}",
     )

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from fuzzyd.basis import FuzzyConfig
-from fuzzyd.cli import main
-from fuzzyd.operators import SparseOperator, build_position
+import fuzzyd.cli
+import fuzzyd.operators
+from fuzzyd.basis import FuzzyConfig, dimension
+from fuzzyd.cli import _write_json, main
+from fuzzyd.operators import SparseOperator, _casimir, _generator_matrix, _generator_pairs, build_position
 
 
 def test_build_outputs(tmp_path):
@@ -38,6 +40,49 @@ def test_build_zero_cutoff(tmp_path):
     assert main(["build", "--d", "4", "--lambda", "0", "--out", str(out)]) == 0
     x = json.loads((out / "x_1.json").read_text())
     assert x["dim"] == 1 and x["entries"] == []
+
+
+@pytest.mark.parametrize("D, cutoff", [(4, 3), (5, 2)])
+def test_build_casimirs_equal_the_dense_route(tmp_path, D, cutoff):
+    # the C_p files are byte for byte the JSON of the dense per-order sum of squares, in this process
+    assert main(["build", "--d", str(D), "--lambda", str(cutoff), "--out", str(tmp_path / "ops")]) == 0
+    cfg = FuzzyConfig(D=D, cutoff=cutoff, k=json.loads((tmp_path / "ops" / "manifest.json").read_text())["config"]["k"])
+    for p in range(2, D + 1):
+        gens = (_generator_matrix(cfg, h, j) for h, j in _generator_pairs(p))
+        _write_json(tmp_path / "dense.json", SparseOperator.from_dense(_casimir(dimension(D, cutoff), gens)).to_json_obj())
+        assert (tmp_path / "ops" / f"C_{p}.json").read_bytes() == (tmp_path / "dense.json").read_bytes(), p
+
+
+def test_build_builds_each_generator_once(tmp_path, monkeypatch):
+    calls = []
+    honest = _generator_matrix
+
+    def counted(cfg, h, j):
+        calls.append((h, j))
+        return honest(cfg, h, j)
+
+    monkeypatch.setattr(fuzzyd.operators, "_generator_matrix", counted)
+    monkeypatch.setattr(fuzzyd.cli, "_generator_matrix", counted)
+    assert main(["build", "--d", "4", "--lambda", "2", "--out", str(tmp_path)]) == 0
+    assert calls == _generator_pairs(4)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--d", "3", "--lambda", "1"],
+        ["verify", "--suite", "algebra", "--d", "3", "--lambda", "1"],
+        ["converge", "--d", "3", "--lambda-max", "2"],
+    ],
+)
+def test_out_naming_a_file_exits_two(tmp_path, capsys, argv):
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot create output directory {target}" in captured.err
+    assert captured.out == ""
+    assert target.read_text() == ""
 
 
 def test_verify_suites(tmp_path):

@@ -13,6 +13,8 @@ from fuzzyd.operators import (
     TOL_NILPOTENT,
     SparseOperator,
     VerificationReport,
+    _casimir,
+    _casimir_tower,
     _components,
     _generator_matrix,
     _generator_pairs,
@@ -315,8 +317,8 @@ def test_verify_algebra_equals_dense_product_formulas(D, cutoff):
     _assert_casimir_product_formulas_pass(cfg)
 
 
-def _checks_with_generator_entry(monkeypatch, pair, entries):
-    """verify_algebra at D=4, cutoff 2 with `entries` {(row chain, col chain): value} written into L_pair."""
+def _tamper_generator(monkeypatch, pair, entries):
+    """Write `entries` {(row chain, col chain): value} into L_pair at D=4, cutoff 2."""
     bm = enumerate_chains(4, 2)
     honest = _generator_matrix
 
@@ -328,6 +330,11 @@ def _checks_with_generator_entry(monkeypatch, pair, entries):
         return op
 
     monkeypatch.setattr(fuzzyd.operators, "_generator_matrix", tampered)
+
+
+def _checks_with_generator_entry(monkeypatch, pair, entries):
+    """verify_algebra at D=4, cutoff 2 with `entries` written into L_pair."""
+    _tamper_generator(monkeypatch, pair, entries)
     return {c.name: c for c in verify_algebra(CFG42).checks}
 
 
@@ -372,6 +379,47 @@ def test_lower_casimir_residual_fails_the_spectra_check(monkeypatch):
         assert not checks[name].passed, name
         assert checks[name].deviation == pytest.approx(1e-9, rel=1e-6)
     assert checks["minimal polynomial of the total casimir"].passed
+
+
+@pytest.mark.parametrize("D, cutoff", [(3, 0), (3, 5), (4, 3), (4, 6), (5, 2), (5, 4), (6, 2)])
+def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
+    # one pass squaring each generator once, kept on the level blocks, gives
+    # every order bit for bit as the dense sum over that order's generators
+    cfg = _consistency_config(D, cutoff)
+    n = dimension(D, cutoff)
+    tower = dict(_casimir_tower(cfg, range(2, D + 1)))
+    assert sorted(tower) == list(range(2, D + 1))
+    for p, casimir in tower.items():
+        dense = _casimir(n, (_generator_matrix(cfg, h, j) for h, j in _generator_pairs(p)))
+        assert np.array_equal(casimir, dense), p
+        assert build_casimir(cfg, p) == SparseOperator.from_dense(dense), p
+
+
+def test_casimir_tower_builds_and_squares_each_generator_once():
+    cfg = _consistency_config(5, 2)
+    built, squares = [], []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            squares.append(1)
+            return np.asarray(self) @ np.asarray(other)
+
+    def generator(h, j):
+        built.append((h, j))
+        return _generator_matrix(cfg, h, j).view(Counted)
+
+    assert [p for p, _ in _casimir_tower(cfg, range(2, 6), generator)] == [2, 3, 4, 5]
+    assert built == _generator_pairs(5)
+    assert len(squares) == 10
+
+
+def test_generator_joining_two_levels_stops_the_casimir_tower(monkeypatch):
+    # the level blocks would drop the square's entries between levels 0 and 1
+    _tamper_generator(monkeypatch, (1, 2), {((1, 0, 0), (0, 0, 0)): 0.5})
+    with pytest.raises(RuntimeError, match="L_1_2 joins two levels"):
+        build_casimir(CFG42, 2)
+    with pytest.raises(RuntimeError, match="L_1_2 joins two levels"):
+        build_casimir(CFG42, 4)
 
 
 def test_generator_entry_keeping_l1_fails_nilpotency(monkeypatch):
