@@ -1,9 +1,10 @@
-"""Gaussian-rational scalars for the exact harmonic basis and its checks.
+"""Gaussian-rational scalars for the exact harmonic basis.
 
 The product formula builds every harmonic polynomial with coefficients in
-Q(i), and the exact checks of the harmonics suite (flat Laplacian, casimir
-tower, azimuthal generator) apply their operators in this arithmetic, so a
-passing check certifies the construction with no rounding.
+Q(i).  The exact checks of the harmonics suite (flat Laplacian, casimir
+tower, azimuthal generator) clear each polynomial's denominators into
+integer real and imaginary parts, so a passing check certifies the
+construction with no rounding.
 """
 
 from __future__ import annotations

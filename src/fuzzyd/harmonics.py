@@ -6,7 +6,7 @@ Gegenbauer polynomial per casimir order, with exact Gaussian-rational
 coefficients.  Nothing in that construction uses the ladder recursion, so the
 basis is an independent oracle for it; the harmonics suite certifies the
 construction from its definitions by applying the flat Laplacian, every
-casimir of the commuting tower and the azimuthal generator in exact
+casimir of the commuting tower and the azimuthal generator in exact integer
 arithmetic, and by counting against the dimension of the harmonic space.
 Each polynomial is normalised and multiplied by (-1)^{l_1} when l_1 < 0;
 that closed-form phase is the one the sin/cos ladder recurrences assume.
@@ -16,8 +16,12 @@ Every expansion coefficient on this basis is one sphere inner product
 the quadrature matrix of t_h.  On the unit sphere a polynomial of degree d
 has components in degrees d, d - 2, ... only, and harmonics of different
 degree are orthogonal, so projecting on those degrees is the whole
-expansion.  The quadrature matrix is compared with `multiplication_matrix`,
-the ladder-recursion matrix the diagnostics use; the phases are not imposed
+expansion.  Inner products are matrix products: each degree's basis is held
+as a coefficient matrix Y_d over the monomials, and the moment matrix
+M[d, e] holds the exact sphere integral of every monomial product, so
+<Y_c, P> is the row c of Y_d^H M[d, e] P_e summed over the homogeneous parts
+P_e.  The quadrature matrix is compared with `multiplication_matrix`, the
+ladder-recursion matrix the diagnostics use; the phases are not imposed
 through the ladder moves, and the two agree only if every sign is right.
 """
 
@@ -44,6 +48,13 @@ TOL_ELEMENTS = 1e-10
 TOL_PRODUCT = 1e-9
 
 
+def _nonnegative_int(value, name):
+    """`value` as an int; ValueError unless it is an integer >= 0 (numpy integers included, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # monomial polynomials
 
@@ -59,6 +70,13 @@ def monomials(D, degree):
             yield from gen(prefix + (a,), remaining - a, slots - 1)
 
     return list(gen((), degree, D))
+
+
+@functools.lru_cache(maxsize=None)
+def _exponents(D, degree):
+    """monomials(D, degree) as an (n, D) integer array, and {exponent tuple: row}."""
+    monos = monomials(D, degree)
+    return np.array(monos, dtype=np.int64).reshape(len(monos), D), {alpha: i for i, alpha in enumerate(monos)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,6 +102,34 @@ def sphere_volume(D):
     return sphere_integral((0,) * D)
 
 
+@functools.lru_cache(maxsize=None)
+def _moments(D, d1, d2):
+    """Moment matrix M[a, b] = sphere_integral(alpha_a + beta_b) over monomials(D, d1) x monomials(D, d2).
+
+    The gamma factors are multiplied in sphere_integral's order, so every
+    entry equals it bit for bit.
+    """
+    total = _exponents(D, d1)[0][:, None, :] + _exponents(D, d2)[0][None, :, :]
+    gammas = np.array([math.gamma((k + 1) / 2.0) for k in range(d1 + d2 + 1)])
+    num = np.ones(total.shape[:2])
+    for i in range(D):
+        num = num * gammas[total[:, :, i]]
+    out = 2.0 * num / math.gamma((d1 + d2 + D) / 2.0)
+    out[(total % 2 == 1).any(axis=2)] = 0.0
+    return out
+
+
+def _parts(poly, D):
+    """Homogeneous parts of a coefficient dict: {degree: column over monomials(D, degree)}."""
+    out = {}
+    for alpha, c in poly.items():
+        degree = sum(alpha)
+        if degree not in out:
+            out[degree] = np.zeros((len(_exponents(D, degree)[1]), 1), dtype=complex)
+        out[degree][_exponents(D, degree)[1][alpha], 0] += c
+    return out
+
+
 def poly_mul(p, q):
     out = {}
     for a, ca in p.items():
@@ -94,19 +140,10 @@ def poly_mul(p, q):
     return {k: v for k, v in out.items() if v}
 
 
-def coordinate_times(p, h):
-    """Multiply a polynomial by the h-th coordinate (1-based)."""
-    return {tuple(a + (1 if i == h - 1 else 0) for i, a in enumerate(alpha)): c for alpha, c in p.items()}
-
-
 def poly_inner(p, q, D):
-    """Sphere inner product <p, q> = integral of conj(p) q."""
-    acc = 0j
-    for a, ca in p.items():
-        for b, cb in q.items():
-            if all((x + y) % 2 == 0 for x, y in zip(a, b)):
-                acc += np.conjugate(ca) * cb * sphere_integral(tuple(x + y for x, y in zip(a, b)), D)
-    return acc
+    """Sphere inner product <p, q> = integral of conj(p) q: p_e^H M[e, f] q_f summed over homogeneous parts."""
+    qs = _parts(q, D)
+    return sum((np.vdot(u, _moments(D, e, f) @ v) for e, u in _parts(p, D).items() for f, v in qs.items()), 0j)
 
 
 def poly_eval(p, points):
@@ -129,50 +166,61 @@ def sample_sphere_points(D, count, seed):
 
 
 # ---------------------------------------------------------------------------
-# exact operators on monomial coefficient dictionaries
+# operators on coefficient columns over the monomials of one degree
 
 
-def _laplacian(poly, D):
-    """Flat Laplacian of a monomial coefficient dict (QQi or complex scalars)."""
-    out = {}
-    for alpha, c in poly.items():
-        for h in range(D):
-            if alpha[h] >= 2:
-                key = alpha[:h] + (alpha[h] - 2,) + alpha[h + 1:]
-                term = c * (alpha[h] * (alpha[h] - 1))
-                out[key] = out[key] + term if key in out else term
-    return {k: v for k, v in out.items() if v}
+@functools.lru_cache(maxsize=None)
+def _shift(D, degree, delta):
+    """Rows of monomials(D, degree) that alpha -> alpha + delta keeps nonnegative, and the rows of their images."""
+    exps = _exponents(D, degree)[0]
+    moved = exps + np.array(delta, dtype=np.int64)
+    src = np.flatnonzero((moved >= 0).all(axis=1))
+    index = _exponents(D, degree + sum(delta))[1]
+    return src, np.array([index[a] for a in map(tuple, moved[src].tolist())], dtype=np.intp)
 
 
-def _rotation_exact(vec, h, j):
-    """Apply t_h d_j - t_j d_h (h, j 1-based) to an exact coefficient dict."""
-    out = {}
-    h -= 1
-    j -= 1
-    for alpha, c in vec.items():
-        if alpha[j]:
-            key = list(alpha)
-            key[h] += 1
-            key[j] -= 1
-            key = tuple(key)
-            out[key] = out.get(key, QQi(0)) + c * alpha[j]
-        if alpha[h]:
-            key = list(alpha)
-            key[j] += 1
-            key[h] -= 1
-            key = tuple(key)
-            out[key] = out.get(key, QQi(0)) - c * alpha[h]
-    return {k: v for k, v in out.items() if v}
+def _move(V, D, degree, delta, weight=None):
+    """x^alpha -> weight(alpha) x^(alpha + delta) applied to the columns V, as columns over monomials(D, degree + sum(delta)).
+
+    `weight` maps exponent rows to integer weights (1 when None).  The monomials
+    the shift would make negative are dropped; every caller's weight vanishes on them.
+    """
+    src, dst = _shift(D, degree, delta)
+    out = np.zeros((len(_exponents(D, degree + sum(delta))[1]), V.shape[1]), dtype=V.dtype)
+    w = 1 if weight is None else weight(_exponents(D, degree)[0][src])[:, None].astype(V.dtype)
+    out[dst] = w * V[src]
+    return out
 
 
-def _casimir_exact(vec, order):
-    out = {}
-    for h in range(1, order + 1):
-        for j in range(h + 1, order + 1):
-            twice = _rotation_exact(_rotation_exact(vec, h, j), h, j)
-            for k, v in twice.items():
-                out[k] = out.get(k, QQi(0)) - v
-    return {k: v for k, v in out.items() if v}
+def _rotation(V, D, degree, h, j):
+    """(t_h d_j - t_j d_h) V, with h and j 0-based."""
+
+    def t_d(a, b):
+        return _move(V, D, degree, tuple((i == a) - (i == b) for i in range(D)), lambda e: e[:, b])
+
+    return t_d(h, j) - t_d(j, h)
+
+
+def _casimir_images(V, D, degree):
+    """(p, C_p V) for p = 2..D, with C_p = -sum_{h<j<=p} L_hj^2; each order adds the pairs (h, p) to the last."""
+    image = np.zeros_like(V)
+    for order in range(2, D + 1):
+        for h in range(order - 1):
+            image = image - _rotation(_rotation(V, D, degree, h, order - 1), D, degree, h, order - 1)
+        yield order, image
+
+
+def _laplacian(V, D, degree):
+    """Flat Laplacian of the columns V, as columns over monomials(D, degree - 2)."""
+    terms = [
+        _move(V, D, degree, tuple(-2 * (i == h) for i in range(D)), lambda e, h=h: e[:, h] * (e[:, h] - 1))
+        for h in range(D)
+    ]
+    return sum(terms[1:], terms[0])
+
+
+# ---------------------------------------------------------------------------
+# exact construction and its checks
 
 
 def _azimuthal_power(D, m):
@@ -222,6 +270,52 @@ def _exact_chain_vectors(D, degree):
     return out
 
 
+def _integer_columns(vectors, D, degree):
+    """[re | im]: each exact coefficient dict times the lcm of its denominators, as integer columns over monomials(D, degree).
+
+    A rotation has at most two entries per row, each at most `degree`, so the
+    images and eigenvalue multiples the exact checks form are bounded by
+    (2 D (degree + 1))^2 times the largest entry: int64 when that stays below
+    2^62, Python integers otherwise.
+    """
+    index = _exponents(D, degree)[1]
+    out = np.zeros((len(index), 2 * len(vectors)), dtype=object)
+    for col, vec in enumerate(vectors):
+        lcm = math.lcm(*(x.denominator for c in vec.values() for x in (c.re, c.im)))
+        for alpha, c in vec.items():
+            out[index[alpha], col] = c.re.numerator * (lcm // c.re.denominator)
+            out[index[alpha], len(vectors) + col] = c.im.numerator * (lcm // c.im.denominator)
+    largest = max((abs(x) for x in out.flat), default=0)
+    return out.astype(np.int64) if largest * (2 * D * (degree + 1)) ** 2 < 2**62 else out
+
+
+def _exact_failures(vectors, chains, D, degree):
+    """Per exact vector: whether its flat Laplacian is nonzero, and how many tower eigen-equations fail.
+
+    The tower is C_D, ..., C_2 with eigenvalues m (m + p - 2) read from the
+    chain labels, and L_12 = t_1 d_2 - t_2 d_1 with eigenvalue i l_1.  On the
+    integer parts re, im of a vector (see `_integer_columns`) these are the
+    integer identities C re = e re, C im = e im, L_12 re = -l_1 im and
+    L_12 im = l_1 re, so the checks are exact.
+    """
+    cols = _integer_columns(vectors, D, degree)
+    k = len(vectors)
+    labels = np.array(chains, dtype=np.int64).reshape(k, D - 1).astype(cols.dtype)
+
+    def per_vector(bad):
+        bad = bad.any(axis=0)
+        return bad[:k] | bad[k:]
+
+    laplacian_bad = per_vector(_laplacian(cols, D, degree) != 0)
+    tower_bad = np.zeros(k, dtype=np.int64)
+    for order, image in _casimir_images(cols, D, degree):
+        m = labels[:, D - order]
+        tower_bad += per_vector(image != cols * np.tile(m * (m + order - 2), 2))
+    l1 = labels[:, -1]
+    tower_bad += per_vector(_rotation(cols, D, degree, 0, 1) != np.hstack([-cols[:, k:] * l1, cols[:, :k] * l1]))
+    return laplacian_bad, tower_bad
+
+
 # ---------------------------------------------------------------------------
 # the phased orthonormal basis
 
@@ -244,31 +338,69 @@ class HarmonicPolynomial:
         return {"degree": self.degree, "terms": [[list(a), v.real, v.imag] for a, v in terms]}
 
 
-@functools.lru_cache(maxsize=None)
+class HarmonicBasis(dict):
+    """{chain: HarmonicPolynomial} of one degree, with the same polynomials as the columns of `matrix`.
+
+    `matrix` is Y_d, the coefficients over monomials(D, degree), one column
+    per chain in the dict's order.
+    """
+
+    def __init__(self, polys, matrix):
+        super().__init__(polys)
+        self.matrix = matrix
+
+
+@functools.lru_cache(maxsize=None, typed=True)
 def harmonic_basis(D, degree):
     """Orthonormal harmonic polynomials of one degree, phased (-1)^{l_1} for l_1 < 0.
 
-    Returns {chain: HarmonicPolynomial} in canonical chain order; one entry
-    per chain with top entry `degree`.  The dict is cached and shared, so
-    callers must not modify it.
+    Returns a HarmonicBasis {chain: HarmonicPolynomial} in canonical chain
+    order; one entry per chain with top entry `degree`.  It is cached and
+    shared, so callers must not modify it.  The cache is typed, so a bool or
+    float degree never reaches a cached integer entry.
     """
+    degree = _nonnegative_int(degree, "degree")
     exact = _exact_chain_vectors(D, degree)
-    out = {}
-    for chain in sorted(exact):
-        vec = exact[chain]
-        floats = {alpha: complex(c) for alpha, c in vec.items()}
-        scale = (-1) ** max(-chain[-1], 0) / math.sqrt(poly_inner(floats, floats, D).real)
-        coeffs = {alpha: scale * c for alpha, c in floats.items()}
-        out[chain] = HarmonicPolynomial(chain=chain, degree=degree, coefficients=coeffs, exact=vec, scale=scale)
+    chains = sorted(exact)
+    index = _exponents(D, degree)[1]
+    floats = np.zeros((len(index), len(chains)), dtype=complex)
+    for col, chain in enumerate(chains):
+        for alpha, c in exact[chain].items():
+            floats[index[alpha], col] = complex(c)
+    norms = np.sum(floats.conj() * (_moments(D, degree, degree) @ floats), axis=0).real
+    scales = [(-1) ** max(-chain[-1], 0) / math.sqrt(norm) for chain, norm in zip(chains, norms)]
+    polys = {
+        chain: HarmonicPolynomial(
+            chain=chain,
+            degree=degree,
+            coefficients={alpha: scale * complex(c) for alpha, c in exact[chain].items()},
+            exact=exact[chain],
+            scale=scale,
+        )
+        for chain, scale in zip(chains, scales)
+    }
+    return HarmonicBasis(polys, floats * np.array(scales))
+
+
+def _basis_inner(D, degree, parts, columns):
+    """<Y_c, P> for every chain c of `degree` (rows) and every column P of the homogeneous parts `parts` = {e: P_e}.
+
+    The sum over e of Y_d^H M[d, e] P_e; P_e has `columns` columns over monomials(D, e).
+    """
+    basis = harmonic_basis(D, degree)
+    out = np.zeros((len(basis), columns), dtype=complex)
+    for e, part in parts.items():
+        out += basis.matrix.conj().T @ (_moments(D, degree, e) @ part)
     return out
 
 
 def _project(poly, D, degrees):
     """{chain: <Y_chain, poly>} over the basis of each degree in `degrees`, in that order."""
+    parts = _parts(poly, D)
     return {
-        chain: poly_inner(pol.coefficients, poly, D)
+        chain: val
         for degree in degrees
-        for chain, pol in harmonic_basis(D, degree).items()
+        for chain, val in zip(harmonic_basis(D, degree), _basis_inner(D, degree, parts, 1)[:, 0])
     }
 
 
@@ -279,17 +411,20 @@ def _project(poly, D, degrees):
 def position_matrix_elements(D, h, level_max):
     """Quadrature matrix <Y_dst, t_h Y_src>, shaped like multiplication_matrix(D, h, level_max, level_max + 1).
 
-    Column src projects t_h Y_src on the basis of degrees src[0] +- 1, where
-    all of it lies; every other entry is 0.
+    The block of source level l projects t_h Y_l on the bases of degrees
+    l +- 1, where all of it lies; every other entry is 0.
     """
     src = enumerate_chains(D, level_max)
     dst = enumerate_chains(D, level_max + 1)
     out = np.zeros((len(dst), len(src)), dtype=complex)
-    for col, chain in enumerate(src.chains):
-        moved = coordinate_times(harmonic_basis(D, chain[0])[chain].coefficients, h)
-        degrees = [d for d in (chain[0] - 1, chain[0] + 1) if d >= 0]
-        for target, val in _project(moved, D, degrees).items():
-            out[dst.index_of(target), col] = val
+    for l in range(level_max + 1):
+        basis = harmonic_basis(D, l)
+        moved = {l + 1: _move(basis.matrix, D, l, tuple(int(i == h - 1) for i in range(D)))}
+        cols = [src.index_of(chain) for chain in basis]
+        for degree in (l - 1, l + 1):
+            if degree >= 0:
+                rows = [dst.index_of(chain) for chain in harmonic_basis(D, degree)]
+                out[np.ix_(rows, cols)] = _basis_inner(D, degree, moved, len(cols))
     return out
 
 
@@ -392,6 +527,7 @@ def approximate_function(coeffs, cfg):
 
 def verify_harmonics(D, level_max):
     """Orthonormality, harmonicity, eigenvalue, and product checks up to level_max."""
+    level_max = _nonnegative_int(level_max, "level_max")
     report = VerificationReport(config=f"D={D}, harmonics up to level {level_max}")
 
     count_bad = 0
@@ -405,28 +541,17 @@ def verify_harmonics(D, level_max):
         harmonic_dim = len(monomials(D, l)) - (len(monomials(D, l - 2)) if l >= 2 else 0)
         if not len(basis) == level_dimension(D, l) == harmonic_dim:
             count_bad += 1
-        polys = list(basis.values())
-        gram = np.array([[poly_inner(p.coefficients, q.coefficients, D) for q in polys] for p in polys])
-        gram_dev = max(gram_dev, float(np.max(np.abs(gram - np.eye(len(polys))))))
-        for chain, p in basis.items():
-            if _laplacian(p.exact, D):
-                lap_exact_bad += 1
-            lap = _laplacian(p.coefficients, D)
-            if lap:
-                lap_float_dev = max(lap_float_dev, max(abs(v) for v in lap.values()))
-            tower = [(_casimir_exact(p.exact, order), QQi(m * (m + order - 2))) for order, m in zip(range(D, 1, -1), chain)]
-            tower.append((_rotation_exact(p.exact, 1, 2), QQi(0, chain[-1])))
-            for image, expected in tower:
-                defect = dict(image)
-                for alpha, c in p.exact.items():
-                    defect[alpha] = defect.get(alpha, QQi(0)) - expected * c
-                if any(defect.values()):
-                    eig_bad += 1
+        gram = basis.matrix.conj().T @ _moments(D, l, l) @ basis.matrix
+        gram_dev = max(gram_dev, _max_entry(gram - np.eye(len(basis))))
+        lap_float_dev = max(lap_float_dev, _max_entry(_laplacian(basis.matrix, D, l)))
+        lap_bad, tower_bad = _exact_failures([p.exact for p in basis.values()], list(basis), D, l)
+        lap_exact_bad += int(np.count_nonzero(lap_bad))
+        eig_bad += int(tower_bad.sum())
     report.add("basis sizes match the counting formula", float(count_bad), 0.0)
     report.add("orthonormal under the sphere inner product", gram_dev, TOL_GRAM)
-    report.add("flat laplacian annihilates every element, exactly", float(lap_exact_bad), 0.0, "exact rational arithmetic")
+    report.add("flat laplacian annihilates every element, exactly", float(lap_exact_bad), 0.0, "exact integer arithmetic")
     report.add("flat laplacian annihilates every element, floats", lap_float_dev, TOL_EIGEN)
-    report.add("commuting-tower eigenvalues match chain labels, exactly", float(eig_bad), 0.0, "exact rational arithmetic")
+    report.add("commuting-tower eigenvalues match chain labels, exactly", float(eig_bad), 0.0, "exact integer arithmetic")
 
     top = max(level_max - 1, 0)
     dev = max(

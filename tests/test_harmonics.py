@@ -1,5 +1,7 @@
 import math
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,10 @@ from fuzzyd._exact import QQi
 from fuzzyd.basis import FuzzyConfig, enumerate_chains, level_dimension
 from fuzzyd.convergence import coordinate_coefficients, expand_product
 from fuzzyd.harmonics import (
-    _casimir_exact,
     _exact_chain_vectors,
-    _laplacian,
-    _rotation_exact,
+    _exact_failures,
+    _moments,
+    _project,
     approximate_function,
     build_fuzzy_harmonic,
     function_multiplication_matrix,
@@ -29,6 +31,8 @@ from fuzzyd.harmonics import (
     verify_harmonics,
 )
 from fuzzyd.operators import build_position
+
+import harmonics_oracle as oracle
 
 
 def test_sphere_integral_values():
@@ -79,10 +83,6 @@ def _harmonic_dimension(D, l):
     return len(monomials(D, l)) - (len(monomials(D, l - 2)) if l >= 2 else 0)
 
 
-def _is_eigenvector(image, vec, eigenvalue):
-    return not any(image.get(a, QQi(0)) - eigenvalue * vec.get(a, QQi(0)) for a in set(image) | set(vec))
-
-
 def _proportional(vec, ref):
     b = next(iter(ref))
     return set(vec) == set(ref) and all(vec[a] * ref[b] == vec[b] * ref[a] for a in ref)
@@ -100,10 +100,10 @@ def test_exact_vectors_solve_their_defining_equations(D):
         vectors = _exact_chain_vectors(D, degree)
         assert len(vectors) == _harmonic_dimension(D, degree)
         for chain, vec in vectors.items():
-            assert not _laplacian(vec, D)
+            assert not oracle.laplacian(vec, D)
             for order, m in zip(range(D, 1, -1), chain):
-                assert _is_eigenvector(_casimir_exact(vec, order), vec, QQi(m * (m + order - 2)))
-            assert _is_eigenvector(_rotation_exact(vec, 1, 2), vec, QQi(0, chain[-1]))
+                assert oracle.is_eigenvector(oracle.casimir_exact(vec, order), vec, QQi(m * (m + order - 2)))
+            assert oracle.is_eigenvector(oracle.rotation_exact(vec, 1, 2), vec, QQi(0, chain[-1]))
 
 
 def test_closed_form_values():
@@ -126,11 +126,12 @@ def test_float_coefficients_pinned(D, degree, pinned):
 
 @pytest.fixture
 def corrupt_basis(monkeypatch):
-    """Install `corrupt(D, degree, vectors) -> vectors` over the exact basis, with empty basis caches on both sides."""
+    """Install `corrupt(D, degree, vectors) -> vectors` over the exact basis, emptying the basis cache on install and teardown."""
     real = harmonics._exact_chain_vectors
 
     def install(corrupt):
         monkeypatch.setattr(harmonics, "_exact_chain_vectors", lambda D, degree: corrupt(D, degree, dict(real(D, degree))))
+        harmonics.harmonic_basis.cache_clear()
 
     harmonics.harmonic_basis.cache_clear()
     yield install
@@ -198,11 +199,108 @@ def test_wrong_azimuthal_sign_is_caught(corrupt_basis):
     assert not checks["commuting-tower eigenvalues match chain labels, exactly"]
 
 
+def test_imaginary_shift_below_float_resolution_fails_the_tower(corrupt_basis):
+    # 1e-40 i z^2 on Y_(2,0) is far below every float tolerance; only exact arithmetic sees it
+    def shift(D, degree, vectors):
+        if degree == 2:
+            vec = dict(vectors[(2, 0)])
+            vec[(0, 0, 2)] = vec[(0, 0, 2)] + QQi(0, Fraction(1, 10**40))
+            vectors[(2, 0)] = vec
+        return vectors
+
+    corrupt_basis(shift)
+    checks = _checks(verify_harmonics(3, 2))
+    assert checks["orthonormal under the sphere inner product"]
+    assert checks["flat laplacian annihilates every element, floats"]
+    assert not checks["commuting-tower eigenvalues match chain labels, exactly"]
+
+
+def test_corruption_after_a_verify_is_not_hidden_by_the_cache(corrupt_basis):
+    # everything derived from the basis lives in harmonic_basis's cache, so clearing it must be enough
+    assert verify_harmonics(3, 2).all_passed
+
+    def mix(D, degree, vectors):
+        if degree == 2:
+            plus, minus = vectors[(2, 1)], vectors[(2, -1)]
+            vectors[(2, 1)] = {a: plus.get(a, QQi(0)) + minus.get(a, QQi(0)) for a in set(plus) | set(minus)}
+        return vectors
+
+    corrupt_basis(mix)
+    checks = _checks(verify_harmonics(3, 2))
+    assert not checks["orthonormal under the sphere inner product"]
+    assert not checks["commuting-tower eigenvalues match chain labels, exactly"]
+
+
+@pytest.mark.parametrize("D", range(3, 7))
+def test_integer_tower_matches_the_rational_oracle(D):
+    # verdicts per chain under its own labels (all pass) and under the next chain's labels (mostly fail),
+    # and for the sum of neighbouring vectors, which is an eigenvector only when the labels agree
+    for degree in range(4):
+        basis = harmonic_basis(D, degree)
+        chains = list(basis)
+        vectors = [p.exact for p in basis.values()]
+        sums = [{a: u.get(a, QQi(0)) + v.get(a, QQi(0)) for a in set(u) | set(v)} for u, v in zip(vectors, vectors[1:])]
+        for vecs, labels in [(vectors, chains), (vectors, chains[1:] + chains[:1]), (sums, chains[:-1])]:
+            lap, tower = _exact_failures(vecs, labels, D, degree)
+            expected = [oracle.exact_failures(v, c, D) for v, c in zip(vecs, labels)]
+            assert [(bool(a), int(b)) for a, b in zip(lap, tower)] == expected
+
+
+@pytest.mark.parametrize("D", range(3, 8))
+def test_moment_route_matches_the_per_monomial_oracle(D):
+    for d1 in range(5):
+        for d2 in range(5):
+            # entry for entry equal to the scalar formula, bit for bit
+            moments = _moments(D, d1, d2)
+            assert all(
+                moments[i, j] == sphere_integral(tuple(x + y for x, y in zip(a, b)))
+                for i, a in enumerate(monomials(D, d1))
+                for j, b in enumerate(monomials(D, d2))
+            )
+    level_one = list(harmonic_basis(D, 1))
+    for degree in range(5):
+        basis = harmonic_basis(D, degree)
+        sample = list(basis.values())[:: max(1, len(basis) // 8)]
+        # Gram matrix entries on a sample of chains, against the package route
+        full = basis.matrix.conj().T @ _moments(D, degree, degree) @ basis.matrix
+        cols = [list(basis).index(p.chain) for p in sample]
+        oracle_gram = np.array([[oracle.poly_inner(p.coefficients, q.coefficients, D) for q in sample] for p in sample])
+        assert np.max(np.abs(full[np.ix_(cols, cols)] - oracle_gram)) <= 1e-14
+        for p in sample:
+            for q in sample[:2]:
+                got = poly_inner(p.coefficients, q.coefficients, D)
+                assert abs(got - oracle.poly_inner(p.coefficients, q.coefficients, D)) <= 1e-14
+        # projections: a product of harmonics, and one inhomogeneous polynomial
+        product = poly_mul(sample[-1].coefficients, harmonic_basis(D, 1)[level_one[-1]].coefficients)
+        mixed = dict(product)
+        for alpha, c in sample[0].coefficients.items():
+            mixed[alpha] = mixed.get(alpha, 0) + 0.5j * c
+        mixed[(0,) * D] = mixed.get((0,) * D, 0) + 0.25
+        for poly in (product, mixed):
+            degrees = range(degree + 1, -1, -1)
+            got, want = _project(poly, D, degrees), oracle.project(poly, D, degrees)
+            assert list(got) == list(want)
+            assert max(abs(got[c] - want[c]) for c in got) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [-1, -5, True, False, 2.0, 2.5, "2", None, np.bool_(True)])
+def test_degree_must_be_a_nonnegative_integer(bad):
+    with pytest.raises(ValueError):
+        harmonic_basis(3, bad)
+    with pytest.raises(ValueError):
+        verify_harmonics(3, bad)
+
+
+def test_numpy_integer_degrees_are_accepted():
+    assert list(harmonic_basis(3, np.int64(2))) == list(harmonic_basis(3, 2))
+    assert verify_harmonics(3, np.int32(2)).all_passed
+
+
 def test_gram_matrices_are_identity():
     for D, lmax in [(3, 4), (4, 3), (5, 2)]:
         for l in range(lmax + 1):
             polys = [p.coefficients for p in harmonic_basis(D, l).values()]
-            gram = np.array([[poly_inner(p, q, D) for q in polys] for p in polys])
+            gram = np.array([[oracle.poly_inner(p, q, D) for q in polys] for p in polys])
             assert np.max(np.abs(gram - np.eye(len(polys)))) <= 1e-10
 
 
@@ -282,7 +380,7 @@ def test_multiply_reconstruction_and_norm_identity():
         for c, v in g.items():
             recon += v * poly_eval(harmonic_basis(3, c[0])[c].coefficients, pts)
         assert np.max(np.abs(recon - poly_eval(prod, pts))) <= 1e-9
-        assert sum(abs(v) ** 2 for v in g.values()) == pytest.approx(poly_inner(prod, prod, 3).real, abs=1e-9)
+        assert sum(abs(v) ** 2 for v in g.values()) == pytest.approx(oracle.poly_inner(prod, prod, 3).real, abs=1e-9)
         assert all(k[-1] == a[-1] + b[-1] for k in g)
 
 
