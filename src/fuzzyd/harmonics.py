@@ -180,7 +180,7 @@ def _shift(D, degree, delta):
 
 
 def _move(V, D, degree, delta, weight=None):
-    """x^alpha -> weight(alpha) x^(alpha + delta) applied to the columns V, as columns over monomials(D, degree + sum(delta)).
+    """x^alpha -> weight(alpha) x^(alpha + delta) on the columns V, as columns over monomials(D, degree + sum(delta)).
 
     `weight` maps exponent rows to integer weights (1 when None).  The monomials
     the shift would make negative are dropped; every caller's weight vanishes on them.
@@ -271,7 +271,7 @@ def _exact_chain_vectors(D, degree):
 
 
 def _integer_columns(vectors, D, degree):
-    """[re | im]: each exact coefficient dict times the lcm of its denominators, as integer columns over monomials(D, degree).
+    """[re | im]: each exact dict times the lcm of its denominators, as integer columns over monomials(D, degree).
 
     A rotation has at most two entries per row, each at most `degree`, so the
     images and eigenvalue multiples the exact checks form are bounded by

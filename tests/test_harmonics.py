@@ -1,5 +1,4 @@
 import math
-
 from fractions import Fraction
 
 import numpy as np
@@ -126,7 +125,7 @@ def test_float_coefficients_pinned(D, degree, pinned):
 
 @pytest.fixture
 def corrupt_basis(monkeypatch):
-    """Install `corrupt(D, degree, vectors) -> vectors` over the exact basis, emptying the basis cache on install and teardown."""
+    """Install `corrupt(D, degree, vectors) -> vectors` over the exact basis; the basis cache is emptied at each install."""
     real = harmonics._exact_chain_vectors
 
     def install(corrupt):
