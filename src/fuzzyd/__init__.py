@@ -1,14 +1,7 @@
 """Finite-dimensional operator realizations of equivariant fuzzy hyperspheres."""
 
 from .basis import BasisMap, FuzzyConfig, dimension, enumerate_chains, level_dimension
-from .coefficients import (
-    cascade_coeffs,
-    centrifugal_coeff,
-    ladder_coeffs,
-    radial_weight,
-    reduced_element,
-    updown_weights,
-)
+from .coefficients import centrifugal_coeff, ladder_coeffs, radial_weight, reduced_element, updown_weights
 from .convergence import k_schedule, product_convergence_diagnostic, x_convergence_diagnostic
 from .harmonics import (
     HarmonicPolynomial,
@@ -46,7 +39,6 @@ __all__ = [
     "build_fuzzy_harmonic",
     "build_position",
     "build_projector",
-    "cascade_coeffs",
     "centrifugal_coeff",
     "dimension",
     "dressing_sequence",

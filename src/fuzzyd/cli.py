@@ -30,7 +30,7 @@ from .operators import (
     TOL_DEGREE2,
     SparseOperator,
     _casimir_tower,
-    _generator_matrix,
+    _generator_triplets,
     build_position,
     build_projector,
     verify_algebra,
@@ -80,22 +80,21 @@ def cmd_build(args):
 
     def emit(name, op):
         path = out / f"{name}.json"
-        _write_json(path, op.to_json_obj())
+        path.write_text(op.to_json_text())
         written.append(str(path))
 
     _write_json(out / "basis.json", basis_of(cfg).to_json_obj())
     written.append(str(out / "basis.json"))
 
     def generator(h, j):
-        dense = _generator_matrix(cfg, h, j)
-        emit(f"L_{h}_{j}", SparseOperator.from_dense(dense))
-        return dense
+        op = _generator_triplets(cfg, h, j)
+        emit(f"L_{h}_{j}", SparseOperator._from_triplets(op))
+        return op
 
     # each L_hj is built and written once, then squared once by the casimir pass;
-    # each C_p is written and freed as soon as the pass has it
+    # each C_p is written as soon as the pass has it
     for p, casimir in _casimir_tower(cfg, range(2, cfg.D + 1), generator):
-        emit(f"C_{p}", SparseOperator.from_dense(casimir))
-        del casimir
+        emit(f"C_{p}", SparseOperator._from_triplets(casimir))
     for h in range(1, cfg.D + 1):
         emit(f"x_{h}", build_position(cfg, h))
     emit("P_top", build_projector(cfg))

@@ -26,7 +26,7 @@ from .harmonics import (
     poly_eval,
     sample_sphere_points,
 )
-from .operators import _position_matrix, _radial_matrix
+from .operators import _position_triplets, _radial_weighted, _scatter
 
 SCHEDULE_NAMES = ("consistency", "strong-x", "product", "power")
 RANDOM_VECTORS = 5
@@ -101,12 +101,14 @@ def x_convergence_diagnostic(D, cutoffs, schedule="strong-x", alpha=None):
     for cutoff in cutoffs:
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
         cfg = FuzzyConfig(D=D, cutoff=cutoff, k=k)
-        radial = _radial_matrix(cfg)
+        n = dimension(D, cutoff)
         dev = 0.0
         bdev = 0.0
         for h in range(1, D + 1):
+            # x_h is t_h on the cutoff space, weighted entry by entry as the operator builds weight it
             t_ext = multiplication_matrix(D, h, cutoff, cutoff + 1)
-            x = radial * t_ext[: len(radial)]
+            r, c = np.nonzero(t_ext[:n])
+            x = _scatter((n, n), *_radial_weighted(cfg, r, c, t_ext[r, c]))
             dev = max(dev, float(np.linalg.norm(x - t_ext[: len(x)], 2)))
             bdev = max(bdev, float(np.linalg.norm(_embed(x, len(t_ext)) - t_ext, 2)))
         rows.append(XRow(cutoff=cutoff, k=k, deviation=dev, boundary_deviation=bdev))
@@ -155,7 +157,7 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
     for cutoff in cutoffs:
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
         cfg = FuzzyConfig(D=D, cutoff=cutoff, k=k)
-        positions = [_position_matrix(cfg, h) for h in range(1, D + 1)]
+        positions = [_position_triplets(cfg, h).to_dense() for h in range(1, D + 1)]
         f_hat = _fuzzy_image(f_coeffs, cfg, positions)
         g_hat = f_hat if g_coeffs == f_coeffs else _fuzzy_image(g_coeffs, cfg, positions)
         fg_hat = _fuzzy_image(fg, cfg, positions)

@@ -37,7 +37,15 @@ import numpy as np
 from . import _moves
 from ._exact import QQi
 from .basis import dimension, enumerate_chains, iter_chains, level_dimension
-from .operators import SparseOperator, VerificationReport, _drop_noise, _max_entry, _move_matrix, _position_matrix
+from .operators import (
+    ENTRY_DROP,
+    SparseOperator,
+    VerificationReport,
+    _max_entry,
+    _move_triplets,
+    _position_triplets,
+    _scatter,
+)
 
 RNG_PRODUCT_SEED = 7261
 PRODUCT_POINTS = 200
@@ -48,10 +56,10 @@ TOL_ELEMENTS = 1e-10
 TOL_PRODUCT = 1e-9
 
 
-def _nonnegative_int(value, name):
-    """`value` as an int; ValueError unless it is an integer >= 0 (numpy integers included, bools not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+def _integer_at_least(value, minimum, name):
+    """`value` as an int; ValueError unless it is an integer >= minimum (numpy integers included, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -357,9 +365,10 @@ def harmonic_basis(D, degree):
     Returns a HarmonicBasis {chain: HarmonicPolynomial} in canonical chain
     order; one entry per chain with top entry `degree`.  It is cached and
     shared, so callers must not modify it.  The cache is typed, so a bool or
-    float degree never reaches a cached integer entry.
+    float D or degree never reaches a cached integer entry.
     """
-    degree = _nonnegative_int(degree, "degree")
+    D = _integer_at_least(D, 3, "ambient dimension")
+    degree = _integer_at_least(degree, 0, "degree")
     exact = _exact_chain_vectors(D, degree)
     chains = sorted(exact)
     index = _exponents(D, degree)[1]
@@ -432,7 +441,7 @@ def multiplication_matrix(D, h, src_cutoff, dst_cutoff):
     """Dense matrix of t_h mapping the src chain basis into the dst chain basis."""
     src = enumerate_chains(D, src_cutoff).chains
     dst = enumerate_chains(D, dst_cutoff).chains
-    return _move_matrix(src, dst, lambda chain: _moves.t_terms(D, chain, h))
+    return _scatter((len(dst), len(src)), *_move_triplets(src, dst, lambda chain: _moves.t_terms(D, chain, h)))
 
 
 def function_multiplication_matrix(coeffs, D, src_cutoff, dst_cutoff):
@@ -513,12 +522,15 @@ def _fuzzy_image(coeffs, cfg, positions):
     for chain in coeffs:
         if tuple(chain)[0] > 2 * cfg.cutoff:
             raise ValueError(f"coefficient on chain {chain} beyond degree 2*cutoff")
-    return _drop_noise(_substitute(coeffs, cfg.D, positions))
+    image = _substitute(coeffs, cfg.D, positions)
+    image[np.abs(image) < ENTRY_DROP] = 0
+    return image
 
 
 def approximate_function(coeffs, cfg):
     """Operator approximation of f = sum coeffs[chain] * Y_chain."""
-    return SparseOperator.from_dense(_fuzzy_image(coeffs, cfg, [_position_matrix(cfg, h) for h in range(1, cfg.D + 1)]))
+    positions = [_position_triplets(cfg, h).to_dense() for h in range(1, cfg.D + 1)]
+    return SparseOperator.from_dense(_fuzzy_image(coeffs, cfg, positions))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +539,8 @@ def approximate_function(coeffs, cfg):
 
 def verify_harmonics(D, level_max):
     """Orthonormality, harmonicity, eigenvalue, and product checks up to level_max."""
-    level_max = _nonnegative_int(level_max, "level_max")
+    D = _integer_at_least(D, 3, "ambient dimension")
+    level_max = _integer_at_least(level_max, 0, "level_max")
     report = VerificationReport(config=f"D={D}, harmonics up to level {level_max}")
 
     count_bad = 0

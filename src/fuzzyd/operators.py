@@ -1,22 +1,28 @@
 """Operators on the chain basis and verification of their algebraic relations.
 
-Every operator is a dense numpy array, and `_move_matrix` is the only place
-where a chain move becomes a matrix entry.  `SparseOperator` is the written
-form: the public `build_*` functions return one, and the CLI stores it.
+Every operator is held as sorted chain-move triplets: `_move_triplets` is the
+only place where a chain move becomes a matrix entry, and it returns
+(row, col, value) arrays in row-major order.  `_Triplets` is the arithmetic
+the checks need on them (products, sums, adjoint, diagonal scaling,
+per-entry masks on the chain labels, max-abs), so no operator is ever an
+n x n array here.  `SparseOperator` is the written form: the public `build_*`
+functions return one, made straight from the triplets, and the CLI writes it.
 
 The casimirs C_2 .. C_D come from one pass, `_casimir_tower`: each generator
-is squared once, and its square is added to every order it belongs to on the
-level blocks only (generators keep the level), in the same order as the dense
-per-order sum, so every entry is bit for bit that sum.
+is squared once, one level block at a time, as the row panel m[b, :] times
+the column panel m[:, b] (densified from the triplets, inner dimension n), and
+its square is added to every order it belongs to, in the same order as the
+dense per-order sum, so every entry is bit for bit that sum.
 
 `verify_algebra` compares each casimir once with the diagonal l(l+p-2) that
 its chain label l_{p-1} fixes, and L_12 with l_1; the polynomial, multiplicity
 and commutator checks of the casimir tower read those residuals and the
 labels, and the azimuthal ladders are checked against their l_1 grading.
 That the coordinates generate the full matrix algebra is certified from the
-same matrices and labels (Schur and Burnside): each level is connected under
+same triplets and labels (Schur and Burnside): each level is connected under
 the generators, x couples every pair of adjacent levels, and the top value of
-the squared distance is isolated from the interior ones.
+the squared distance is isolated from the interior ones.  The reflection
+l_1 -> -l_1 witnesses the equivariance under O(D), not only SO(D).
 
 Conventions recorded in every report:
   * the commutator of two position operators carries the overall factor i
@@ -30,6 +36,7 @@ Conventions recorded in every report:
 
 from __future__ import annotations
 
+import cmath
 import csv
 import functools
 import io
@@ -51,10 +58,12 @@ TOL_DEGREE2 = 1e-12
 TOL_INTERIOR = 1e-13
 TOL_NILPOTENT = 1e-9
 
+_ENTRY_JSON = "    [\n      %d,\n      %d,\n      %r,\n      %r\n    ]"
+
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Complex square operator stored as sorted coordinate triplets; the written form of a dense array."""
+    """Complex square operator stored as sorted coordinate triplets; the written form of every built operator."""
 
     dim: int
     entries: tuple  # ((row, col, complex), ...) sorted by (row, col)
@@ -68,6 +77,10 @@ class SparseOperator:
         rows, cols = np.nonzero(np.abs(arr) >= ENTRY_DROP)
         return cls(dim=n, entries=tuple((int(r), int(c), complex(arr[r, c])) for r, c in zip(rows, cols)))
 
+    @classmethod
+    def _from_triplets(cls, op):
+        return cls(dim=op.n, entries=tuple(zip(op.rows.tolist(), op.cols.tolist(), op.vals.tolist())))
+
     def to_dense(self):
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for r, c, v in self.entries:
@@ -77,76 +90,189 @@ class SparseOperator:
     def to_json_obj(self):
         return {"dim": self.dim, "entries": [[r, c, v.real, v.imag] for r, c, v in self.entries]}
 
+    def to_json_text(self):
+        """to_json_obj() exactly as json.dumps(obj, indent=2, sort_keys=True) + a newline writes it.
+
+        One template, floats as their repr: the indenting json encoder is pure
+        Python and takes most of the time of writing an operator.  Non-finite
+        entries, which that encoder would write as NaN or Infinity, raise
+        ValueError.
+        """
+        if not all(cmath.isfinite(v) for _, _, v in self.entries):
+            raise ValueError("operator entries must be finite to be written")
+        if not self.entries:
+            return '{\n  "dim": %d,\n  "entries": []\n}\n' % self.dim
+        body = ",\n".join(_ENTRY_JSON % (r, c, v.real, v.imag) for r, c, v in self.entries)
+        return '{\n  "dim": %d,\n  "entries": [\n%s\n  ]\n}\n' % (self.dim, body)
+
     @classmethod
     def from_json_obj(cls, obj):
         return cls(dim=int(obj["dim"]), entries=tuple((int(r), int(c), complex(re, im)) for r, c, re, im in obj["entries"]))
 
 
-def _drop_noise(arr):
-    """Zero, in place, the entries a SparseOperator would drop (below ENTRY_DROP)."""
-    arr[np.abs(arr) < ENTRY_DROP] = 0
-    return arr
+@dataclass(frozen=True, eq=False)
+class _Triplets:
+    """n x n complex operator as (row, col, value) arrays sorted row-major, each (row, col) at most once.
 
-
-def _move_matrix(src, dst, terms):
-    """Dense len(dst) x len(src) matrix of a chain move; the only place a move becomes an entry.
-
-    `src` and `dst` are sequences of chains and `terms(chain)` yields
-    (target chain, amplitude); each term is added once, targets outside `dst`
-    are skipped, and entries below ENTRY_DROP are zeroed (among the nonzero
-    ones only, which needs no n x n temporary).
+    The arithmetic of the checks, with no n x n array: products (see
+    `_product_terms`) and sums, each entry's terms summed once, in the order
+    given (`_sum`); adjoint, diagonal scaling, per-entry masks and max-abs.
     """
-    rows = {chain: i for i, chain in enumerate(dst)}
-    out = np.zeros((len(dst), len(src)), dtype=complex)
-    for col, chain in enumerate(src):
-        for target, amp in terms(chain):
-            row = rows.get(target)
-            if row is not None:
-                out[row, col] += amp
-    r, c = np.nonzero(out)
-    out[r, c] = _drop_noise(out[r, c])
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def diagonal(cls, values):
+        idx = np.arange(len(values))
+        return cls(len(values), idx, idx, np.asarray(values, dtype=complex))
+
+    @functools.cached_property
+    def indptr(self):
+        """Row pointer: the entries of row i are indptr[i]:indptr[i + 1]."""
+        return np.searchsorted(self.rows, np.arange(self.n + 1))
+
+    @property
+    def terms(self):
+        return self.rows, self.cols, self.vals
+
+    def __add__(self, other):
+        return _sum(self.n, [self.terms, other.terms])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.with_values(-self.vals)
+
+    def __rmul__(self, scalar):
+        return self.with_values(scalar * self.vals)
+
+    def with_values(self, vals):
+        """The operator with the same (row, col) pattern holding `vals`."""
+        return _Triplets(self.n, self.rows, self.cols, vals)
+
+    def scaled(self, left=None, right=None):
+        """diag(left) @ self @ diag(right), entry by entry; None leaves that side as it is."""
+        vals = self.vals if left is None else left[self.rows] * self.vals
+        return self.with_values(vals if right is None else vals * right[self.cols])
+
+    def adjoint(self):
+        order = np.lexsort((self.rows, self.cols))
+        return _Triplets(self.n, self.cols[order], self.rows[order], self.vals[order].conj())
+
+    def permuted(self, perm):
+        """The operator with basis state i renamed perm[i]: the entry (r, c) moves to (perm[r], perm[c])."""
+        return _sum(self.n, [(perm[self.rows], perm[self.cols], self.vals)])
+
+    def where(self, keep):
+        """The entries where the per-entry boolean array `keep` holds."""
+        return _Triplets(self.n, self.rows[keep], self.cols[keep], self.vals[keep])
+
+    def drop_noise(self):
+        return self.where(np.abs(self.vals) >= ENTRY_DROP)
+
+    def max_abs(self):
+        return float(np.max(np.abs(self.vals))) if len(self.vals) else 0.0
+
+    def to_dense(self):
+        return _scatter((self.n, self.n), self.rows, self.cols, self.vals)
+
+
+def _product_terms(a, b):
+    """The terms a_ik b_kj of a @ b as unsummed (row, col, value) arrays: a's column index joined to b's row pointer."""
+    start = b.indptr[a.cols]
+    count = b.indptr[a.cols + 1] - start
+    left = np.repeat(np.arange(len(a.vals)), count)
+    right = np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(left))
+    return a.rows[left], b.cols[right], a.vals[left] * b.vals[right]
+
+
+def _sum(n, terms):
+    """The n x n operator summing (row, col, value) term arrays: each entry's terms in the order given, 0 for none."""
+    terms = list(terms) or [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    if len(first) < len(key):
+        key, vals = key[first], np.add.reduceat(vals, first)
+    return _Triplets(n, key // n, key % n, vals)
+
+
+def _scatter(shape, rows, cols, vals):
+    """Dense complex array of `shape` holding the triplets, 0 elsewhere."""
+    out = np.zeros(shape, dtype=complex)
+    out[rows, cols] = vals
     return out
 
 
-def _generator_matrix(cfg, h, j):
-    """Dense rotation generator L_{h,j}, h < j, on the chain basis."""
+def _move_triplets(src, dst, terms):
+    """Row-major sorted (row, col, value) arrays of a chain move; the only place a move becomes an entry.
+
+    `src` and `dst` are sequences of chains (columns and rows) and
+    `terms(chain)` yields (target chain, amplitude).  Each entry is
+    accumulated from 0j in term order, targets outside `dst` are skipped, and
+    entries below ENTRY_DROP are dropped.
+    """
+    index = {chain: i for i, chain in enumerate(dst)}
+    rows, cols, vals = [], [], []
+    for col, chain in enumerate(src):
+        column = {}
+        for target, amp in terms(chain):
+            row = index.get(target)
+            if row is not None:
+                column[row] = column.get(row, 0j) + amp
+        rows += column
+        cols += [col] * len(column)
+        vals += column.values()
+    rows, cols, vals = np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(vals, dtype=complex)
+    order = np.lexsort((cols, rows))
+    order = order[np.abs(vals[order]) >= ENTRY_DROP]
+    return rows[order], cols[order], vals[order]
+
+
+def _generator_triplets(cfg, h, j):
+    """Rotation generator L_{h,j}, h < j, on the chain basis."""
     chains = basis_of(cfg).chains
-    return _move_matrix(chains, chains, lambda chain: _moves.generator_terms(cfg.D, chain, h, j))
+    return _Triplets(len(chains), *_move_triplets(chains, chains, lambda chain: _moves.generator_terms(cfg.D, chain, h, j)))
 
 
-def _radial_matrix(cfg):
-    """R[i, j] = radial_weight(max(level_i, level_j)), with one weight evaluated per level."""
+def _radial_weighted(cfg, rows, cols, vals):
+    """Coordinate-move entries on the chain basis of cfg, each times w(max(level_row, level_col)), noise dropped.
+
+    w is the truncated radial weight, one evaluation per level; the product
+    is numpy's complex x float, as for a dense weight array.
+    """
     weights = np.array([radial_weight(l, cfg) for l in range(cfg.cutoff + 1)])
     levels = np.array(basis_of(cfg).levels())
-    return weights[np.maximum.outer(levels, levels)]
+    vals = weights[np.maximum(levels[rows], levels[cols])] * vals
+    keep = np.abs(vals) >= ENTRY_DROP
+    return rows[keep], cols[keep], vals[keep]
 
 
-def _position_matrix(cfg, h):
-    """Dense x_h = R * t_h: the coordinate move weighted by the truncated radial factors."""
+def _position_triplets(cfg, h):
+    """x_h: the coordinate move t_h weighted by the truncated radial factors."""
     chains = basis_of(cfg).chains
-    return _radial_matrix(cfg) * _move_matrix(chains, chains, lambda chain: _moves.t_terms(cfg.D, chain, h))
+    move = _move_triplets(chains, chains, lambda chain: _moves.t_terms(cfg.D, chain, h))
+    return _Triplets(len(chains), *_radial_weighted(cfg, *move))
 
 
 def _position_ladder(x1, x2, sign):
-    """x_1 + i*sign*x_2 from the dense positions."""
-    return _drop_noise(x1 + 1j * sign * x2)
+    """x_1 + i*sign*x_2."""
+    return (x1 + 1j * sign * x2).drop_noise()
 
 
 def _ladder_combination(l1, l2, sign):
-    """L_{2,nu} -+ i L_{1,nu} from the dense generators."""
-    return _drop_noise(l2 - 1j * sign * l1)
+    """L_{2,nu} -+ i L_{1,nu}."""
+    return (l2 - 1j * sign * l1).drop_noise()
 
 
 def _generator_pairs(D):
     return [(h, j) for h in range(1, D + 1) for j in range(h + 1, D + 1)]
-
-
-def _casimir(n, dense_generators):
-    """Sum of the squares of n x n dense generators, in the order given."""
-    acc = np.zeros((n, n), dtype=complex)
-    for m in dense_generators:
-        acc += m @ m
-    return _drop_noise(acc)
 
 
 def _level_blocks(basis):
@@ -155,44 +281,63 @@ def _level_blocks(basis):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _block_diagonal(n, parts, blocks):
-    """Dense n x n matrix holding `parts` on the diagonal `blocks`, each noise-dropped, +0 elsewhere."""
-    out = np.zeros((n, n), dtype=complex)
-    for part, b in zip(parts, blocks):
-        out[b, b] = _drop_noise(part)
-    return out
+def _level_squares(m, blocks):
+    """The level blocks (m @ m)[b, b] of a generator m that keeps every level, as panels m[b, :] @ m[:, b].
+
+    Each d_b x n row panel and n x d_b column panel is densified from the
+    triplets on its own (they hold the same entries, as m keeps the level).
+    The inner dimension stays n, so BLAS sums every entry over the same terms
+    in the same order as the full square, and each block is bit for bit the
+    block of the dense m @ m.
+    """
+    squares = []
+    for b in blocks:
+        s = slice(m.indptr[b.start], m.indptr[b.stop])
+        rows, cols, vals, d = m.rows[s], m.cols[s], m.vals[s], b.stop - b.start
+        squares.append(_scatter((d, m.n), rows - b.start, cols, vals) @ _scatter((m.n, d), rows, cols - b.start, vals))
+    return squares
 
 
 def _casimir_tower(cfg, orders, generator=None):
-    """One pass over the casimir tower: yields (p, dense C_p) for each p in `orders`, squaring each generator once.
+    """One pass over the casimir tower: yields (p, C_p triplets) for each p in `orders`, squaring each generator once.
 
-    `generator(h, j)` gives the dense L_hj (`_generator_matrix` when None); it
-    is called once per pair of so(max(orders)), in _generator_pairs order.
-    Each square is added to every order p >= j, and C_p is yielded as soon as
-    its last pair (p - 1, p) is in.  Only the level blocks are accumulated: a
-    generator keeps the level, so its square is exactly +-0 off the blocks, and
-    each order's additions come in _generator_pairs(p) order, so every entry
-    equals the dense `_casimir` sum bit for bit.  A generator joining two
-    levels raises RuntimeError.
+    `generator(h, j)` gives the triplets of L_hj (`_generator_triplets` when
+    None); it is called once per pair of so(max(orders)), in _generator_pairs
+    order.  Each square is formed on the level blocks by `_level_squares` and
+    added to every order p >= j, and C_p is yielded as soon as its last pair
+    (p - 1, p) is in.  A generator keeps the level, so its square is exactly
+    +-0 off the blocks, and each order's additions come in _generator_pairs(p)
+    order from 0, so every entry equals the dense sum of that order's squares
+    bit for bit.  A generator joining two levels raises RuntimeError.
     """
     basis = basis_of(cfg)
     blocks = _level_blocks(basis)
-    acc = {}  # order -> level blocks, allocated once the first square is in and its generator freed
+    levels = np.array(basis.levels())
+    acc = {}  # order -> level blocks, allocated once the first square is in
     for h, j in _generator_pairs(max(orders)):
-        m = generator(h, j) if generator else _generator_matrix(cfg, h, j)
-        if sum(np.count_nonzero(m[b, b]) for b in blocks) != np.count_nonzero(m):
+        m = generator(h, j) if generator else _generator_triplets(cfg, h, j)
+        if np.any(levels[m.rows] != levels[m.cols]):
             raise RuntimeError(f"generator L_{h}_{j} joins two levels; its square would leave the level blocks")
-        square = m @ m
-        del m
+        squares = _level_squares(m, blocks)
         for p in orders:
             if p >= j:
                 if p not in acc:
-                    acc[p] = [np.zeros((b.stop - b.start,) * 2, dtype=complex) for b in blocks]
-                for part, b in zip(acc[p], blocks):
-                    part += square[b, b]
-        del square
+                    acc[p] = [np.zeros_like(square) for square in squares]
+                for part, square in zip(acc[p], squares):
+                    part += square
         if h == j - 1 and j in orders:
-            yield j, _block_diagonal(len(basis), acc.pop(j), blocks)
+            yield j, _from_level_blocks(len(basis), acc.pop(j), blocks)
+
+
+def _from_level_blocks(n, parts, blocks):
+    """Triplets of the operator holding `parts` on the diagonal `blocks`, entries below ENTRY_DROP dropped."""
+    kept = [np.nonzero(np.abs(part) >= ENTRY_DROP) for part in parts]
+    return _Triplets(
+        n,
+        np.concatenate([r + b.start for (r, _), b in zip(kept, blocks)]),
+        np.concatenate([c + b.start for (_, c), b in zip(kept, blocks)]),
+        np.concatenate([part[r, c] for part, (r, c) in zip(parts, kept)]),
+    )
 
 
 def _label_projector(basis, p, value):
@@ -210,27 +355,27 @@ def build_angular_momentum(cfg, h, j):
     """Rotation generator on the chain basis; accepts h > j as -L_{j,h}."""
     if h == j or not (1 <= min(h, j) and max(h, j) <= cfg.D):
         raise ValueError(f"generator indices ({h}, {j}) invalid for D={cfg.D}")
-    return SparseOperator.from_dense(_generator_matrix(cfg, h, j) if h < j else -_generator_matrix(cfg, j, h))
+    return SparseOperator._from_triplets(_generator_triplets(cfg, h, j) if h < j else -_generator_triplets(cfg, j, h))
 
 
 def build_position(cfg, h):
     """Projected coordinate operator: coordinate move weighted by radial factors."""
     if not 1 <= h <= cfg.D:
         raise ValueError(f"coordinate index {h} outside 1..{cfg.D}")
-    return SparseOperator.from_dense(_position_matrix(cfg, h))
+    return SparseOperator._from_triplets(_position_triplets(cfg, h))
 
 
 def build_position_ladder(cfg, sign):
     """x_1 + i*sign*x_2 (sign=+1 is the raising combination)."""
-    return SparseOperator.from_dense(_position_ladder(_position_matrix(cfg, 1), _position_matrix(cfg, 2), sign))
+    return SparseOperator._from_triplets(_position_ladder(_position_triplets(cfg, 1), _position_triplets(cfg, 2), sign))
 
 
 def build_generator_ladder(cfg, nu, sign):
     """L_{2,nu} -+ i L_{1,nu} for nu >= 3 (sign=+1 is the raising combination)."""
     if nu < 3:
         raise ValueError(f"ladder generator needs nu >= 3, got {nu}")
-    l1, l2 = (_generator_matrix(cfg, h, nu) for h in (1, 2))
-    return SparseOperator.from_dense(_ladder_combination(l1, l2, sign))
+    l1, l2 = (_generator_triplets(cfg, h, nu) for h in (1, 2))
+    return SparseOperator._from_triplets(_ladder_combination(l1, l2, sign))
 
 
 def build_casimir(cfg, p):
@@ -238,7 +383,7 @@ def build_casimir(cfg, p):
     if not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
     [(_, casimir)] = _casimir_tower(cfg, (p,))
-    return SparseOperator.from_dense(casimir)
+    return SparseOperator._from_triplets(casimir)
 
 
 def casimir_eigenvalue(label, p):
@@ -262,12 +407,12 @@ def build_projector(cfg, p=None, value=None):
     diag = _label_projector(basis, p, value)
     if not diag.any():
         raise ValueError(f"no chain has branching label l_{p - 1} = {value}")
-    return SparseOperator.from_dense(np.diag(diag))
+    return SparseOperator._from_triplets(_Triplets.diagonal(diag).drop_noise())
 
 
 def parity_operator(cfg):
     """Diagonal (-1)^level; conjugation flips the sign of every position operator."""
-    return SparseOperator.from_dense(np.diag(_parity(basis_of(cfg))))
+    return SparseOperator._from_triplets(_Triplets.diagonal(_parity(basis_of(cfg))))
 
 
 def position_square_expected(cfg, l):
@@ -362,36 +507,49 @@ def _max_entry(arr):
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def _components(ops):
-    """Connected components of the graph on the basis states with an edge wherever some op in `ops` is nonzero."""
-    coupled = np.zeros(ops[0].shape, dtype=bool)
-    for o in ops:
-        coupled |= o != 0
-    seen = np.zeros(len(coupled), dtype=bool)
-    components = 0
-    for start in range(len(coupled)):
-        if seen[start]:
-            continue
-        components += 1
-        frontier = [start]
-        seen[start] = True
-        while len(frontier):
-            frontier = np.flatnonzero(coupled[frontier].any(axis=0) & ~seen)
-            seen[frontier] = True
-    return components
+def _component_labels(n, rows, cols):
+    """Connected-component label of every vertex 0..n-1 of the graph with the edges (rows[i], cols[i]).
+
+    Min-label propagation with pointer jumping: every label is a vertex of
+    its own component, and the loop stops once the labels agree along every
+    edge, so two vertices share a label iff they are connected.
+    """
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def _diagonal_residual(op, diag):
-    """max |op - diag(diag)|, subtracting the diagonal from `op` in place."""
-    idx = np.arange(len(diag))
-    op[idx, idx] -= diag
-    return _max_entry(op)
+    """max |op - diag(diag)|."""
+    return (op - _Triplets.diagonal(diag)).max_abs()
+
+
+def _reflection_deviation(generators, positions, perm, phase):
+    """max |R M R -+ M| over the operators, for R e_i = phase_i e_perm(i), with perm an involution and phase perm-invariant.
+
+    x_1 and every L_1j must flip sign under R, every other generator and
+    position stay; R M R holds phase_i phase_j M_ij at (perm(i), perm(j)).
+    """
+    ops = [(h == 1, M) for (h, _), M in generators.items()] + [(h == 1, M) for h, M in positions.items()]
+    dev = 0.0
+    for flip, M in ops:
+        image = M.scaled(phase, phase).permuted(perm)
+        dev = max(dev, (image + M if flip else image - M).max_abs())
+    return dev
 
 
 def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     """Check every algebraic relation the operators are supposed to satisfy.
 
-    Diagonal operators (projectors, parity) act as vectors by broadcasting.
+    Every operator is held as triplets; diagonal operators (projectors,
+    parity, label functions) act as vectors on the row or column labels.
     """
     if not 0 <= tol_degree2 < math.inf:
         raise ValueError(f"degree-2 tolerance must be finite and >= 0, got {tol_degree2}")
@@ -403,39 +561,45 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     blocks = _level_blocks(basis)
 
     pairs = _generator_pairs(D)
-    L = {(h, j): _generator_matrix(cfg, h, j) for h, j in pairs}
-    X = {h: _position_matrix(cfg, h) for h in range(1, D + 1)}
+    L = {(h, j): _generator_triplets(cfg, h, j) for h, j in pairs}
+    X = {h: _position_triplets(cfg, h) for h in range(1, D + 1)}
     eigenvalues = {p: casimir_eigenvalue(labels[:, D - p], p).astype(float) for p in range(2, D + 1)}
-    residuals = {
-        p: _diagonal_residual(_casimir(n, (L[pair] for pair in _generator_pairs(p))), eigenvalues[p])
-        for p in range(2, D + 1)
-    }
-    residual_12 = _diagonal_residual(L[(1, 2)].copy(), azimuthal)
+    try:
+        tower = _casimir_tower(cfg, range(2, D + 1), lambda h, j: L[(h, j)])
+        residuals = {p: _diagonal_residual(casimir, eigenvalues[p]) for p, casimir in tower}
+    except RuntimeError:
+        # a generator joins two levels, so its square leaves the level blocks: no casimir is formed and
+        # every check reading the residuals fails (as do the level-projector and parity checks)
+        residuals = dict.fromkeys(range(2, D + 1), math.inf)
+    residual_12 = _diagonal_residual(L[(1, 2)], azimuthal)
     top = _label_projector(basis, D, lam)
 
     def gen(a, b):
         return L[(a, b)] if a < b else -L[(b, a)]
 
+    def commutator(a, b, *minus):
+        """[a, b] - sum(minus), each entry summed once: the terms of a b, then of -b a, then of every -m."""
+        return _sum(n, [_product_terms(a, b), _product_terms(-b, a)] + [(-m).terms for m in minus])
+
     def check_hermiticity():
-        dev = max(
-            max(_max_entry(M - M.conj().T) for M in L.values()),
-            max(_max_entry(M - M.conj().T) for M in X.values()),
-        )
+        dev = max((M - M.adjoint()).max_abs() for M in itertools.chain(L.values(), X.values()))
         return Check("hermiticity of generators and positions", dev, TOL_HERMITIAN)
 
     def check_structure_constants():
-        # the (b, a) commutator is the exact negative of (a, b), and (a, a)
-        # gives exactly 0, so unordered pairs attain the same maximum
+        # [b, a] = -[a, b] and [a, a] = 0 with the same right-hand sides, so the
+        # unordered pairs of distinct generators carry every identity
         dev = 0.0
         for (h, j), (p, s) in itertools.combinations(pairs, 2):
-            comm = L[(h, j)] @ L[(p, s)] - L[(p, s)] @ L[(h, j)]
-            expected = 1j * (
-                (gen(j, s) if h == p else 0)
-                + (gen(h, p) if j == s else 0)
-                - (gen(j, p) if h == s else 0)
-                - (gen(h, s) if j == p else 0)
-            )
-            dev = max(dev, _max_entry(comm - expected))
+            expected = []
+            if h == p:
+                expected.append(1j * gen(j, s))
+            if j == s:
+                expected.append(1j * gen(h, p))
+            if h == s:
+                expected.append(-1j * gen(j, p))
+            if j == p:
+                expected.append(-1j * gen(h, s))
+            dev = max(dev, commutator(L[(h, j)], L[(p, s)], *expected).max_abs())
         return Check("so(D) structure constants", dev, tol_degree2)
 
     @functools.cache
@@ -446,10 +610,11 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         scalar = (-1.0 / k) * np.ones(n) + (1.0 / k + radial_weight(lam, cfg) ** 2 / (2 * lam + D - 2)) * top
         dev_interior = dev_full = dev_without_i = 0.0
         for h, j in pairs:
-            comm = X[h] @ X[j] - X[j] @ X[h]
-            dev_interior = max(dev_interior, _max_entry((comm + (1j / k) * L[(h, j)])[:, interior]))
-            dev_full = max(dev_full, _max_entry(comm - 1j * scalar[:, None] * L[(h, j)]))
-            dev_without_i = max(dev_without_i, _max_entry(comm - scalar[:, None] * L[(h, j)]))
+            comm = commutator(X[h], X[j])
+            inside = comm + (1j / k) * L[(h, j)]
+            dev_interior = max(dev_interior, inside.where(interior[inside.cols]).max_abs())
+            dev_full = max(dev_full, (comm - L[(h, j)].scaled(1j * scalar)).max_abs())
+            dev_without_i = max(dev_without_i, (comm - L[(h, j)].scaled(scalar)).max_abs())
         return dev_interior, dev_full, dev_without_i
 
     def check_snyder_interior():
@@ -486,8 +651,11 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         # v -> (P_{m+1} x_h v)_h injective on level m (Schur, vector covariance); (3) the top value
         # of sum x_h^2 is isolated, so P_top and, through the Snyder top term, every L_hj P_top lie
         # in the algebra; from M(top) the x blocks then reach every level
-        split = sum(_components([M[b, b] for M in L.values()]) != 1 for b in blocks)
-        uncoupled = sum(not any(x[blocks[m + 1], blocks[m]].any() for x in X.values()) for m in range(lam))
+        inside = [M.where(levels[M.rows] == levels[M.cols]) for M in L.values()]
+        label = _component_labels(n, np.concatenate([M.rows for M in inside]), np.concatenate([M.cols for M in inside]))
+        split = sum(label[b].min() != label[b].max() for b in blocks)
+        coupled = {int(l) for x in X.values() for l in levels[x.cols][levels[x.rows] == levels[x.cols] + 1]}
+        uncoupled = sum(m not in coupled for m in range(lam))
         e_top = position_square_expected(cfg, lam)
         top_gap = min((abs(e_top - position_square_expected(cfg, l)) for l in range(lam)), default=math.inf)
         return Check(
@@ -502,15 +670,14 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         dev = 0.0
         for h, s in pairs:
             for j in range(1, D + 1):
-                comm = L[(h, s)] @ X[j] - X[j] @ L[(h, s)]
-                expected = (-1j) * ((X[h] if j == s else 0) - (X[s] if j == h else 0))
-                dev = max(dev, _max_entry(comm - expected))
+                expected = ([-1j * X[h]] if j == s else []) + ([1j * X[s]] if j == h else [])
+                dev = max(dev, commutator(L[(h, s)], X[j], *expected).max_abs())
         return Check("positions transform as an so(D) vector", dev, tol_degree2)
 
     def check_position_square():
-        sq = sum(X[h] @ X[h] for h in range(1, D + 1))
-        expected = np.diag([position_square_expected(cfg, int(l)) for l in levels]).astype(complex)
-        return Check("squared distance spectrum per level", _max_entry(sq - expected), tol_degree2)
+        sq = _sum(n, [_product_terms(x, x) for x in X.values()])
+        expected = [position_square_expected(cfg, int(l)) for l in levels]
+        return Check("squared distance spectrum per level", _diagonal_residual(sq, expected), tol_degree2)
 
     def check_casimir_spectra():
         return Check("casimir operators diagonal with branching eigenvalues", max(residuals.values()), tol_degree2)
@@ -551,12 +718,12 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     def check_nilpotency():
         # a ladder shifting l_1 by exactly sign on |l_1| <= cutoff has its power 2*cutoff + 1 exactly 0
         power = 2 * lam + 1
-        shift = azimuthal[:, None] - azimuthal[None, :]
         dev = 0.0
         for sign in (+1, -1):
-            dev = max(dev, _max_entry(_position_ladder(X[1], X[2], sign)[shift != sign]))
-            for nu in range(3, D + 1):
-                dev = max(dev, _max_entry(_ladder_combination(L[(1, nu)], L[(2, nu)], sign)[shift != sign]))
+            ladders = [_position_ladder(X[1], X[2], sign)]
+            ladders += [_ladder_combination(L[(1, nu)], L[(2, nu)], sign) for nu in range(3, D + 1)]
+            for op in ladders:
+                dev = max(dev, op.where(azimuthal[op.rows] - azimuthal[op.cols] != sign).max_abs())
         return Check(
             f"azimuthal ladder operators nilpotent at power {power}",
             dev,
@@ -569,10 +736,11 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         # (c_j - c_i) L_ij, and |[L, C] - [L, diag c]| <= 2 |L| |C - diag c| is the spectra check
         dev = 0.0
         for p in range(3, D + 1):
-            gap = eigenvalues[p][None, :] - eigenvalues[p][:, None]
+            c = eigenvalues[p]
             for h, j in pairs:
                 if j < p or p == D:
-                    dev = max(dev, _max_entry(gap * L[(h, j)]))
+                    M = L[(h, j)]
+                    dev = max(dev, M.with_values((c[M.cols] - c[M.rows]) * M.vals).max_abs())
         return Check(
             "generators commute with enclosing casimirs",
             dev,
@@ -583,20 +751,25 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     def check_parity():
         # par M par has entries s_i s_j M_ij
         sign = _parity(basis)
-        flip = sign[:, None] * sign[None, :]
-        dev = 0.0
-        for h in range(1, D + 1):
-            dev = max(dev, _max_entry(flip * X[h] + X[h]))
-        for h, j in pairs:
-            dev = max(dev, _max_entry(flip * L[(h, j)] - L[(h, j)]))
+        dev = max((x.scaled(sign, sign) + x).max_abs() for x in X.values())
+        dev = max([dev] + [(M.scaled(sign, sign) - M).max_abs() for M in L.values()])
         return Check("parity conjugation flips positions, fixes generators", dev, TOL_HERMITIAN)
+
+    def check_reflection():
+        # R: l_1 -> -l_1 represents the reflection of axis 1, an element of O(D) outside SO(D) for every D
+        perm = np.array([basis.index_of(c[:-1] + (-c[-1],)) for c in basis.chains])
+        return Check(
+            "reflection l_1 -> -l_1 flips x_1 and every L_1j, fixes the rest",
+            _reflection_deviation(L, X, perm, np.ones(n)),
+            TOL_HERMITIAN,
+            "chain permutation with phase +1: the O(D) \\ SO(D) witness",
+        )
 
     def check_level_projectors_commute():
         # P_l L - L P_l has entries (p_i - p_j) L_ij, so over all l the maximum is the largest entry joining two levels
-        across = levels[:, None] != levels[None, :]
         return Check(
             "level projectors commute with every generator",
-            max(_max_entry(M[across]) for M in L.values()),
+            max(M.where(levels[M.rows] != levels[M.cols]).max_abs() for M in L.values()),
             TOL_HERMITIAN,
         )
 
@@ -621,6 +794,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         check_nilpotency,
         check_generators_commute_with_casimirs,
         check_parity,
+        check_reflection,
         check_level_projectors_commute,
         check_top_projector,
     ]

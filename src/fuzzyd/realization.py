@@ -28,14 +28,15 @@ from .coefficients import radial_weight, reduced_element
 from .operators import (
     SparseOperator,
     VerificationReport,
-    _casimir,
     _casimir_tower,
     _diagonal_residual,
-    _drop_noise,
-    _generator_matrix,
     _generator_pairs,
-    _move_matrix,
-    _position_matrix,
+    _generator_triplets,
+    _move_triplets,
+    _position_triplets,
+    _product_terms,
+    _sum,
+    _Triplets,
 )
 
 TOL_ISO = 1e-10
@@ -50,9 +51,11 @@ def level_operator(cfg):
     level = (2 - D + sqrt((D-2)^2 + 4*casimir)) / 2.
     """
     [(_, casimir)] = _casimir_tower(cfg, (cfg.D,))
-    diag = np.real(np.diag(casimir))
+    on = casimir.rows == casimir.cols
+    diag = np.zeros(casimir.n)
+    diag[casimir.rows[on]] = casimir.vals[on].real
     vals = 0.5 * (2 - cfg.D + np.sqrt((cfg.D - 2) ** 2 + 4.0 * diag))
-    return SparseOperator.from_dense(np.diag(vals.astype(complex)))
+    return SparseOperator._from_triplets(_Triplets.diagonal(vals).drop_noise())
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,8 @@ def dressing_sequence(cfg):
     return DressingSequence(values=tuple(p), raise_residual=raise_res, lower_residual=lower_res)
 
 
-def _ambient_matrix(cfg, h, j, orientation=-1):
-    """Dense so(D+1) generator L_{h,j} on the identified chain basis (the cutoff prepended to every chain)."""
+def _ambient_triplets(cfg, h, j, orientation=-1):
+    """so(D+1) generator L_{h,j} on the identified chain basis (the cutoff prepended to every chain)."""
     sign = orientation if j == cfg.D + 1 else 1
     chains = [(cfg.cutoff,) + chain for chain in basis_of(cfg).chains]
 
@@ -91,7 +94,7 @@ def _ambient_matrix(cfg, h, j, orientation=-1):
         for target, amp in _moves.generator_terms(cfg.D + 1, chain, h, j):
             yield target, sign * amp
 
-    return _move_matrix(chains, chains, terms)
+    return _Triplets(len(chains), *_move_triplets(chains, chains, terms))
 
 
 def ambient_generator(cfg, h, j, orientation=-1):
@@ -103,13 +106,13 @@ def ambient_generator(cfg, h, j, orientation=-1):
     """
     if not 1 <= h < j <= cfg.D + 1:
         raise ValueError(f"ambient generator indices ({h}, {j}) invalid for so({cfg.D + 1})")
-    return SparseOperator.from_dense(_ambient_matrix(cfg, h, j, orientation))
+    return SparseOperator._from_triplets(_ambient_triplets(cfg, h, j, orientation))
 
 
 def ambient_casimir(cfg):
     """Total casimir of the ambient so(D+1) family; a scalar on the irrep."""
-    gens = (_ambient_matrix(cfg, h, j) for h, j in _generator_pairs(cfg.D + 1))
-    return SparseOperator.from_dense(_casimir(dimension(cfg.D, cfg.cutoff), gens))
+    squares = [_product_terms(m, m) for m in (_ambient_triplets(cfg, h, j) for h, j in _generator_pairs(cfg.D + 1))]
+    return SparseOperator._from_triplets(_sum(dimension(cfg.D, cfg.cutoff), squares).drop_noise())
 
 
 def _dressing(cfg):
@@ -119,8 +122,7 @@ def _dressing(cfg):
 
 
 def _dress(amb, p, conjugate_left=True):
-    left = np.conjugate(p) if conjugate_left else p
-    return _drop_noise(left[:, None] * amb * p[None, :])
+    return amb.scaled(np.conjugate(p) if conjugate_left else p, p).drop_noise()
 
 
 def realize_position(cfg, h, orientation=-1, conjugate_left=True):
@@ -129,8 +131,8 @@ def realize_position(cfg, h, orientation=-1, conjugate_left=True):
     conjugate_left=False gives the variant without conjugation on the left
     dressing factor; it is kept only so its residual can be reported.
     """
-    amb = _ambient_matrix(cfg, h, cfg.D + 1, orientation)
-    return SparseOperator.from_dense(_dress(amb, _dressing(cfg), conjugate_left))
+    amb = _ambient_triplets(cfg, h, cfg.D + 1, orientation)
+    return SparseOperator._from_triplets(_dress(amb, _dressing(cfg), conjugate_left))
 
 
 def verify_isomorphism(cfg):
@@ -150,34 +152,28 @@ def verify_isomorphism(cfg):
     report.add("dressing recursion, raising relation", seq.raise_residual, TOL_SEQUENCE)
     report.add("dressing recursion, lowering relation", seq.lower_residual, TOL_SEQUENCE)
 
-    # one pass over the so(D+1) generators in (h, j) order, one alive at a time:
-    # each feeds the ambient casimir, and is compared with the native generator
-    # (j <= D) or dressed into a position operator (j = D+1)
+    # one pass over the so(D+1) generators in (h, j) order: each feeds the ambient
+    # casimir, and is compared with the native generator (j <= D) or dressed into a
+    # position operator (j = D+1)
     p = _dressing(cfg)
     dev = dict.fromkeys(("gen", "pos", "adj", "alt", "par"), 0.0)
-
-    def compare(h, j, amb):
+    squares = []
+    for h, j in _generator_pairs(D + 1):
+        amb = _ambient_triplets(cfg, h, j)
+        squares.append(_product_terms(amb, amb))
         if j <= D:
-            nat = _generator_matrix(cfg, h, j)
-            dev["gen"] = max(dev["gen"], float(np.max(np.abs(amb - nat))))
-            return
+            dev["gen"] = max(dev["gen"], (amb - _generator_triplets(cfg, h, j)).max_abs())
+            continue
         realized = _dress(amb, p)
-        native = _position_matrix(cfg, h)
-        dev["pos"] = max(dev["pos"], float(np.max(np.abs(realized - native))) if realized.size else 0.0)
-        dev["adj"] = max(dev["adj"], float(np.max(np.abs(realized - realized.conj().T))))
-        alt = _dress(amb, p, conjugate_left=False)
-        dev["alt"] = max(dev["alt"], float(np.max(np.abs(alt - native))))
+        native = _position_triplets(cfg, h)
+        dev["pos"] = max(dev["pos"], (realized - native).max_abs())
+        dev["adj"] = max(dev["adj"], (realized - realized.adjoint()).max_abs())
+        dev["alt"] = max(dev["alt"], (_dress(amb, p, conjugate_left=False) - native).max_abs())
         # the unflipped orientation (+1), built on its own, dressed like the default
-        flipped = _dress(_ambient_matrix(cfg, h, j, orientation=+1), p)
-        dev["par"] = max(dev["par"], float(np.max(np.abs(flipped + realized))))
-
-    def ambient_generators():
-        for h, j in _generator_pairs(D + 1):
-            amb = _ambient_matrix(cfg, h, j)
-            compare(h, j, amb)
-            yield amb
-
-    amb_cas = _casimir(dimension(D, lam), ambient_generators())
+        flipped = _dress(_ambient_triplets(cfg, h, j, orientation=+1), p)
+        dev["par"] = max(dev["par"], (flipped + realized).max_abs())
+    n = dimension(D, lam)
+    amb_cas = _sum(n, squares).drop_noise()
 
     report.add("dressed generators equal position operators", dev["pos"], TOL_ISO)
     report.add("dressed generators are self-adjoint", dev["adj"], TOL_ADJOINT)
@@ -191,7 +187,7 @@ def verify_isomorphism(cfg):
     expect = lam * (lam + D - 1)
     report.add(
         "ambient total casimir is the expected scalar",
-        _diagonal_residual(amb_cas, np.full(len(amb_cas), float(expect))),
+        _diagonal_residual(amb_cas, np.full(n, float(expect))),
         1e-10,
         f"scalar {expect}",
     )

@@ -7,7 +7,9 @@ import fuzzyd.cli
 import fuzzyd.operators
 from fuzzyd.basis import FuzzyConfig, dimension
 from fuzzyd.cli import _write_json, main
-from fuzzyd.operators import SparseOperator, _casimir, _generator_matrix, _generator_pairs, build_position
+from fuzzyd.operators import SparseOperator, _generator_pairs, _generator_triplets, build_position
+
+from operators_oracle import dense_casimir
 
 
 def test_build_outputs(tmp_path):
@@ -44,25 +46,25 @@ def test_build_zero_cutoff(tmp_path):
 
 @pytest.mark.parametrize("D, cutoff", [(4, 3), (5, 2)])
 def test_build_casimirs_equal_the_dense_route(tmp_path, D, cutoff):
-    # the C_p files are byte for byte the JSON of the dense per-order sum of squares, in this process
+    # the C_p files are byte for byte the JSON module's encoding of the dense per-order sum of squares, in this process
     assert main(["build", "--d", str(D), "--lambda", str(cutoff), "--out", str(tmp_path / "ops")]) == 0
     cfg = FuzzyConfig(D=D, cutoff=cutoff, k=json.loads((tmp_path / "ops" / "manifest.json").read_text())["config"]["k"])
     for p in range(2, D + 1):
-        gens = (_generator_matrix(cfg, h, j) for h, j in _generator_pairs(p))
-        _write_json(tmp_path / "dense.json", SparseOperator.from_dense(_casimir(dimension(D, cutoff), gens)).to_json_obj())
+        gens = (_generator_triplets(cfg, h, j).to_dense() for h, j in _generator_pairs(p))
+        _write_json(tmp_path / "dense.json", SparseOperator.from_dense(dense_casimir(dimension(D, cutoff), gens)).to_json_obj())
         assert (tmp_path / "ops" / f"C_{p}.json").read_bytes() == (tmp_path / "dense.json").read_bytes(), p
 
 
 def test_build_builds_each_generator_once(tmp_path, monkeypatch):
     calls = []
-    honest = _generator_matrix
+    honest = _generator_triplets
 
     def counted(cfg, h, j):
         calls.append((h, j))
         return honest(cfg, h, j)
 
-    monkeypatch.setattr(fuzzyd.operators, "_generator_matrix", counted)
-    monkeypatch.setattr(fuzzyd.cli, "_generator_matrix", counted)
+    monkeypatch.setattr(fuzzyd.operators, "_generator_triplets", counted)
+    monkeypatch.setattr(fuzzyd.cli, "_generator_triplets", counted)
     assert main(["build", "--d", "4", "--lambda", "2", "--out", str(tmp_path)]) == 0
     assert calls == _generator_pairs(4)
 

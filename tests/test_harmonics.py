@@ -295,6 +295,20 @@ def test_numpy_integer_degrees_are_accepted():
     assert verify_harmonics(3, np.int32(2)).all_passed
 
 
+@pytest.mark.parametrize("bad", [3.5, 3.0, 2, -3, True, "3", None, np.float64(3.0), np.bool_(True)])
+def test_dimension_must_be_an_integer_of_at_least_three(bad):
+    # a float D once ended in RecursionError (3.5) or TypeError (3.0) inside the chain enumeration
+    with pytest.raises(ValueError, match="ambient dimension must be an integer >= 3"):
+        harmonic_basis(bad, 1)
+    with pytest.raises(ValueError, match="ambient dimension must be an integer >= 3"):
+        verify_harmonics(bad, 1)
+
+
+def test_numpy_integer_dimensions_are_accepted():
+    assert list(harmonic_basis(np.int64(4), 2)) == list(harmonic_basis(4, 2))
+    assert verify_harmonics(np.int32(3), 2).all_passed
+
+
 def test_gram_matrices_are_identity():
     for D, lmax in [(3, 4), (4, 3), (5, 2)]:
         for l in range(lmax + 1):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from fuzzyd.operators import (
     TOL_NILPOTENT,
     SparseOperator,
     VerificationReport,
-    _casimir,
     _casimir_tower,
-    _components,
-    _generator_matrix,
+    _component_labels,
     _generator_pairs,
-    _position_matrix,
+    _generator_triplets,
+    _position_triplets,
+    _product_terms,
+    _reflection_deviation,
+    _sum,
+    _Triplets,
     build_angular_momentum,
     build_casimir,
     build_generator_ladder,
@@ -30,6 +34,8 @@ from fuzzyd.operators import (
     position_square_expected,
     verify_algebra,
 )
+
+from operators_oracle import components, dense_casimir, triplets_of
 
 CFG42 = FuzzyConfig(D=4, cutoff=2, k=64.0)
 
@@ -250,6 +256,15 @@ def _dense_reference(cfg):
     dev = max(amax(par @ X[h] @ par + X[h]) for h in X)
     ref["parity conjugation flips positions, fixes generators"] = max(dev, max(amax(par @ M @ par - M) for M in L.values()))
 
+    # R e_i = e_perm(i) with perm negating l_1
+    chain_list = enumerate_chains(D, lam).chains
+    R = np.zeros((n, n))
+    for i, c in enumerate(chain_list):
+        R[chain_list.index(c[:-1] + (-c[-1],)), i] = 1.0
+    dev = max(amax(R @ X[h] @ R + (X[h] if h == 1 else -X[h])) for h in X)
+    dev = max([dev] + [amax(R @ M @ R + (M if h == 1 else -M)) for (h, _), M in L.items()])
+    ref["reflection l_1 -> -l_1 flips x_1 and every L_1j, fixes the rest"] = dev
+
     dev = 0.0
     for l in range(lam + 1):
         proj = build_projector(cfg, p=D, value=l).to_dense()
@@ -267,7 +282,7 @@ def _assert_casimir_product_formulas_pass(cfg):
     n = dimension(D, lam)
     eye = np.eye(n)
     pairs = _generator_pairs(D)
-    L = {(h, j): _generator_matrix(cfg, h, j) for h, j in pairs}
+    L = {(h, j): _generator_triplets(cfg, h, j).to_dense() for h, j in pairs}
     C = {p: build_casimir(cfg, p).to_dense() for p in range(2, D + 1)}
     amax = lambda m: float(np.max(np.abs(m)))
 
@@ -310,26 +325,36 @@ def _assert_casimir_product_formulas_pass(cfg):
 
 @pytest.mark.parametrize("D, cutoff", [(3, 5), (4, 3)])
 def test_verify_algebra_equals_dense_product_formulas(D, cutoff):
+    # the triplet products sum each entry in another order than the dense BLAS products: every
+    # verdict is the same, and every deviation agrees within the a-priori rounding bound
+    # terms per entry x 4 eps x max |A| |B|, over the generators and positions
     cfg = _consistency_config(D, cutoff)
-    got = {c.name: c.deviation for c in verify_algebra(cfg).checks}
+    got = {c.name: c for c in verify_algebra(cfg).checks}
+    ops = [build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(D)]
+    ops += [build_position(cfg, h).to_dense() for h in range(1, D + 1)]
+    terms = max(int(np.count_nonzero(op, axis=1).max()) for op in ops)
+    bound = terms * 4 * np.finfo(float).eps * max(float(np.max(np.abs(op))) for op in ops) ** 2
     for name, dev in _dense_reference(cfg).items():
-        assert got[name] == dev, name
+        assert got[name].passed == (dev <= got[name].tolerance), name
+        assert abs(got[name].deviation - dev) <= bound, (name, got[name].deviation, dev, bound)
     _assert_casimir_product_formulas_pass(cfg)
 
 
 def _tamper_generator(monkeypatch, pair, entries):
     """Write `entries` {(row chain, col chain): value} into L_pair at D=4, cutoff 2."""
     bm = enumerate_chains(4, 2)
-    honest = _generator_matrix
+    honest = _generator_triplets
 
     def tampered(cfg, h, j):
         op = honest(cfg, h, j)
         if (h, j) == pair:
+            op = op.to_dense()
             for (row, col), value in entries.items():
                 op[bm.index_of(row), bm.index_of(col)] = value
+            op = triplets_of(op)
         return op
 
-    monkeypatch.setattr(fuzzyd.operators, "_generator_matrix", tampered)
+    monkeypatch.setattr(fuzzyd.operators, "_generator_triplets", tampered)
 
 
 def _checks_with_generator_entry(monkeypatch, pair, entries):
@@ -361,16 +386,15 @@ def test_generator_leaking_between_l2_values_fails_the_casimir_checks(monkeypatc
 def test_lower_casimir_residual_fails_the_spectra_check(monkeypatch):
     # only C_3 is off, so C_4 and the minimal polynomial stay clean; the spectra
     # check must read the residual of every order, not only the total casimir
-    honest = fuzzyd.operators._casimir
+    honest = fuzzyd.operators._casimir_tower
 
-    def shifted(n, dense_generators):
-        gens = list(dense_generators)
-        out = honest(n, gens)
-        if len(gens) == len(_generator_pairs(3)):
-            out[0, 0] += 1e-9
-        return out
+    def shifted(cfg, orders, generator=None):
+        for p, casimir in honest(cfg, orders, generator):
+            if p == 3:
+                casimir = casimir + _Triplets(casimir.n, np.array([0]), np.array([0]), np.array([1e-9 + 0j]))
+            yield p, casimir
 
-    monkeypatch.setattr(fuzzyd.operators, "_casimir", shifted)
+    monkeypatch.setattr(fuzzyd.operators, "_casimir_tower", shifted)
     checks = {c.name: c for c in verify_algebra(CFG42).checks}
     for name in (
         "casimir operators diagonal with branching eigenvalues",
@@ -383,34 +407,35 @@ def test_lower_casimir_residual_fails_the_spectra_check(monkeypatch):
 
 @pytest.mark.parametrize("D, cutoff", [(3, 0), (3, 5), (4, 3), (4, 6), (5, 2), (5, 4), (6, 2)])
 def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
-    # one pass squaring each generator once, kept on the level blocks, gives
-    # every order bit for bit as the dense sum over that order's generators
+    # one pass squaring each generator once, by level row panels of inner dimension n,
+    # gives every order bit for bit as the dense sum over that order's generators
     cfg = _consistency_config(D, cutoff)
     n = dimension(D, cutoff)
     tower = dict(_casimir_tower(cfg, range(2, D + 1)))
     assert sorted(tower) == list(range(2, D + 1))
     for p, casimir in tower.items():
-        dense = _casimir(n, (_generator_matrix(cfg, h, j) for h, j in _generator_pairs(p)))
-        assert np.array_equal(casimir, dense), p
+        dense = dense_casimir(n, (_generator_triplets(cfg, h, j).to_dense() for h, j in _generator_pairs(p)))
+        assert np.array_equal(casimir.to_dense(), dense), p
         assert build_casimir(cfg, p) == SparseOperator.from_dense(dense), p
 
 
-def test_casimir_tower_builds_and_squares_each_generator_once():
+def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
     cfg = _consistency_config(5, 2)
-    built, squares = [], []
+    built, squared = [], []
+    honest = fuzzyd.operators._level_squares
 
-    class Counted(np.ndarray):
-        def __matmul__(self, other):
-            squares.append(1)
-            return np.asarray(self) @ np.asarray(other)
+    def counted(m, blocks):
+        squared.append(m)
+        return honest(m, blocks)
 
     def generator(h, j):
         built.append((h, j))
-        return _generator_matrix(cfg, h, j).view(Counted)
+        return _generator_triplets(cfg, h, j)
 
+    monkeypatch.setattr(fuzzyd.operators, "_level_squares", counted)
     assert [p for p, _ in _casimir_tower(cfg, range(2, 6), generator)] == [2, 3, 4, 5]
     assert built == _generator_pairs(5)
-    assert len(squares) == 10
+    assert len(squared) == 10
 
 
 def test_generator_joining_two_levels_stops_the_casimir_tower(monkeypatch):
@@ -427,6 +452,82 @@ def test_generator_entry_keeping_l1_fails_nilpotency(monkeypatch):
     checks = _checks_with_generator_entry(monkeypatch, (1, 3), {((1, 1, 0), (1, 0, 0)): 0.5})
     nilpotency = checks["azimuthal ladder operators nilpotent at power 5"]
     assert not nilpotency.passed and nilpotency.deviation == 0.5
+
+
+@pytest.mark.parametrize("D, cutoff", [(3, 6), (4, 5), (5, 3), (6, 3)])
+def test_reflection_witness_is_exact_and_its_phased_variant_fails(D, cutoff):
+    # R: l_1 -> -l_1 with phase +1 represents the reflection of axis 1, outside SO(D) for every D
+    # (for even D the parity check's -I lies inside SO(D)); the negative control with the phase
+    # (-1)^{l_1} is no symmetry of the operators
+    cfg = _consistency_config(D, cutoff)
+    check = next(c for c in verify_algebra(cfg).checks if c.name.startswith("reflection"))
+    assert check.passed and check.deviation == 0.0
+    bm = enumerate_chains(D, cutoff)
+    perm = np.array([bm.index_of(c[:-1] + (-c[-1],)) for c in bm.chains])
+    L = {(h, j): _generator_triplets(cfg, h, j) for h, j in _generator_pairs(D)}
+    X = {h: _position_triplets(cfg, h) for h in range(1, D + 1)}
+    assert _reflection_deviation(L, X, perm, np.ones(len(bm))) == 0.0
+    phase = np.array([(-1.0) ** abs(c[-1]) for c in bm.chains])
+    assert _reflection_deviation(L, X, perm, phase) > 1.0
+
+
+def test_verify_algebra_at_n_3025_holds_no_dense_operator():
+    # D=3 cutoff 54: every asserted check passes, and the traced allocation peak stays below
+    # the size of a single n x n complex array
+    cfg = _consistency_config(3, 54)
+    n = dimension(3, 54)
+    tracemalloc.start()
+    try:
+        report = verify_algebra(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 3025
+    assert report.all_passed, report.to_text()
+    assert peak < n * n * np.dtype(complex).itemsize, peak
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_labels_agree_with_breadth_first_search(seed):
+    rng = np.random.default_rng(seed)
+    n = 80
+    rows, cols = rng.integers(0, n, size=(2, 20 * (seed + 1)))
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[rows, cols] = adjacency[cols, rows] = True
+    label = _component_labels(n, rows, cols)
+    assert np.array_equal(label[rows], label[cols])
+    assert len(np.unique(label)) == components([adjacency])
+
+
+def test_triplet_arithmetic_equals_the_dense_arithmetic():
+    a_op, b_op = _generator_triplets(CFG42, 1, 3), _position_triplets(CFG42, 2)
+    a, b = a_op.to_dense(), b_op.to_dense()
+    product = _sum(14, [_product_terms(a_op, b_op)])
+    for op in (a_op, b_op, product, a_op + b_op, a_op - b_op, a_op.adjoint()):
+        key = op.rows * op.n + op.cols
+        assert np.all(np.diff(key) > 0)  # row-major, each (row, col) once
+    assert np.max(np.abs(product.to_dense() - a @ b)) <= 1e-15
+    assert _sum(14, []).max_abs() == 0.0
+    assert np.array_equal((a_op + b_op).to_dense(), a + b)
+    assert np.array_equal((a_op - b_op).to_dense(), a - b)
+    assert np.array_equal((2j * a_op).to_dense(), 2j * a)
+    assert np.array_equal(a_op.adjoint().to_dense(), a.conj().T)
+    d = np.arange(14.0)
+    assert np.array_equal(a_op.scaled(d, d + 1).to_dense(), d[:, None] * a * (d + 1)[None, :])
+    perm = np.random.default_rng(3).permutation(14)
+    move = np.eye(14)[perm].T  # move @ e_i = e_perm(i)
+    assert np.array_equal(a_op.permuted(perm).to_dense(), move @ a @ move.T)
+    assert a_op.max_abs() == np.max(np.abs(a))
+
+
+def test_operator_json_text_is_the_json_module_encoding():
+    odd = SparseOperator(dim=2, entries=((0, 1, complex(-0.0, 1e-300)), (1, 0, complex(1e300, -0.0))))
+    ops = [build_position(CFG42, 2), build_angular_momentum(CFG42, 2, 3), build_casimir(CFG42, 4), odd]
+    ops.append(build_position(FuzzyConfig(D=4, cutoff=0, k=1.0), 1))
+    for op in ops:
+        assert op.to_json_text() == json.dumps(op.to_json_obj(), indent=2, sort_keys=True) + "\n"
+    with pytest.raises(ValueError, match="finite"):
+        SparseOperator(dim=1, entries=((0, 0, complex(math.nan, 0.0)),)).to_json_text()
 
 
 SWEEP_CONFIGS = (
@@ -478,7 +579,7 @@ def _commutant_test(ops):
     w, V = np.linalg.eigh(A)  # reads one triangle, so rounding asymmetry is ignored
     gap = float(np.min(np.diff(w)) / np.max(np.abs(w))) if n > 1 else math.inf
     Vh = V.conj().T
-    return _components([np.abs(Vh @ (o @ V)) > SPAN_EDGE_FLOOR for o in ops]), gap
+    return components([np.abs(Vh @ (o @ V)) > SPAN_EDGE_FLOOR for o in ops]), gap
 
 
 def _span_check(cfg):
@@ -525,7 +626,7 @@ SMALL_CONFIGS = [(3, lam) for lam in range(4)] + [(4, lam) for lam in range(3)] 
 def test_burnside_test_agrees_with_word_span_closure(D, cutoff):
     # below n = 16 the closure of coordinate words is cheap enough to serve as the oracle
     cfg = _consistency_config(D, cutoff)
-    positions = [_position_matrix(cfg, h) for h in range(1, D + 1)]
+    positions = [_position_triplets(cfg, h).to_dense() for h in range(1, D + 1)]
     assert len(positions[0]) <= 16
     assert _word_span_deficit(positions) == 0
     components, gap = _commutant_test(positions)
@@ -541,7 +642,7 @@ def test_burnside_test_agrees_with_word_span_closure(D, cutoff):
 def test_span_certificate_agrees_with_burnside_oracle(D, cutoff):
     # where the eigenvalue gap of the oracle's generic element is still well above its floor
     cfg = _consistency_config(D, cutoff)
-    positions = [_position_matrix(cfg, h) for h in range(1, D + 1)]
+    positions = [_position_triplets(cfg, h).to_dense() for h in range(1, D + 1)]
     assert len(positions[0]) <= 300
     components, gap = _commutant_test(positions)
     check = _span_check(cfg)
@@ -553,8 +654,8 @@ def test_span_certificate_agrees_with_burnside_oracle(D, cutoff):
 def test_generators_alone_are_reducible(D, cutoff):
     # generators keep every level: one component per level, and words miss every off-block entry
     cfg = _consistency_config(D, cutoff)
-    generators = [_generator_matrix(cfg, h, j) for h, j in _generator_pairs(D)]
-    assert _components(generators) == cutoff + 1
+    generators = [_generator_triplets(cfg, h, j).to_dense() for h, j in _generator_pairs(D)]
+    assert components(generators) == cutoff + 1
     assert _commutant_test(generators)[0] == cutoff + 1
     n = dimension(D, cutoff)
     if n <= 16:
@@ -563,16 +664,14 @@ def test_generators_alone_are_reducible(D, cutoff):
 
 def test_span_check_fails_for_a_reducible_position_set(monkeypatch):
     # positions with every coupling from level 0 removed leave the constant state invariant
-    honest = _position_matrix
+    honest = _position_triplets
 
     def cut(cfg, h):
         x = honest(cfg, h)
-        x[0, :] = 0
-        x[:, 0] = 0
-        return x
+        return x.where((x.rows != 0) & (x.cols != 0))
 
-    monkeypatch.setattr(fuzzyd.operators, "_position_matrix", cut)
-    assert _commutant_test([cut(CFG42, h) for h in range(1, 5)])[0] > 1
+    monkeypatch.setattr(fuzzyd.operators, "_position_triplets", cut)
+    assert _commutant_test([cut(CFG42, h).to_dense() for h in range(1, 5)])[0] > 1
     check = _span_check(CFG42)
     assert not check.passed and check.deviation == 1.0
     assert "1 adjacent level pair(s) not coupled" in check.notes
@@ -583,19 +682,19 @@ def test_span_check_fails_for_a_chain_cut_off_inside_its_level(monkeypatch):
     # merging levels 0 and 2 keeps the total count at cutoff + 1, and must not hide it
     bm = enumerate_chains(4, 2)
     cut, a, b = bm.index_of((1, 1, 0)), bm.index_of((0, 0, 0)), bm.index_of((2, 0, 0))
-    honest = _generator_matrix
+    honest = _generator_triplets
 
     def split(cfg, h, j):
-        op = honest(cfg, h, j)
+        op = honest(cfg, h, j).to_dense()
         op[cut, :] = 0
         op[:, cut] = 0
         if (h, j) == (1, 2):
             op[a, b] = op[b, a] = 0.5
-        return op
+        return triplets_of(op)
 
-    monkeypatch.setattr(fuzzyd.operators, "_generator_matrix", split)
-    generators = [split(CFG42, h, j) for h, j in _generator_pairs(4)]
-    assert _components(generators) == CFG42.cutoff + 1
+    monkeypatch.setattr(fuzzyd.operators, "_generator_triplets", split)
+    generators = [split(CFG42, h, j).to_dense() for h, j in _generator_pairs(4)]
+    assert components(generators) == CFG42.cutoff + 1
     check = _span_check(CFG42)
     assert not check.passed and check.deviation == 1.0
     assert "1 level(s) split" in check.notes
