@@ -2,9 +2,18 @@
 
 The diagnostics quantify, at each cutoff, how far the projected coordinate
 operators sit from the compressed multiplication operators, and how far fuzzy
-products sit from fuzzy images of products.  Strong-limit claims are sampled
-on a fixed test-vector family: every basis state plus a few seeded
-pseudo-random unit vectors.
+products sit from fuzzy images of products.
+
+The x diagnostic measures x_D alone.  The x_h and the t_h are components of
+vector operators under one unitary SO(D) action, and the radial weight
+depends only on levels, which rotations keep, so ||x_h - t_h|| is the same
+for every h.  t_D keeps the lower chain chain[1:] and moves the top level by
+one, so x_D - t_D is block diagonal over lower chains, and both norms are
+read from a stack of (cutoff + 2) x (cutoff + 1) blocks: no n x n array.
+
+The product diagnostic holds dense fuzzy images.  Its strong-limit claims are
+sampled on a fixed test-vector family: every basis state (read as a column of
+the defect) plus a few seeded pseudo-random unit vectors.
 """
 
 from __future__ import annotations
@@ -17,16 +26,16 @@ import numpy as np
 
 from .basis import FuzzyConfig, dimension, enumerate_chains
 from .coefficients import centrifugal_coeff
+from . import _moves
 from .harmonics import (
     _fuzzy_image,
     _project,
     function_multiplication_matrix,
     harmonic_basis,
-    multiplication_matrix,
     poly_eval,
     sample_sphere_points,
 )
-from .operators import _position_triplets, _radial_weighted, _scatter
+from .operators import _move_triplets, _position_triplets, _radial_weighted
 
 SCHEDULE_NAMES = ("consistency", "strong-x", "product", "power")
 RANDOM_VECTORS = 5
@@ -73,8 +82,9 @@ def _embed(dense, rows):
     """Extend an operator by zero rows into a larger cutoff's basis (chain bases are prefixes)."""
     return np.vstack([dense, np.zeros((rows - dense.shape[0], dense.shape[1]), dtype=complex)])
 
-def _test_vectors(n, seed=RNG_SEED):
-    vecs = [np.eye(n, dtype=complex)[:, i] for i in range(n)]
+def _random_vectors(n, seed=RNG_SEED):
+    """The seeded pseudo-random unit vectors of the test family."""
+    vecs = []
     rng = np.random.default_rng(seed)
     for _ in range(RANDOM_VECTORS):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -82,12 +92,48 @@ def _test_vectors(n, seed=RNG_SEED):
     return vecs
 
 
+def _max_residual(defect, vectors):
+    """max ||defect phi|| over the test family: every basis state, then `vectors`.
+
+    defect @ e_i is exactly column i, so the basis states are read as columns.
+    """
+    res = 0.0
+    for i in range(defect.shape[1]):
+        res = max(res, float(np.linalg.norm(defect[:, i])))
+    for v in vectors:
+        res = max(res, float(np.linalg.norm(defect @ v)))
+    return res
+
+
 @dataclass(frozen=True)
 class XRow:
     cutoff: int
     k: float
-    deviation: float           # max_h ||x_h - compressed t_h|| on the cutoff space
+    deviation: float           # ||x_D - compressed t_D|| on the cutoff space (the same for every x_h)
     boundary_deviation: float  # same with targets allowed one level above
+
+
+def _lower_chain_blocks(src, dst, x, t):
+    """t_D - x_D scattered into one block per lower chain chain[1:], indexed by top level.
+
+    `x` and `t` are (row, col, value) arrays with columns in the chains `src`
+    of a cutoff and rows in the chains `dst` of the next; the result has shape
+    (lower chains, cutoff + 2, cutoff + 1).  t_D moves only the top level
+    l_{D-1}, so an entry joining two lower chains raises RuntimeError.
+    """
+    group = {}
+    for chain in src:
+        group.setdefault(chain[1:], len(group))
+    lower = np.array([group.get(chain[1:], -1) for chain in dst])
+    levels = np.array([chain[0] for chain in dst])
+    rows, cols, _ = t
+    if np.any(lower[rows] != lower[cols]):
+        raise RuntimeError("t_D joins two lower chains; x_D would leave the lower-chain blocks")
+    stack = np.zeros((len(group), dst[-1][0] + 1, src[-1][0] + 1), dtype=complex)
+    stack[lower[rows], levels[rows], levels[cols]] = t[2]
+    rows, cols, vals = x
+    stack[lower[rows], levels[rows], levels[cols]] -= vals
+    return stack
 
 
 def x_convergence_diagnostic(D, cutoffs, schedule="strong-x", alpha=None):
@@ -96,21 +142,26 @@ def x_convergence_diagnostic(D, cutoffs, schedule="strong-x", alpha=None):
     The primary deviation compares against the multiplication operator
     compressed to the cutoff space; the boundary deviation keeps the column
     space but lets targets reach one level above the cutoff, exposing the
-    truncated top-level block (recorded, not asserted: it cannot vanish)."""
+    truncated top-level block (recorded, not asserted: it cannot vanish).
+
+    Only x_D is measured (the same norms for every x_h, see the module
+    docstring).  Each lower-chain block of x_D - t_D is tridiagonal in the top
+    level, and each 2-norm is the largest block norm, one batched SVD per
+    norm; zero padding does not change a 2-norm.
+    """
     rows = []
     for cutoff in cutoffs:
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
         cfg = FuzzyConfig(D=D, cutoff=cutoff, k=k)
-        n = dimension(D, cutoff)
-        dev = 0.0
-        bdev = 0.0
-        for h in range(1, D + 1):
-            # x_h is t_h on the cutoff space, weighted entry by entry as the operator builds weight it
-            t_ext = multiplication_matrix(D, h, cutoff, cutoff + 1)
-            r, c = np.nonzero(t_ext[:n])
-            x = _scatter((n, n), *_radial_weighted(cfg, r, c, t_ext[r, c]))
-            dev = max(dev, float(np.linalg.norm(x - t_ext[: len(x)], 2)))
-            bdev = max(bdev, float(np.linalg.norm(_embed(x, len(t_ext)) - t_ext, 2)))
+        src = enumerate_chains(D, cutoff).chains
+        dst = enumerate_chains(D, cutoff + 1).chains
+        t = _move_triplets(src, dst, lambda chain: _moves.t_terms(D, chain, D))
+        # x_D is t_D on the cutoff space, weighted entry by entry as the operator builds weight it
+        inside = t[0] < len(src)
+        x = _radial_weighted(cfg, *(part[inside] for part in t))
+        stack = _lower_chain_blocks(src, dst, x, t)
+        dev = float(np.max(np.linalg.norm(stack[:, : cutoff + 1], 2, axis=(1, 2))))
+        bdev = float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
         rows.append(XRow(cutoff=cutoff, k=k, deviation=dev, boundary_deviation=bdev))
     return rows
 
@@ -164,17 +215,13 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
         mult = function_multiplication_matrix(f_coeffs, D, cutoff, cutoff + deg_f)
         approx_defect = _embed(f_hat, len(mult)) - mult
         product_defect = f_hat @ g_hat - fg_hat
-        prod_res = 0.0
-        appr_res = 0.0
-        for v in _test_vectors(len(f_hat)):
-            prod_res = max(prod_res, float(np.linalg.norm(product_defect @ v)))
-            appr_res = max(appr_res, float(np.linalg.norm(approx_defect @ v)))
+        vectors = _random_vectors(len(f_hat))
         rows.append(
             ProductRow(
                 cutoff=cutoff,
                 k=k,
-                product_residual=prod_res,
-                approx_residual=appr_res,
+                product_residual=_max_residual(product_defect, vectors),
+                approx_residual=_max_residual(approx_defect, vectors),
                 operator_norm=float(np.linalg.norm(f_hat, 2)),
                 norm_bound=f_l2 + 2.0 * f_sup,
             )

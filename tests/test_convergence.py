@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fuzzyd.basis import FuzzyConfig, enumerate_chains
+import fuzzyd._moves
+from fuzzyd.basis import FuzzyConfig, dimension, enumerate_chains
 from fuzzyd.coefficients import centrifugal_coeff
 from fuzzyd.convergence import (
+    _max_residual,
     coordinate_coefficients,
     expand_product,
     k_schedule,
@@ -14,6 +17,8 @@ from fuzzyd.convergence import (
 )
 from fuzzyd.harmonics import multiplication_matrix, sphere_volume
 from fuzzyd.operators import build_position
+
+from convergence_oracle import dense_x_deviations
 
 
 def test_schedule_values():
@@ -86,6 +91,47 @@ def test_x_diagnostic_boundary_structure():
     assert top_touch >= deep
 
 
+@pytest.mark.parametrize("D, lam_max", [(3, 6), (4, 5), (5, 3), (6, 2)])
+def test_x_diagnostic_blocks_agree_with_the_dense_route_over_all_coordinates(D, lam_max):
+    # the x_D blocks over lower chains against the full n x n spectral norms, maximised over h
+    for row in x_convergence_diagnostic(D, range(lam_max + 1)):
+        dev, bdev = dense_x_deviations(D, row.cutoff, row.k)
+        assert row.deviation == pytest.approx(dev, rel=1e-9, abs=0)
+        assert row.boundary_deviation == pytest.approx(bdev, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("D", [3, 4])
+def test_x_diagnostic_rejects_a_move_across_lower_chains(monkeypatch, D):
+    # negative control: one target of t_D gets a changed l_{D-2}, so x_D leaves its block
+    t_terms = fuzzyd._moves.t_terms
+    source = (1,) + (0,) * (D - 2)
+
+    def crossing(m, chain, nu):
+        for target, amp in t_terms(m, chain, nu):
+            if chain == source and target[0] == 2:
+                target = (2, 1) + target[2:]
+            yield target, amp
+
+    monkeypatch.setattr(fuzzyd._moves, "t_terms", crossing)
+    with pytest.raises(RuntimeError, match="lower chains"):
+        x_convergence_diagnostic(D, [2])
+
+
+def test_x_diagnostic_at_n_1681_holds_no_dense_operator():
+    # D=3 cutoff 40: the traced allocation peak stays below the size of a single n x n complex array
+    n = dimension(3, 40)
+    tracemalloc.start()
+    try:
+        (row,) = x_convergence_diagnostic(3, [40])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 1681
+    assert 0 < row.deviation <= 0.05
+    assert row.boundary_deviation > 0.3
+    assert peak < n * n * np.dtype(complex).itemsize, peak
+
+
 def test_x_diagnostic_monotone_in_stiffness():
     lam, D = 2, 3
     devs = []
@@ -122,6 +168,14 @@ def test_product_diagnostic_rejects_degrees_beyond_twice_the_cutoff():
     # f and g fit at cutoff 1, their product (degree 3) does not
     with pytest.raises(ValueError):
         product_convergence_diagnostic({(2, 0): 1.0}, {(1, 0): 1.0}, 3, [1])
+
+
+def test_basis_state_residuals_are_the_column_norms():
+    # defect @ e_i is exactly column i, so reading columns changes no bit of the residual
+    rng = np.random.default_rng(3)
+    defect = rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30))
+    eye = np.eye(30, dtype=complex)
+    assert _max_residual(defect, []) == max(float(np.linalg.norm(defect @ eye[:, i])) for i in range(30))
 
 
 def test_expand_product_of_coordinates():
