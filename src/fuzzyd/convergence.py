@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _moves
 from .basis import FuzzyConfig, dimension, enumerate_chains
 from .coefficients import centrifugal_coeff
-from . import _moves
 from .harmonics import (
     _fuzzy_image,
     _project,
@@ -81,6 +81,7 @@ def k_schedule(name, D, cutoff, alpha=None):
 def _embed(dense, rows):
     """Extend an operator by zero rows into a larger cutoff's basis (chain bases are prefixes)."""
     return np.vstack([dense, np.zeros((rows - dense.shape[0], dense.shape[1]), dtype=complex)])
+
 
 def _random_vectors(n, seed=RNG_SEED):
     """The seeded pseudo-random unit vectors of the test family."""

@@ -171,11 +171,17 @@ def test_product_diagnostic_rejects_degrees_beyond_twice_the_cutoff():
 
 
 def test_basis_state_residuals_are_the_column_norms():
-    # defect @ e_i is exactly column i, so reading columns changes no bit of the residual
+    # defect @ e_i is exactly column i, so reading columns changes no bit of the residual;
+    # each column in turn is made the largest, then a test vector beats them all
     rng = np.random.default_rng(3)
     defect = rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30))
     eye = np.eye(30, dtype=complex)
-    assert _max_residual(defect, []) == max(float(np.linalg.norm(defect @ eye[:, i])) for i in range(30))
+    for i in range(30):
+        scaled = defect.copy()
+        scaled[:, i] *= 10
+        assert _max_residual(scaled, []) == float(np.linalg.norm(scaled @ eye[:, i]))
+    v = 100 * eye[:, 0]
+    assert _max_residual(defect, [v]) == float(np.linalg.norm(defect @ v))
 
 
 def test_expand_product_of_coordinates():
