@@ -7,13 +7,19 @@ by a chain of branching integers
 
 with l_d >= l_{d-1} >= ... >= l_2 >= |l_1|.  The top entry l_d is the total
 degree ("level") and runs from 0 to the cutoff.  Chains are plain tuples in
-this descending order throughout the package.
+this descending order throughout the package.  A basis also holds them as
+its label matrix, one int64 row per chain in basis order, column d - j
+holding l_j; the chain-move kernels read that matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 Chain = tuple  # alias for readability; a chain is a tuple of ints
 
@@ -113,12 +119,17 @@ def iter_chains(D, cutoff):
 
 @dataclass(frozen=True)
 class BasisMap:
-    """Immutable ordered chain basis with forward and reverse lookup."""
+    """Immutable ordered chain basis with forward and reverse lookup.
+
+    `labels` is the read-only (n, D - 1) int64 matrix of the chains, row i
+    holding chain i.
+    """
 
     D: int
     cutoff: int
     chains: tuple = field(repr=False)
     _index: dict = field(repr=False)
+    labels: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self):
         return len(self.chains)
@@ -147,12 +158,23 @@ class BasisMap:
 
 
 def enumerate_chains(D, cutoff):
-    """Build the canonical BasisMap for (D, cutoff)."""
+    """The canonical BasisMap for (D, cutoff), shared, as it is immutable.
+
+    The two most recently used pairs are kept: as many as a command moves
+    between at once (the x diagnostic's cutoff and cutoff + 1).
+    """
+    return _enumerate(operator.index(D), operator.index(cutoff))
+
+
+@functools.lru_cache(maxsize=2)
+def _enumerate(D, cutoff):
     chains = tuple(iter_chains(D, cutoff))
+    n = dimension(D, cutoff)
+    assert len(chains) == n
+    labels = np.array(chains, dtype=np.int64).reshape(n, D - 1)
+    labels.flags.writeable = False
     index = {c: i for i, c in enumerate(chains)}
-    bm = BasisMap(D=D, cutoff=cutoff, chains=chains, _index=index)
-    assert len(bm) == dimension(D, cutoff)
-    return bm
+    return BasisMap(D=int(D), cutoff=int(cutoff), chains=chains, _index=index, labels=labels)
 
 
 def basis_of(cfg):

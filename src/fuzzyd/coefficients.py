@@ -83,11 +83,6 @@ def ladder_coeffs(L, M, j):
     return LadderCoeffs(*(_ladder_extended(dL, dM, L, M, j) for dL, dM in _SHIFTS))
 
 
-def ladder_coeff(dL, dM, L, M, j):
-    """Single amplitude selected by the (degree, order) shift pattern."""
-    return ladder_coeffs(L, M, j)[_SHIFT_INDEX[(dL, dM)]]
-
-
 def reduced_element(L, M, D):
     """Reduced matrix element sqrt((L-M+1)(L+M+D-3)) linking adjacent shells.
 

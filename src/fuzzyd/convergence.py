@@ -54,6 +54,9 @@ def k_schedule(name, D, cutoff, alpha=None):
     strong-x:    cutoff * dim^2 * centrifugal(cutoff);
     product:     the factorially growing product-limit bound, in log space;
     power:       cutoff energy to the power alpha (alpha >= 2 required).
+
+    A schedule past the float range gives math.inf, where every radial
+    weight is exactly 1.
     """
     if name not in SCHEDULE_NAMES:
         raise ValueError(f"unknown schedule {name!r}; choose from {SCHEDULE_NAMES}")
@@ -63,7 +66,10 @@ def k_schedule(name, D, cutoff, alpha=None):
     if name == "power":
         if alpha is None or not alpha >= 2:
             raise ValueError(f"power schedule needs alpha >= 2, got {alpha} (weaker ones violate the cutoff consistency bound)")
-        return max(1.0, float(energy) ** alpha)
+        try:
+            return max(1.0, float(energy) ** alpha)
+        except OverflowError:
+            return math.inf
     if name == "strong-x":
         return max(1.0, cutoff * dimension(D, cutoff) ** 2 * float(centrifugal_coeff(cutoff, D)))
     log_k = (
@@ -117,20 +123,21 @@ class XRow:
 def _lower_chain_blocks(src, dst, x, t):
     """t_D - x_D scattered into one block per lower chain chain[1:], indexed by top level.
 
-    `x` and `t` are (row, col, value) arrays with columns in the chains `src`
-    of a cutoff and rows in the chains `dst` of the next; the result has shape
-    (lower chains, cutoff + 2, cutoff + 1).  t_D moves only the top level
-    l_{D-1}, so an entry joining two lower chains raises RuntimeError.
+    `x` and `t` are (row, col, value) arrays with columns in the chains of a
+    cutoff, label matrix `src`, and rows in those of the next, `dst`; the
+    result has shape (lower chains of src, cutoff + 2, cutoff + 1).  t_D
+    moves only the top level l_{D-1}, so an entry joining two lower chains
+    raises RuntimeError.
     """
-    group = {}
-    for chain in src:
-        group.setdefault(chain[1:], len(group))
-    lower = np.array([group.get(chain[1:], -1) for chain in dst])
-    levels = np.array([chain[0] for chain in dst])
+    lower_chains, lower = np.unique(dst[:, 1:], axis=0, return_inverse=True)
+    in_src = np.zeros(len(lower_chains), dtype=bool)
+    in_src[lower[: len(src)]] = True
+    lower = np.where(in_src, np.cumsum(in_src) - 1, -1)[lower.reshape(-1)]  # -1 where no chain of src has it
+    levels = dst[:, 0]
     rows, cols, _ = t
     if np.any(lower[rows] != lower[cols]):
         raise RuntimeError("t_D joins two lower chains; x_D would leave the lower-chain blocks")
-    stack = np.zeros((len(group), dst[-1][0] + 1, src[-1][0] + 1), dtype=complex)
+    stack = np.zeros((lower.max() + 1, levels[-1] + 1, src[-1, 0] + 1), dtype=complex)
     stack[lower[rows], levels[rows], levels[cols]] = t[2]
     rows, cols, vals = x
     stack[lower[rows], levels[rows], levels[cols]] -= vals
@@ -154,9 +161,9 @@ def x_convergence_diagnostic(D, cutoffs, schedule="strong-x", alpha=None):
     for cutoff in cutoffs:
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
         cfg = FuzzyConfig(D=D, cutoff=cutoff, k=k)
-        src = enumerate_chains(D, cutoff).chains
-        dst = enumerate_chains(D, cutoff + 1).chains
-        t = _move_triplets(src, dst, lambda chain: _moves.t_terms(D, chain, D))
+        src = enumerate_chains(D, cutoff).labels
+        dst = enumerate_chains(D, cutoff + 1).labels
+        t = _move_triplets(src, dst, lambda labels: _moves.t_moves(D, labels, D))
         # x_D is t_D on the cutoff space, weighted entry by entry as the operator builds weight it
         inside = t[0] < len(src)
         x = _radial_weighted(cfg, *(part[inside] for part in t))

@@ -439,9 +439,9 @@ def position_matrix_elements(D, h, level_max):
 
 def multiplication_matrix(D, h, src_cutoff, dst_cutoff):
     """Dense matrix of t_h mapping the src chain basis into the dst chain basis."""
-    src = enumerate_chains(D, src_cutoff).chains
-    dst = enumerate_chains(D, dst_cutoff).chains
-    return _scatter((len(dst), len(src)), *_move_triplets(src, dst, lambda chain: _moves.t_terms(D, chain, h)))
+    src = enumerate_chains(D, src_cutoff).labels
+    dst = enumerate_chains(D, dst_cutoff).labels
+    return _scatter((len(dst), len(src)), *_move_triplets(src, dst, lambda labels: _moves.t_moves(D, labels, h)))
 
 
 def function_multiplication_matrix(coeffs, D, src_cutoff, dst_cutoff):

@@ -2,11 +2,14 @@
 
 Every operator is held as sorted chain-move triplets: `_move_triplets` is the
 only place where a chain move becomes a matrix entry, and it returns
-(row, col, value) arrays in row-major order.  `_Triplets` is the arithmetic
-the checks need on them (products, sums, adjoint, diagonal scaling,
-per-entry masks on the chain labels, max-abs), so no operator is ever an
-n x n array here.  `SparseOperator` is the written form: the public `build_*`
-functions return one, made straight from the triplets, and the CLI writes it.
+(row, col, value) arrays in row-major order.  The moves come from the numpy
+kernels of `_moves`, which move the label matrix of a whole basis at once;
+`_move_triplets` finds their target rows by sorted int64 chain keys.
+`_Triplets` is the arithmetic the checks need on them (products, sums,
+adjoint, diagonal scaling, per-entry masks on the chain labels, max-abs), so
+no operator is ever an n x n array here.  `SparseOperator` is the written
+form: the public `build_*` functions return one, made straight from the
+triplets, and the CLI writes it.
 
 The casimirs C_2 .. C_D come from one pass, `_casimir_tower`: each generator
 is squared once, one level block at a time, as the row panel m[b, :] times
@@ -210,26 +213,32 @@ def _scatter(shape, rows, cols, vals):
     return out
 
 
-def _move_triplets(src, dst, terms):
+def _chain_keys(dst, targets):
+    """int64 keys of the rows of `dst` and `targets`, one mixed radix for both, increasing in lexicographic order."""
+    lo = min(int(dst.min()), int(targets.min(initial=0)))
+    radix = max(int(dst.max()), int(targets.max(initial=0))) - lo + 1
+    width = dst.shape[1]
+    if radix**width >= 2**63:
+        raise ValueError(f"chains of {width} labels in [{lo}, {lo + radix - 1}] do not fit in int64 keys")
+    place = radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (dst - lo) @ place, (targets - lo) @ place
+
+
+def _move_triplets(src, dst, moves):
     """Row-major sorted (row, col, value) arrays of a chain move; the only place a move becomes an entry.
 
-    `src` and `dst` are sequences of chains (columns and rows) and
-    `terms(chain)` yields (target chain, amplitude).  Each entry is
-    accumulated from 0j in term order, targets outside `dst` are skipped, and
-    entries below ENTRY_DROP are dropped.
+    `src` and `dst` are the label matrices of two chain bases (columns and
+    rows), and `moves(src)` gives the (source row, target labels, amplitude)
+    arrays of the move, each (source, target) pair once.  Target rows are
+    found among the sorted chain keys of `dst`; targets outside `dst` are
+    skipped, each entry is 0j + its amplitude, and entries below ENTRY_DROP
+    are dropped.
     """
-    index = {chain: i for i, chain in enumerate(dst)}
-    rows, cols, vals = [], [], []
-    for col, chain in enumerate(src):
-        column = {}
-        for target, amp in terms(chain):
-            row = index.get(target)
-            if row is not None:
-                column[row] = column.get(row, 0j) + amp
-        rows += column
-        cols += [col] * len(column)
-        vals += column.values()
-    rows, cols, vals = np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(vals, dtype=complex)
+    cols, targets, amps = moves(src)
+    keys, target_keys = _chain_keys(dst, targets)
+    rows = np.minimum(np.searchsorted(keys, target_keys), len(keys) - 1)
+    found = keys[rows] == target_keys
+    rows, cols, vals = rows[found], cols[found], 0j + amps[found]
     order = np.lexsort((cols, rows))
     order = order[np.abs(vals[order]) >= ENTRY_DROP]
     return rows[order], cols[order], vals[order]
@@ -237,8 +246,8 @@ def _move_triplets(src, dst, terms):
 
 def _generator_triplets(cfg, h, j):
     """Rotation generator L_{h,j}, h < j, on the chain basis."""
-    chains = basis_of(cfg).chains
-    return _Triplets(len(chains), *_move_triplets(chains, chains, lambda chain: _moves.generator_terms(cfg.D, chain, h, j)))
+    labels = basis_of(cfg).labels
+    return _Triplets(len(labels), *_move_triplets(labels, labels, lambda src: _moves.generator_moves(cfg.D, src, h, j)))
 
 
 def _radial_weighted(cfg, rows, cols, vals):
@@ -248,7 +257,7 @@ def _radial_weighted(cfg, rows, cols, vals):
     is numpy's complex x float, as for a dense weight array.
     """
     weights = np.array([radial_weight(l, cfg) for l in range(cfg.cutoff + 1)])
-    levels = np.array(basis_of(cfg).levels())
+    levels = basis_of(cfg).labels[:, 0]
     vals = weights[np.maximum(levels[rows], levels[cols])] * vals
     keep = np.abs(vals) >= ENTRY_DROP
     return rows[keep], cols[keep], vals[keep]
@@ -256,9 +265,9 @@ def _radial_weighted(cfg, rows, cols, vals):
 
 def _position_triplets(cfg, h):
     """x_h: the coordinate move t_h weighted by the truncated radial factors."""
-    chains = basis_of(cfg).chains
-    move = _move_triplets(chains, chains, lambda chain: _moves.t_terms(cfg.D, chain, h))
-    return _Triplets(len(chains), *_radial_weighted(cfg, *move))
+    labels = basis_of(cfg).labels
+    move = _move_triplets(labels, labels, lambda src: _moves.t_moves(cfg.D, src, h))
+    return _Triplets(len(labels), *_radial_weighted(cfg, *move))
 
 
 def _position_ladder(x1, x2, sign):
@@ -277,7 +286,7 @@ def _generator_pairs(D):
 
 def _level_blocks(basis):
     """The slice of basis ordinals on each level 0..cutoff (chains are ordered by level)."""
-    bounds = np.searchsorted(basis.levels(), np.arange(basis.cutoff + 2))
+    bounds = np.searchsorted(basis.labels[:, 0], np.arange(basis.cutoff + 2))
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -312,7 +321,7 @@ def _casimir_tower(cfg, orders, generator=None):
     """
     basis = basis_of(cfg)
     blocks = _level_blocks(basis)
-    levels = np.array(basis.levels())
+    levels = basis.labels[:, 0]
     acc = {}  # order -> level blocks, allocated once the first square is in
     for h, j in _generator_pairs(max(orders)):
         m = generator(h, j) if generator else _generator_triplets(cfg, h, j)
@@ -342,13 +351,12 @@ def _from_level_blocks(n, parts, blocks):
 
 def _label_projector(basis, p, value):
     """0/1 diagonal of the projector on chains whose branching label l_{p-1} equals `value`."""
-    d = basis.D - 1
-    return np.array([float(c[d - (p - 1)] == value) for c in basis.chains])
+    return (basis.labels[:, basis.D - p] == value).astype(float)
 
 
 def _parity(basis):
     """Diagonal (-1)^level."""
-    return np.array([float((-1) ** c[0]) for c in basis.chains])
+    return np.where(basis.labels[:, 0] % 2, -1.0, 1.0)
 
 
 def build_angular_momentum(cfg, h, j):
@@ -556,7 +564,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     D, lam, k = cfg.D, cfg.cutoff, cfg.k
     basis = basis_of(cfg)
     n = len(basis)
-    labels = np.array(basis.chains).reshape(n, D - 1)  # column D - p holds l_{p-1}
+    labels = basis.labels  # column D - p holds l_{p-1}
     levels, azimuthal = labels[:, 0], labels[:, -1]
     blocks = _level_blocks(basis)
 

@@ -88,13 +88,14 @@ def dressing_sequence(cfg):
 def _ambient_triplets(cfg, h, j, orientation=-1):
     """so(D+1) generator L_{h,j} on the identified chain basis (the cutoff prepended to every chain)."""
     sign = orientation if j == cfg.D + 1 else 1
-    chains = [(cfg.cutoff,) + chain for chain in basis_of(cfg).chains]
+    basis = basis_of(cfg)
+    labels = np.hstack([np.full((len(basis), 1), cfg.cutoff), basis.labels])
 
-    def terms(chain):
-        for target, amp in _moves.generator_terms(cfg.D + 1, chain, h, j):
-            yield target, sign * amp
+    def moves(src):
+        rows, targets, amps = _moves.generator_moves(cfg.D + 1, src, h, j)
+        return rows, targets, sign * amps
 
-    return _Triplets(len(chains), *_move_triplets(chains, chains, terms))
+    return _Triplets(len(labels), *_move_triplets(labels, labels, moves))
 
 
 def ambient_generator(cfg, h, j, orientation=-1):
@@ -118,7 +119,7 @@ def ambient_casimir(cfg):
 def _dressing(cfg):
     """Dressing value p(level) of every chain, in basis order."""
     seq = dressing_sequence(cfg)
-    return np.array([seq.values[c[0]] for c in basis_of(cfg).chains])
+    return np.array(seq.values)[basis_of(cfg).labels[:, 0]]
 
 
 def _dress(amb, p, conjugate_left=True):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fuzzyd.basis import (
@@ -93,6 +94,22 @@ def test_deterministic_ordering():
     a = enumerate_chains(5, 3)
     b = enumerate_chains(5, 3)
     assert a.chains == b.chains
+
+
+def test_basis_is_built_once_per_configuration():
+    a = enumerate_chains(4, 3)
+    assert enumerate_chains(np.int64(4), np.int64(3)) is a
+    assert a.labels.shape == (len(a), 3) and a.labels.dtype == np.int64
+    assert a.labels.tolist() == [list(c) for c in a.chains]
+    with pytest.raises(ValueError):
+        a.labels[0, 0] = 1  # shared, so read-only
+    # bad D and cutoff still raise, also once the basis of a nearby pair is cached
+    for D, cutoff in [(2, 3), (4, -1)]:
+        with pytest.raises(ValueError):
+            enumerate_chains(D, cutoff)
+    for D, cutoff in [(4.0, 3), (4, 3.0), (4, "3")]:
+        with pytest.raises(TypeError):
+            enumerate_chains(D, cutoff)
 
 
 def test_rejects_low_dimension():

@@ -138,6 +138,16 @@ def test_converge_tables(tmp_path):
     assert main(["converge", "--d", "3", "--lambda-max", "1", "--mode", "x", "--out", str(tmp_path)]) == 2
 
 
+def test_overflowing_power_schedule_runs_at_infinite_stiffness(tmp_path, capsys):
+    # 6**1000 is past the float range: from cutoff 2 on the power schedule gives k = inf, as the product schedule does
+    power = ["--schedule", "power", "--alpha", "1000"]
+    assert main(["converge", "--mode", "x", "--d", "3", "--lambda-max", "10", *power, "--out", str(tmp_path)]) == 0
+    rows = [r.split(",") for r in (tmp_path / "x_convergence.csv").read_text().splitlines()[1:]]
+    assert {r[2] for r in rows if r[1] != "1"} == {"inf"}
+    assert main(["verify", "--suite", "all", "--d", "3", "--lambda", "3", *power]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # sha256 of every build file except the casimirs (BLAS rounding) and the manifest (timing, paths);
 # generators, positions, projectors and the basis use IEEE arithmetic only, so these hold on any platform
 BUILD_SHA256 = {

@@ -6,7 +6,7 @@ import pytest
 
 import fuzzyd._moves
 from fuzzyd.basis import FuzzyConfig, dimension, enumerate_chains
-from fuzzyd.coefficients import centrifugal_coeff
+from fuzzyd.coefficients import centrifugal_coeff, radial_weight
 from fuzzyd.convergence import (
     _max_residual,
     coordinate_coefficients,
@@ -31,6 +31,15 @@ def test_schedule_values():
         k_schedule("power", 3, 2, alpha=1.5)
     with pytest.raises(ValueError):
         k_schedule("linear", 3, 2)
+
+
+def test_schedules_past_the_float_range_give_infinite_stiffness():
+    # the power schedule overflows as the product one does, to k = inf, where every radial weight is exactly 1
+    assert k_schedule("power", 3, 1, alpha=1000) == 2.0**1000
+    assert k_schedule("power", 3, 2, alpha=1000) == math.inf
+    assert k_schedule("product", 3, 18) < math.inf == k_schedule("product", 3, 19)
+    cfg = FuzzyConfig(D=3, cutoff=10, k=k_schedule("power", 3, 10, alpha=1000))
+    assert [radial_weight(l, cfg) for l in range(1, 11)] == [1.0] * 10
 
 
 def test_schedules_increase_and_satisfy_cutoff_bound():
@@ -103,16 +112,17 @@ def test_x_diagnostic_blocks_agree_with_the_dense_route_over_all_coordinates(D, 
 @pytest.mark.parametrize("D", [3, 4])
 def test_x_diagnostic_rejects_a_move_across_lower_chains(monkeypatch, D):
     # negative control: one target of t_D gets a changed l_{D-2}, so x_D leaves its block
-    t_terms = fuzzyd._moves.t_terms
+    t_moves = fuzzyd._moves.t_moves
     source = (1,) + (0,) * (D - 2)
 
-    def crossing(m, chain, nu):
-        for target, amp in t_terms(m, chain, nu):
-            if chain == source and target[0] == 2:
-                target = (2, 1) + target[2:]
-            yield target, amp
+    def crossing(m, labels, nu):
+        src, targets, amps = t_moves(m, labels, nu)
+        hit = np.all(labels[src] == source, axis=1) & (targets[:, 0] == 2)
+        assert np.count_nonzero(hit) == 1
+        targets[hit, 1] = 1
+        return src, targets, amps
 
-    monkeypatch.setattr(fuzzyd._moves, "t_terms", crossing)
+    monkeypatch.setattr(fuzzyd._moves, "t_moves", crossing)
     with pytest.raises(RuntimeError, match="lower chains"):
         x_convergence_diagnostic(D, [2])
 
