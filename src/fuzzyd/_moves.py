@@ -46,8 +46,8 @@ def _ladder_tables(labels, start):
     ]
 
 
-def _walk(labels, start, below, tables):
-    """Every shift pattern of the sites start..d with a nonzero ladder product, pruned site by site.
+def _walk(labels, below, tables):
+    """Every shift pattern of the sites start..d of `tables` with a nonzero ladder product, pruned site by site.
 
     Site j shifts l_j by +-1 with the ladder amplitude at (l_j, l_{j-1}, j)
     selected by that shift and the shift of l_{j-1}, which is `below` for the
@@ -55,18 +55,22 @@ def _walk(labels, start, below, tables):
     (source rows, target labels, float amplitudes), each amplitude the
     product 1.0 * a_start * ... * a_d taken in that order.
     """
-    n, d = labels.shape
+    n = len(labels)
     src, amp = np.arange(n), np.ones(n)
     below = np.full(n, below)
-    raised = np.zeros(n, dtype=np.int64)  # bit d - j set iff site j is raised, the first site the highest bit
+    steps = []  # per site: the parent term and the shift (1 up, 0 down) of every live term
     for table, site in tables:
-        src, amp, below, raised = (np.repeat(part, 2) for part in (src, amp, below, raised))
-        up = np.tile([1, 0], len(src) // 2)
-        amp = amp * table[site[src], _FIELD[up, below + 1]]
-        live = amp != 0.0
-        src, amp, below, raised = src[live], amp[live], 2 * up[live] - 1, (2 * raised + up)[live]
+        src, up = np.repeat(src, 2), np.tile([1, 0], len(src))
+        amp = np.repeat(amp, 2) * table[site[src], _FIELD[up, np.repeat(below, 2) + 1]]
+        live = np.flatnonzero(amp != 0.0)
+        src, amp, up = src[live], amp[live], up[live]
+        below = 2 * up - 1
+        steps.append((live >> 1, up))
     targets = labels[src]
-    targets[:, : d - start + 1] += 2 * ((raised[:, None] >> np.arange(d - start + 1)) & 1) - 1
+    term = np.arange(len(src))
+    for column, (parent, up) in enumerate(reversed(steps)):  # site d is column 0
+        targets[:, column] += 2 * up[term] - 1
+        term = parent[term]
     return src, targets, amp
 
 
@@ -99,11 +103,11 @@ def t_moves(m, labels, nu):
         parts = []
         for s in (+1, -1):
             w = 0.5 + 0j if nu == 1 else (-0.5j if s == 1 else 0.5j)
-            src, targets, amp = _walk(labels, 2, s, tables)
+            src, targets, amp = _walk(labels, s, tables)
             targets[:, -1] += s
             parts.append((src, targets, w * amp.astype(complex)))
         return tuple(np.concatenate(part) for part in zip(*parts))
-    src, targets, amp = _walk(labels, nu - 1, 0, _ladder_tables(labels, nu - 1))
+    src, targets, amp = _walk(labels, 0, _ladder_tables(labels, nu - 1))
     return src, targets, amp.astype(complex)
 
 

@@ -148,10 +148,6 @@ class BasisMap:
     def __contains__(self, chain):
         return tuple(chain) in self._index
 
-    def levels(self):
-        """Top entry of every chain, in basis order."""
-        return [c[0] for c in self.chains]
-
     def to_json_obj(self):
         """JSON form: array of integer arrays, ordinal implicit by position."""
         return [list(c) for c in self.chains]

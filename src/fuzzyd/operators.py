@@ -214,14 +214,28 @@ def _scatter(shape, rows, cols, vals):
 
 
 def _chain_keys(dst, targets):
-    """int64 keys of the rows of `dst` and `targets`, one mixed radix for both, increasing in lexicographic order."""
-    lo = min(int(dst.min()), int(targets.min(initial=0)))
-    radix = max(int(dst.max()), int(targets.max(initial=0))) - lo + 1
-    width = dst.shape[1]
-    if radix**width >= 2**63:
-        raise ValueError(f"chains of {width} labels in [{lo}, {lo + radix - 1}] do not fit in int64 keys")
-    place = radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (dst - lo) @ place, (targets - lo) @ place
+    """int64 keys of the rows of `dst` and `targets`, increasing in lexicographic order; -1 for a target not in dst.
+
+    Each column has its own radix, the range of that label in `dst`, so a
+    target with a label outside it cannot be a row of dst and gets key -1.
+    Wherever the next column would carry the keys past int64, the keys so far
+    are first replaced by their ranks among each other, which keeps their
+    order and stays below the number of rows.
+    """
+    lo = dst.min(axis=0)
+    radix = dst.max(axis=0) - lo + 1
+    digits, target_digits = dst - lo, targets - lo
+    # a label below lo wraps past every radix as uint64; column by column, as np.all over rows of a few labels is slower
+    inside = functools.reduce(np.logical_and, map(np.less, target_digits.view(np.uint64).T, radix.astype(np.uint64)))
+    target_digits[~inside] = 0
+    keys, target_keys, bound = np.zeros(len(dst), dtype=np.int64), np.zeros(len(targets), dtype=np.int64), 1
+    for column, target_column, base in zip(digits.T, target_digits.T, radix.tolist()):
+        if bound * base > 2**63:
+            ranks = np.unique(np.concatenate([keys, target_keys]), return_inverse=True)[1].reshape(-1)
+            keys, target_keys, bound = ranks[: len(dst)], ranks[len(dst) :], int(ranks.max()) + 1
+        keys, target_keys, bound = keys * base + column, target_keys * base + target_column, bound * base
+    target_keys[~inside] = -1
+    return keys, target_keys
 
 
 def _move_triplets(src, dst, moves):

@@ -6,7 +6,7 @@ import pytest
 import moves_oracle
 from fuzzyd import _moves
 from fuzzyd.basis import FuzzyConfig, enumerate_chains
-from fuzzyd.operators import _chain_keys, _generator_pairs, _move_triplets
+from fuzzyd.operators import _chain_keys, _generator_pairs, _move_triplets, _product_terms, _sum, _Triplets
 from fuzzyd.realization import _ambient_triplets
 
 
@@ -67,13 +67,44 @@ def test_kernels_reject_malformed_arguments():
         _moves.generator_moves(4, labels, 3, 3)
 
 
-def test_chain_keys_follow_basis_order_and_refuse_to_overflow():
+def test_chain_keys_follow_basis_order_and_mark_targets_outside_the_basis():
     labels = enumerate_chains(5, 3).labels
-    keys, _ = _chain_keys(labels, labels[:0])
+    outside = np.array([[4, 0, 0, 0], [3, 3, 3, -4], [0, 0, 0, 1]])
+    keys, target_keys = _chain_keys(labels, np.vstack([labels, outside]))
     assert np.all(np.diff(keys) > 0)
-    wide = np.array([[2] * 29 + [-2]])
-    with pytest.raises(ValueError, match="int64 keys"):
-        _chain_keys(wide, wide)
+    # labels outside the basis's range of their column key to -1; a chain breaking the branching rule to no key
+    assert np.array_equal(target_keys[: len(keys)], keys) and np.array_equal(target_keys[len(keys) : -1], [-1, -1])
+    assert target_keys[-1] >= 0 and target_keys[-1] not in keys
+
+
+def test_chain_keys_rank_their_prefixes_past_int64():
+    # D=70 cutoff 1: 68 columns of radix 2 and l_1 of radix 3 do not fit one int64 key
+    labels = enumerate_chains(70, 1).labels
+    keys, target_keys = _chain_keys(labels, labels[::-1])
+    assert np.all(np.diff(keys) > 0) and np.array_equal(target_keys, keys[::-1])
+
+
+@pytest.mark.parametrize("h", [19, 21])
+def test_kernels_equal_the_per_chain_route_at_d21(h):
+    # cutoff 3 into cutoff 4 at D=21: the x_h targets reach l_1 = +-4, past one key of a shared radix
+    # (9^20 >= 2^63); h near D keeps the per-chain route's 2^(D - h + 1) patterns few
+    D = 21
+    src, dst = enumerate_chains(D, 3), enumerate_chains(D, 4)
+    assert_bitwise_equal(
+        _move_triplets(src.labels, dst.labels, lambda labels: _moves.t_moves(D, labels, h)),
+        moves_oracle.move_triplets(src.chains, dst.chains, lambda chain: moves_oracle.t_terms(D, chain, h)),
+    )
+
+
+def test_unit_coordinates_square_to_one_past_64_sites():
+    # D=70: t_1..t_3 walk 68 sites.  The t_h are multiplication by x_h / r on the harmonics, so sum_h t_h t_h
+    # is the identity on every state whose neighbour levels are in the basis (levels 0 and 1 of cutoff 2)
+    D = 70
+    basis = enumerate_chains(D, 2)
+    n, low = len(basis), basis.labels[:, 0] <= 1
+    moves = [_move_triplets(basis.labels, basis.labels, lambda labels: _moves.t_moves(D, labels, h)) for h in range(1, D + 1)]
+    square = _sum(n, [_product_terms(_Triplets(n, *t), _Triplets(n, *t)) for t in moves])
+    assert (square.where(low[square.cols]) - _Triplets.diagonal(low.astype(float))).max_abs() < 1e-14
 
 
 def test_kernels_carry_only_live_terms_in_high_dimension():

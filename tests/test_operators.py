@@ -176,7 +176,7 @@ def _dense_reference(cfg):
     """Deviations of the checks of verify_algebra as dense n x n products over ordered pairs and full projectors."""
     D, lam, k = cfg.D, cfg.cutoff, cfg.k
     n = len(enumerate_chains(D, lam))
-    levels = np.array(enumerate_chains(D, lam).levels())
+    levels = enumerate_chains(D, lam).labels[:, 0]
     pairs = [(h, j) for h in range(1, D + 1) for j in range(h + 1, D + 1)]
     L = {(h, j): build_angular_momentum(cfg, h, j).to_dense() for h, j in pairs}
     X = {h: build_position(cfg, h).to_dense() for h in range(1, D + 1)}
