@@ -9,7 +9,8 @@ with l_d >= l_{d-1} >= ... >= l_2 >= |l_1|.  The top entry l_d is the total
 degree ("level") and runs from 0 to the cutoff.  Chains are plain tuples in
 this descending order throughout the package.  A basis also holds them as
 its label matrix, one int64 row per chain in basis order, column d - j
-holding l_j; the chain-move kernels read that matrix.
+holding l_j; the chain-move kernels read that matrix.  The row of a chain
+is closed-form (`BasisMap.ordinals`, the one chain -> row lookup).
 """
 
 from __future__ import annotations
@@ -122,14 +123,14 @@ class BasisMap:
     """Immutable ordered chain basis with forward and reverse lookup.
 
     `labels` is the read-only (n, D - 1) int64 matrix of the chains, row i
-    holding chain i.
+    holding chain i; `_table[j, a]` is dimension(D - j, a - 1).
     """
 
     D: int
     cutoff: int
     chains: tuple = field(repr=False)
-    _index: dict = field(repr=False)
     labels: np.ndarray = field(repr=False, compare=False)
+    _table: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self):
         return len(self.chains)
@@ -139,14 +140,50 @@ class BasisMap:
             raise IndexError(f"basis ordinal {i} out of range [0, {len(self.chains)})")
         return self.chains[i]
 
+    def ordinals(self, labels):
+        """The basis ordinal of every row of the (m, D - 1) int64 label matrix `labels`; -1 for a row not in the basis.
+
+        Chains are ordered by level, then lexicographically with l_1 signed,
+        so the ordinal of a chain counts the chains before it: those of lower
+        level, then those one dimension down below l_{d-1}, and so on to l_2,
+        below which l_1 runs over -l_2..l_2.  With a_j the label in column j,
+
+            ordinal = sum_{j=0}^{D-3} dimension(D - j, a_j - 1) + l_2 + l_1,
+
+        dimension(., -1) = 0, each term read from `_table`.  A row that breaks
+        the branching inequalities or lies above the cutoff, negative labels
+        included, gives -1; every ordinal is below the dimension, so nothing
+        overflows.
+        """
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.ndim != 2 or labels.shape[1] != self.D - 1:
+            raise ValueError(f"labels of shape {labels.shape} are not chains of D={self.D}")
+        columns = labels.T
+        valid = (columns[0] <= self.cutoff) & (columns[-2] >= np.abs(columns[-1]))
+        for upper, lower in zip(columns[:-2], columns[1:-1]):  # column by column: faster than np.all over short rows
+            valid &= upper >= lower
+        inside = np.where(valid[:, None], labels, 0)  # a valid row has every label in [-cutoff, cutoff]
+        out = inside[:, -2] + inside[:, -1]
+        for column, counts in zip(inside.T, self._table):
+            out += counts[column]
+        out[~valid] = -1
+        return out
+
+    def _ordinal(self, chain):
+        """The ordinal of one chain of integers, -1 if it is not in the basis."""
+        chain = tuple(chain)
+        if len(chain) != self.D - 1 or not all(isinstance(v, (int, np.integer)) and abs(v) <= self.cutoff for v in chain):
+            return -1
+        return int(self.ordinals([chain])[0])
+
     def index_of(self, chain):
-        try:
-            return self._index[tuple(chain)]
-        except KeyError:
-            raise KeyError(f"chain {chain} not in basis (D={self.D}, cutoff={self.cutoff})") from None
+        i = self._ordinal(chain)
+        if i < 0:
+            raise KeyError(f"chain {chain} not in basis (D={self.D}, cutoff={self.cutoff})")
+        return i
 
     def __contains__(self, chain):
-        return tuple(chain) in self._index
+        return self._ordinal(chain) >= 0
 
     def to_json_obj(self):
         """JSON form: array of integer arrays, ordinal implicit by position."""
@@ -169,8 +206,8 @@ def _enumerate(D, cutoff):
     assert len(chains) == n
     labels = np.array(chains, dtype=np.int64).reshape(n, D - 1)
     labels.flags.writeable = False
-    index = {c: i for i, c in enumerate(chains)}
-    return BasisMap(D=int(D), cutoff=int(cutoff), chains=chains, _index=index, labels=labels)
+    table = np.array([[dimension(D - j, a - 1) if a else 0 for a in range(cutoff + 1)] for j in range(D - 2)], dtype=np.int64)
+    return BasisMap(D=int(D), cutoff=int(cutoff), chains=chains, labels=labels, _table=table)
 
 
 def basis_of(cfg):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -28,9 +29,8 @@ from .convergence import (
 from .harmonics import verify_harmonics
 from .operators import (
     TOL_DEGREE2,
-    SparseOperator,
     _casimir_tower,
-    _generator_triplets,
+    build_angular_momentum,
     build_position,
     build_projector,
     verify_algebra,
@@ -51,7 +51,15 @@ def _add_config_flags(p):
     p.add_argument("--alpha", type=float, default=2.0, help="exponent for the power schedule (>= 2)")
 
 
+def _finite_flags(args):
+    """ValueError (exit 2) for an infinite --k or --alpha: argparse reads inf and 1e400 as floats."""
+    for flag, value in (("--k", getattr(args, "k", None)), ("--alpha", args.alpha)):
+        if value is not None and math.isinf(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+
+
 def _config(args):
+    _finite_flags(args)
     k = args.k if args.k is not None else k_schedule(args.schedule, args.d, args.lam, alpha=args.alpha)
     return FuzzyConfig(D=args.d, cutoff=args.lam, k=k)
 
@@ -87,14 +95,14 @@ def cmd_build(args):
     written.append(str(out / "basis.json"))
 
     def generator(h, j):
-        op = _generator_triplets(cfg, h, j)
-        emit(f"L_{h}_{j}", SparseOperator._from_triplets(op))
+        op = build_angular_momentum(cfg, h, j)
+        emit(f"L_{h}_{j}", op)
         return op
 
     # each L_hj is built and written once, then squared once by the casimir pass;
     # each C_p is written as soon as the pass has it
     for p, casimir in _casimir_tower(cfg, range(2, cfg.D + 1), generator):
-        emit(f"C_{p}", SparseOperator._from_triplets(casimir))
+        emit(f"C_{p}", casimir)
     for h in range(1, cfg.D + 1):
         emit(f"x_{h}", build_position(cfg, h))
     emit("P_top", build_projector(cfg))
@@ -141,6 +149,7 @@ def cmd_converge(args):
     if args.lam_max < 2:
         print("error: --lambda-max must be at least 2", file=sys.stderr)
         return 2
+    _finite_flags(args)
     out = _output_dir(args.out)
     cutoffs = range(1, args.lam_max + 1)
     if args.mode == "x":

@@ -35,7 +35,7 @@ from .harmonics import (
     poly_eval,
     sample_sphere_points,
 )
-from .operators import _move_triplets, _position_triplets, _radial_weighted
+from .operators import _move_triplets, _radial_weighted, build_position
 
 SCHEDULE_NAMES = ("consistency", "strong-x", "product", "power")
 RANDOM_VECTORS = 5
@@ -162,12 +162,12 @@ def x_convergence_diagnostic(D, cutoffs, schedule="strong-x", alpha=None):
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
         cfg = FuzzyConfig(D=D, cutoff=cutoff, k=k)
         src = enumerate_chains(D, cutoff).labels
-        dst = enumerate_chains(D, cutoff + 1).labels
+        dst = enumerate_chains(D, cutoff + 1)
         t = _move_triplets(src, dst, lambda labels: _moves.t_moves(D, labels, D))
         # x_D is t_D on the cutoff space, weighted entry by entry as the operator builds weight it
         inside = t[0] < len(src)
         x = _radial_weighted(cfg, *(part[inside] for part in t))
-        stack = _lower_chain_blocks(src, dst, x, t)
+        stack = _lower_chain_blocks(src, dst.labels, x, t)
         dev = float(np.max(np.linalg.norm(stack[:, : cutoff + 1], 2, axis=(1, 2))))
         bdev = float(np.max(np.linalg.norm(stack, 2, axis=(1, 2))))
         rows.append(XRow(cutoff=cutoff, k=k, deviation=dev, boundary_deviation=bdev))
@@ -216,7 +216,7 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
     for cutoff in cutoffs:
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
         cfg = FuzzyConfig(D=D, cutoff=cutoff, k=k)
-        positions = [_position_triplets(cfg, h).to_dense() for h in range(1, D + 1)]
+        positions = [build_position(cfg, h).to_dense() for h in range(1, D + 1)]
         f_hat = _fuzzy_image(f_coeffs, cfg, positions)
         g_hat = f_hat if g_coeffs == f_coeffs else _fuzzy_image(g_coeffs, cfg, positions)
         fg_hat = _fuzzy_image(fg, cfg, positions)

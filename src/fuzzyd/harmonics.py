@@ -43,8 +43,8 @@ from .operators import (
     VerificationReport,
     _max_entry,
     _move_triplets,
-    _position_triplets,
     _scatter,
+    build_position,
 )
 
 RNG_PRODUCT_SEED = 7261
@@ -288,12 +288,13 @@ def _integer_columns(vectors, D, degree):
     """
     index = _exponents(D, degree)[1]
     out = np.zeros((len(index), 2 * len(vectors)), dtype=object)
+    largest = 0
     for col, vec in enumerate(vectors):
         lcm = math.lcm(*(x.denominator for c in vec.values() for x in (c.re, c.im)))
         for alpha, c in vec.items():
-            out[index[alpha], col] = c.re.numerator * (lcm // c.re.denominator)
-            out[index[alpha], len(vectors) + col] = c.im.numerator * (lcm // c.im.denominator)
-    largest = max((abs(x) for x in out.flat), default=0)
+            re, im = c.re.numerator * (lcm // c.re.denominator), c.im.numerator * (lcm // c.im.denominator)
+            out[index[alpha], col], out[index[alpha], len(vectors) + col] = re, im
+            largest = max(largest, abs(re), abs(im))
     return out.astype(np.int64) if largest * (2 * D * (degree + 1)) ** 2 < 2**62 else out
 
 
@@ -429,10 +430,10 @@ def position_matrix_elements(D, h, level_max):
     for l in range(level_max + 1):
         basis = harmonic_basis(D, l)
         moved = {l + 1: _move(basis.matrix, D, l, tuple(int(i == h - 1) for i in range(D)))}
-        cols = [src.index_of(chain) for chain in basis]
+        cols = src.ordinals(np.array(list(basis)))
         for degree in (l - 1, l + 1):
             if degree >= 0:
-                rows = [dst.index_of(chain) for chain in harmonic_basis(D, degree)]
+                rows = dst.ordinals(np.array(list(harmonic_basis(D, degree))))
                 out[np.ix_(rows, cols)] = _basis_inner(D, degree, moved, len(cols))
     return out
 
@@ -440,7 +441,7 @@ def position_matrix_elements(D, h, level_max):
 def multiplication_matrix(D, h, src_cutoff, dst_cutoff):
     """Dense matrix of t_h mapping the src chain basis into the dst chain basis."""
     src = enumerate_chains(D, src_cutoff).labels
-    dst = enumerate_chains(D, dst_cutoff).labels
+    dst = enumerate_chains(D, dst_cutoff)
     return _scatter((len(dst), len(src)), *_move_triplets(src, dst, lambda labels: _moves.t_moves(D, labels, h)))
 
 
@@ -529,7 +530,7 @@ def _fuzzy_image(coeffs, cfg, positions):
 
 def approximate_function(coeffs, cfg):
     """Operator approximation of f = sum coeffs[chain] * Y_chain."""
-    positions = [_position_triplets(cfg, h).to_dense() for h in range(1, cfg.D + 1)]
+    positions = [build_position(cfg, h).to_dense() for h in range(1, cfg.D + 1)]
     return SparseOperator.from_dense(_fuzzy_image(coeffs, cfg, positions))
 
 

@@ -1,15 +1,16 @@
 """Operators on the chain basis and verification of their algebraic relations.
 
-Every operator is held as sorted chain-move triplets: `_move_triplets` is the
-only place where a chain move becomes a matrix entry, and it returns
-(row, col, value) arrays in row-major order.  The moves come from the numpy
-kernels of `_moves`, which move the label matrix of a whole basis at once;
-`_move_triplets` finds their target rows by sorted int64 chain keys.
-`_Triplets` is the arithmetic the checks need on them (products, sums,
-adjoint, diagonal scaling, per-entry masks on the chain labels, max-abs), so
-no operator is ever an n x n array here.  `SparseOperator` is the written
-form: the public `build_*` functions return one, made straight from the
-triplets, and the CLI writes it.
+Every operator is a `SparseOperator`: sorted (row, col, value) arrays, the
+one form that the builders return, the checks compute with and the CLI
+writes.  `_move_triplets` is the only place where a chain move becomes a
+matrix entry.  The moves come from the numpy kernels of `_moves`, which move
+the label matrix of a whole basis at once, and `BasisMap.ordinals` finds
+their target rows in closed form.  Each operator has one builder
+(`build_angular_momentum`, `build_position`, ...), and every caller, the
+checks and the CLI included, goes through it.  The arithmetic the checks need
+(products, sums, adjoint, diagonal scaling, per-entry masks on the chain
+labels, max-abs) works on the triplets, so no operator is ever an n x n
+array here.
 
 The casimirs C_2 .. C_D come from one pass, `_casimir_tower`: each generator
 is squared once, one level block at a time, as the row panel m[b, :] times
@@ -39,7 +40,6 @@ Conventions recorded in every report:
 
 from __future__ import annotations
 
-import cmath
 import csv
 import functools
 import io
@@ -64,65 +64,18 @@ TOL_NILPOTENT = 1e-9
 _ENTRY_JSON = "    [\n      %d,\n      %d,\n      %r,\n      %r\n    ]"
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """Complex square operator stored as sorted coordinate triplets; the written form of every built operator."""
-
-    dim: int
-    entries: tuple  # ((row, col, complex), ...) sorted by (row, col)
-
-    @classmethod
-    def from_dense(cls, arr):
-        arr = np.asarray(arr)
-        n = arr.shape[0]
-        if arr.shape != (n, n):
-            raise ValueError(f"operator must be square, got shape {arr.shape}")
-        rows, cols = np.nonzero(np.abs(arr) >= ENTRY_DROP)
-        return cls(dim=n, entries=tuple((int(r), int(c), complex(arr[r, c])) for r, c in zip(rows, cols)))
-
-    @classmethod
-    def _from_triplets(cls, op):
-        return cls(dim=op.n, entries=tuple(zip(op.rows.tolist(), op.cols.tolist(), op.vals.tolist())))
-
-    def to_dense(self):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for r, c, v in self.entries:
-            out[r, c] = v
-        return out
-
-    def to_json_obj(self):
-        return {"dim": self.dim, "entries": [[r, c, v.real, v.imag] for r, c, v in self.entries]}
-
-    def to_json_text(self):
-        """to_json_obj() exactly as json.dumps(obj, indent=2, sort_keys=True) + a newline writes it.
-
-        One template, floats as their repr: the indenting json encoder is pure
-        Python and takes most of the time of writing an operator.  Non-finite
-        entries, which that encoder would write as NaN or Infinity, raise
-        ValueError.
-        """
-        if not all(cmath.isfinite(v) for _, _, v in self.entries):
-            raise ValueError("operator entries must be finite to be written")
-        if not self.entries:
-            return '{\n  "dim": %d,\n  "entries": []\n}\n' % self.dim
-        body = ",\n".join(_ENTRY_JSON % (r, c, v.real, v.imag) for r, c, v in self.entries)
-        return '{\n  "dim": %d,\n  "entries": [\n%s\n  ]\n}\n' % (self.dim, body)
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(dim=int(obj["dim"]), entries=tuple((int(r), int(c), complex(re, im)) for r, c, re, im in obj["entries"]))
-
-
 @dataclass(frozen=True, eq=False)
-class _Triplets:
-    """n x n complex operator as (row, col, value) arrays sorted row-major, each (row, col) at most once.
+class SparseOperator:
+    """dim x dim complex operator as (row, col, value) arrays sorted row-major, each (row, col) at most once.
 
-    The arithmetic of the checks, with no n x n array: products (see
-    `_product_terms`) and sums, each entry's terms summed once, in the order
-    given (`_sum`); adjoint, diagonal scaling, per-entry masks and max-abs.
+    `rows` and `cols` are int64, `vals` complex128.  The arithmetic of the
+    checks needs no dim x dim array: products (see `_product_terms`) and
+    sums, each entry's terms summed once, in the order given (`_sum`);
+    adjoint, diagonal scaling, per-entry masks and max-abs.  Two operators
+    are equal when their dimensions, positions and values are.
     """
 
-    n: int
+    dim: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
@@ -132,17 +85,44 @@ class _Triplets:
         idx = np.arange(len(values))
         return cls(len(values), idx, idx, np.asarray(values, dtype=complex))
 
+    @classmethod
+    def from_dense(cls, arr):
+        """The entries of a square array of magnitude at least ENTRY_DROP."""
+        arr = np.asarray(arr)
+        n = arr.shape[0]
+        if arr.shape != (n, n):
+            raise ValueError(f"operator must be square, got shape {arr.shape}")
+        rows, cols = np.nonzero(np.abs(arr) >= ENTRY_DROP)
+        return cls(n, rows, cols, arr[rows, cols].astype(complex))
+
+    @classmethod
+    def from_json_obj(cls, obj):
+        entries = obj["entries"]
+        rows = np.array([r for r, _, _, _ in entries], dtype=np.int64)
+        cols = np.array([c for _, c, _, _ in entries], dtype=np.int64)
+        return cls(int(obj["dim"]), rows, cols, np.array([complex(re, im) for _, _, re, im in entries], dtype=complex))
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseOperator):
+            return NotImplemented
+        return self.dim == other.dim and all(map(np.array_equal, self.terms, other.terms))
+
+    @property
+    def entries(self):
+        """((row, col, complex), ...) in row-major order, as Python numbers."""
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()))
+
     @functools.cached_property
     def indptr(self):
         """Row pointer: the entries of row i are indptr[i]:indptr[i + 1]."""
-        return np.searchsorted(self.rows, np.arange(self.n + 1))
+        return np.searchsorted(self.rows, np.arange(self.dim + 1))
 
     @property
     def terms(self):
         return self.rows, self.cols, self.vals
 
     def __add__(self, other):
-        return _sum(self.n, [self.terms, other.terms])
+        return _sum(self.dim, [self.terms, other.terms])
 
     def __sub__(self, other):
         return self + -other
@@ -155,7 +135,7 @@ class _Triplets:
 
     def with_values(self, vals):
         """The operator with the same (row, col) pattern holding `vals`."""
-        return _Triplets(self.n, self.rows, self.cols, vals)
+        return SparseOperator(self.dim, self.rows, self.cols, vals)
 
     def scaled(self, left=None, right=None):
         """diag(left) @ self @ diag(right), entry by entry; None leaves that side as it is."""
@@ -164,15 +144,15 @@ class _Triplets:
 
     def adjoint(self):
         order = np.lexsort((self.rows, self.cols))
-        return _Triplets(self.n, self.cols[order], self.rows[order], self.vals[order].conj())
+        return SparseOperator(self.dim, self.cols[order], self.rows[order], self.vals[order].conj())
 
     def permuted(self, perm):
         """The operator with basis state i renamed perm[i]: the entry (r, c) moves to (perm[r], perm[c])."""
-        return _sum(self.n, [(perm[self.rows], perm[self.cols], self.vals)])
+        return _sum(self.dim, [(perm[self.rows], perm[self.cols], self.vals)])
 
     def where(self, keep):
         """The entries where the per-entry boolean array `keep` holds."""
-        return _Triplets(self.n, self.rows[keep], self.cols[keep], self.vals[keep])
+        return SparseOperator(self.dim, self.rows[keep], self.cols[keep], self.vals[keep])
 
     def drop_noise(self):
         return self.where(np.abs(self.vals) >= ENTRY_DROP)
@@ -181,7 +161,29 @@ class _Triplets:
         return float(np.max(np.abs(self.vals))) if len(self.vals) else 0.0
 
     def to_dense(self):
-        return _scatter((self.n, self.n), self.rows, self.cols, self.vals)
+        return _scatter((self.dim, self.dim), self.rows, self.cols, self.vals)
+
+    def _json_entries(self):
+        """(row, col, real, imag) of every entry, as Python numbers."""
+        return zip(self.rows.tolist(), self.cols.tolist(), self.vals.real.tolist(), self.vals.imag.tolist())
+
+    def to_json_obj(self):
+        return {"dim": self.dim, "entries": [list(entry) for entry in self._json_entries()]}
+
+    def to_json_text(self):
+        """to_json_obj() exactly as json.dumps(obj, indent=2, sort_keys=True) + a newline writes it.
+
+        One template, floats as their repr: the indenting json encoder is pure
+        Python and takes most of the time of writing an operator.  Non-finite
+        entries, which that encoder would write as NaN or Infinity, raise
+        ValueError.
+        """
+        if not np.isfinite(self.vals).all():
+            raise ValueError("operator entries must be finite to be written")
+        if not len(self.vals):
+            return '{\n  "dim": %d,\n  "entries": []\n}\n' % self.dim
+        body = ",\n".join(_ENTRY_JSON % entry for entry in self._json_entries())
+        return '{\n  "dim": %d,\n  "entries": [\n%s\n  ]\n}\n' % (self.dim, body)
 
 
 def _product_terms(a, b):
@@ -195,7 +197,7 @@ def _product_terms(a, b):
 
 def _sum(n, terms):
     """The n x n operator summing (row, col, value) term arrays: each entry's terms in the order given, 0 for none."""
-    terms = list(terms) or [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]
+    terms = list(terms) or [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
     rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
     key = rows * n + cols
     order = np.argsort(key, kind="stable")
@@ -203,7 +205,7 @@ def _sum(n, terms):
     first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     if len(first) < len(key):
         key, vals = key[first], np.add.reduceat(vals, first)
-    return _Triplets(n, key // n, key % n, vals)
+    return SparseOperator(n, key // n, key % n, vals)
 
 
 def _scatter(shape, rows, cols, vals):
@@ -213,55 +215,22 @@ def _scatter(shape, rows, cols, vals):
     return out
 
 
-def _chain_keys(dst, targets):
-    """int64 keys of the rows of `dst` and `targets`, increasing in lexicographic order; -1 for a target not in dst.
-
-    Each column has its own radix, the range of that label in `dst`, so a
-    target with a label outside it cannot be a row of dst and gets key -1.
-    Wherever the next column would carry the keys past int64, the keys so far
-    are first replaced by their ranks among each other, which keeps their
-    order and stays below the number of rows.
-    """
-    lo = dst.min(axis=0)
-    radix = dst.max(axis=0) - lo + 1
-    digits, target_digits = dst - lo, targets - lo
-    # a label below lo wraps past every radix as uint64; column by column, as np.all over rows of a few labels is slower
-    inside = functools.reduce(np.logical_and, map(np.less, target_digits.view(np.uint64).T, radix.astype(np.uint64)))
-    target_digits[~inside] = 0
-    keys, target_keys, bound = np.zeros(len(dst), dtype=np.int64), np.zeros(len(targets), dtype=np.int64), 1
-    for column, target_column, base in zip(digits.T, target_digits.T, radix.tolist()):
-        if bound * base > 2**63:
-            ranks = np.unique(np.concatenate([keys, target_keys]), return_inverse=True)[1].reshape(-1)
-            keys, target_keys, bound = ranks[: len(dst)], ranks[len(dst) :], int(ranks.max()) + 1
-        keys, target_keys, bound = keys * base + column, target_keys * base + target_column, bound * base
-    target_keys[~inside] = -1
-    return keys, target_keys
-
-
 def _move_triplets(src, dst, moves):
     """Row-major sorted (row, col, value) arrays of a chain move; the only place a move becomes an entry.
 
-    `src` and `dst` are the label matrices of two chain bases (columns and
-    rows), and `moves(src)` gives the (source row, target labels, amplitude)
-    arrays of the move, each (source, target) pair once.  Target rows are
-    found among the sorted chain keys of `dst`; targets outside `dst` are
-    skipped, each entry is 0j + its amplitude, and entries below ENTRY_DROP
-    are dropped.
+    `src` is the label matrix of the columns and `dst` the BasisMap of the
+    rows; `moves(src)` gives the (source row, target labels, amplitude)
+    arrays of the move, each (source, target) pair once.  Target rows are the
+    ordinals of the targets in `dst`; targets outside `dst` are skipped, each
+    entry is 0j + its amplitude, and entries below ENTRY_DROP are dropped.
     """
     cols, targets, amps = moves(src)
-    keys, target_keys = _chain_keys(dst, targets)
-    rows = np.minimum(np.searchsorted(keys, target_keys), len(keys) - 1)
-    found = keys[rows] == target_keys
+    rows = dst.ordinals(targets)
+    found = rows >= 0
     rows, cols, vals = rows[found], cols[found], 0j + amps[found]
     order = np.lexsort((cols, rows))
     order = order[np.abs(vals[order]) >= ENTRY_DROP]
     return rows[order], cols[order], vals[order]
-
-
-def _generator_triplets(cfg, h, j):
-    """Rotation generator L_{h,j}, h < j, on the chain basis."""
-    labels = basis_of(cfg).labels
-    return _Triplets(len(labels), *_move_triplets(labels, labels, lambda src: _moves.generator_moves(cfg.D, src, h, j)))
 
 
 def _radial_weighted(cfg, rows, cols, vals):
@@ -277,11 +246,23 @@ def _radial_weighted(cfg, rows, cols, vals):
     return rows[keep], cols[keep], vals[keep]
 
 
-def _position_triplets(cfg, h):
-    """x_h: the coordinate move t_h weighted by the truncated radial factors."""
-    labels = basis_of(cfg).labels
-    move = _move_triplets(labels, labels, lambda src: _moves.t_moves(cfg.D, src, h))
-    return _Triplets(len(labels), *_radial_weighted(cfg, *move))
+def build_angular_momentum(cfg, h, j):
+    """Rotation generator L_{h,j} on the chain basis; accepts h > j as -L_{j,h}."""
+    if h == j or not (1 <= min(h, j) and max(h, j) <= cfg.D):
+        raise ValueError(f"generator indices ({h}, {j}) invalid for D={cfg.D}")
+    if h > j:
+        return -build_angular_momentum(cfg, j, h)
+    basis = basis_of(cfg)
+    return SparseOperator(len(basis), *_move_triplets(basis.labels, basis, lambda src: _moves.generator_moves(cfg.D, src, h, j)))
+
+
+def build_position(cfg, h):
+    """Projected coordinate operator x_h: the coordinate move t_h weighted by the truncated radial factors."""
+    if not 1 <= h <= cfg.D:
+        raise ValueError(f"coordinate index {h} outside 1..{cfg.D}")
+    basis = basis_of(cfg)
+    move = _move_triplets(basis.labels, basis, lambda src: _moves.t_moves(cfg.D, src, h))
+    return SparseOperator(len(basis), *_radial_weighted(cfg, *move))
 
 
 def _position_ladder(x1, x2, sign):
@@ -317,28 +298,28 @@ def _level_squares(m, blocks):
     for b in blocks:
         s = slice(m.indptr[b.start], m.indptr[b.stop])
         rows, cols, vals, d = m.rows[s], m.cols[s], m.vals[s], b.stop - b.start
-        squares.append(_scatter((d, m.n), rows - b.start, cols, vals) @ _scatter((m.n, d), rows, cols - b.start, vals))
+        squares.append(_scatter((d, m.dim), rows - b.start, cols, vals) @ _scatter((m.dim, d), rows, cols - b.start, vals))
     return squares
 
 
 def _casimir_tower(cfg, orders, generator=None):
-    """One pass over the casimir tower: yields (p, C_p triplets) for each p in `orders`, squaring each generator once.
+    """One pass over the casimir tower: yields (p, C_p) for each p in `orders`, squaring each generator once.
 
-    `generator(h, j)` gives the triplets of L_hj (`_generator_triplets` when
-    None); it is called once per pair of so(max(orders)), in _generator_pairs
-    order.  Each square is formed on the level blocks by `_level_squares` and
-    added to every order p >= j, and C_p is yielded as soon as its last pair
-    (p - 1, p) is in.  A generator keeps the level, so its square is exactly
-    +-0 off the blocks, and each order's additions come in _generator_pairs(p)
-    order from 0, so every entry equals the dense sum of that order's squares
-    bit for bit.  A generator joining two levels raises RuntimeError.
+    `generator(h, j)` gives L_hj (`build_angular_momentum` when None); it is
+    called once per pair of so(max(orders)), in _generator_pairs order.  Each
+    square is formed on the level blocks by `_level_squares` and added to
+    every order p >= j, and C_p is yielded as soon as its last pair (p - 1, p)
+    is in.  A generator keeps the level, so its square is exactly +-0 off the
+    blocks, and each order's additions come in _generator_pairs(p) order from
+    0, so every entry equals the dense sum of that order's squares bit for
+    bit.  A generator joining two levels raises RuntimeError.
     """
     basis = basis_of(cfg)
     blocks = _level_blocks(basis)
     levels = basis.labels[:, 0]
     acc = {}  # order -> level blocks, allocated once the first square is in
     for h, j in _generator_pairs(max(orders)):
-        m = generator(h, j) if generator else _generator_triplets(cfg, h, j)
+        m = generator(h, j) if generator else build_angular_momentum(cfg, h, j)
         if np.any(levels[m.rows] != levels[m.cols]):
             raise RuntimeError(f"generator L_{h}_{j} joins two levels; its square would leave the level blocks")
         squares = _level_squares(m, blocks)
@@ -353,9 +334,9 @@ def _casimir_tower(cfg, orders, generator=None):
 
 
 def _from_level_blocks(n, parts, blocks):
-    """Triplets of the operator holding `parts` on the diagonal `blocks`, entries below ENTRY_DROP dropped."""
+    """The operator holding `parts` on the diagonal `blocks`, entries below ENTRY_DROP dropped."""
     kept = [np.nonzero(np.abs(part) >= ENTRY_DROP) for part in parts]
-    return _Triplets(
+    return SparseOperator(
         n,
         np.concatenate([r + b.start for (r, _), b in zip(kept, blocks)]),
         np.concatenate([c + b.start for (_, c), b in zip(kept, blocks)]),
@@ -373,31 +354,17 @@ def _parity(basis):
     return np.where(basis.labels[:, 0] % 2, -1.0, 1.0)
 
 
-def build_angular_momentum(cfg, h, j):
-    """Rotation generator on the chain basis; accepts h > j as -L_{j,h}."""
-    if h == j or not (1 <= min(h, j) and max(h, j) <= cfg.D):
-        raise ValueError(f"generator indices ({h}, {j}) invalid for D={cfg.D}")
-    return SparseOperator._from_triplets(_generator_triplets(cfg, h, j) if h < j else -_generator_triplets(cfg, j, h))
-
-
-def build_position(cfg, h):
-    """Projected coordinate operator: coordinate move weighted by radial factors."""
-    if not 1 <= h <= cfg.D:
-        raise ValueError(f"coordinate index {h} outside 1..{cfg.D}")
-    return SparseOperator._from_triplets(_position_triplets(cfg, h))
-
-
 def build_position_ladder(cfg, sign):
     """x_1 + i*sign*x_2 (sign=+1 is the raising combination)."""
-    return SparseOperator._from_triplets(_position_ladder(_position_triplets(cfg, 1), _position_triplets(cfg, 2), sign))
+    return _position_ladder(build_position(cfg, 1), build_position(cfg, 2), sign)
 
 
 def build_generator_ladder(cfg, nu, sign):
     """L_{2,nu} -+ i L_{1,nu} for nu >= 3 (sign=+1 is the raising combination)."""
     if nu < 3:
         raise ValueError(f"ladder generator needs nu >= 3, got {nu}")
-    l1, l2 = (_generator_triplets(cfg, h, nu) for h in (1, 2))
-    return SparseOperator._from_triplets(_ladder_combination(l1, l2, sign))
+    l1, l2 = (build_angular_momentum(cfg, h, nu) for h in (1, 2))
+    return _ladder_combination(l1, l2, sign)
 
 
 def build_casimir(cfg, p):
@@ -405,7 +372,7 @@ def build_casimir(cfg, p):
     if not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
     [(_, casimir)] = _casimir_tower(cfg, (p,))
-    return SparseOperator._from_triplets(casimir)
+    return casimir
 
 
 def casimir_eigenvalue(label, p):
@@ -429,12 +396,12 @@ def build_projector(cfg, p=None, value=None):
     diag = _label_projector(basis, p, value)
     if not diag.any():
         raise ValueError(f"no chain has branching label l_{p - 1} = {value}")
-    return SparseOperator._from_triplets(_Triplets.diagonal(diag).drop_noise())
+    return SparseOperator.diagonal(diag).drop_noise()
 
 
 def parity_operator(cfg):
     """Diagonal (-1)^level; conjugation flips the sign of every position operator."""
-    return SparseOperator._from_triplets(_Triplets.diagonal(_parity(basis_of(cfg))))
+    return SparseOperator.diagonal(_parity(basis_of(cfg)))
 
 
 def position_square_expected(cfg, l):
@@ -550,7 +517,7 @@ def _component_labels(n, rows, cols):
 
 def _diagonal_residual(op, diag):
     """max |op - diag(diag)|."""
-    return (op - _Triplets.diagonal(diag)).max_abs()
+    return (op - SparseOperator.diagonal(diag)).max_abs()
 
 
 def _reflection_deviation(generators, positions, perm, phase):
@@ -583,8 +550,8 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     blocks = _level_blocks(basis)
 
     pairs = _generator_pairs(D)
-    L = {(h, j): _generator_triplets(cfg, h, j) for h, j in pairs}
-    X = {h: _position_triplets(cfg, h) for h in range(1, D + 1)}
+    L = {(h, j): build_angular_momentum(cfg, h, j) for h, j in pairs}
+    X = {h: build_position(cfg, h) for h in range(1, D + 1)}
     eigenvalues = {p: casimir_eigenvalue(labels[:, D - p], p).astype(float) for p in range(2, D + 1)}
     try:
         tower = _casimir_tower(cfg, range(2, D + 1), lambda h, j: L[(h, j)])
@@ -779,7 +746,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
 
     def check_reflection():
         # R: l_1 -> -l_1 represents the reflection of axis 1, an element of O(D) outside SO(D) for every D
-        perm = np.array([basis.index_of(c[:-1] + (-c[-1],)) for c in basis.chains])
+        perm = basis.ordinals(labels * np.array([1] * (D - 2) + [-1]))
         return Check(
             "reflection l_1 -> -l_1 flips x_1 and every L_1j, fixes the rest",
             _reflection_deviation(L, X, perm, np.ones(n)),

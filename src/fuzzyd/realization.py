@@ -13,6 +13,10 @@ L_{h,D+1}); this is the orientation for which the dressing recursion below
 reproduces the position operators exactly, and it is a legitimate so(D+1)
 family since flipping all generators carrying one fixed index is conjugation
 by a reflection.
+
+`ambient_generator` is the one builder of the so(D+1) family, and the checks
+compare it with the native builders `build_angular_momentum` and
+`build_position`.
 """
 
 from __future__ import annotations
@@ -31,12 +35,11 @@ from .operators import (
     _casimir_tower,
     _diagonal_residual,
     _generator_pairs,
-    _generator_triplets,
     _move_triplets,
-    _position_triplets,
     _product_terms,
     _sum,
-    _Triplets,
+    build_angular_momentum,
+    build_position,
 )
 
 TOL_ISO = 1e-10
@@ -52,10 +55,10 @@ def level_operator(cfg):
     """
     [(_, casimir)] = _casimir_tower(cfg, (cfg.D,))
     on = casimir.rows == casimir.cols
-    diag = np.zeros(casimir.n)
+    diag = np.zeros(casimir.dim)
     diag[casimir.rows[on]] = casimir.vals[on].real
     vals = 0.5 * (2 - cfg.D + np.sqrt((cfg.D - 2) ** 2 + 4.0 * diag))
-    return SparseOperator._from_triplets(_Triplets.diagonal(vals).drop_noise())
+    return SparseOperator.diagonal(vals).drop_noise()
 
 
 @dataclass(frozen=True)
@@ -70,32 +73,18 @@ class DressingSequence:
 def dressing_sequence(cfg):
     """Recursive dressing sequence starting from p(0) = 1."""
     D, lam = cfg.D, cfg.cutoff
+    # ratio[l - 1] = w(l) / c_l, the right-hand side of both relations between levels l - 1 and l
+    ratio = [radial_weight(l, cfg) / reduced_element(lam, l, D + 1) for l in range(1, lam + 1)]
     p = [1.0 + 0j]
     for l in range(lam):
-        ratio = radial_weight(l + 1, cfg) / reduced_element(lam, l + 1, D + 1)
-        p.append(np.conjugate(-1j * ratio / p[l]))
+        p.append(np.conjugate(-1j * ratio[l] / p[l]))
     raise_res = 0.0
     lower_res = 0.0
     for l in range(lam):
-        ratio = radial_weight(l + 1, cfg) / reduced_element(lam, l + 1, D + 1)
-        raise_res = max(raise_res, abs(np.conjugate(p[l + 1]) * p[l] - (-1j) * ratio))
+        raise_res = max(raise_res, abs(np.conjugate(p[l + 1]) * p[l] - (-1j) * ratio[l]))
     for l in range(1, lam + 1):
-        ratio = radial_weight(l, cfg) / reduced_element(lam, l, D + 1)
-        lower_res = max(lower_res, abs(np.conjugate(p[l - 1]) * p[l] - 1j * ratio))
+        lower_res = max(lower_res, abs(np.conjugate(p[l - 1]) * p[l] - 1j * ratio[l - 1]))
     return DressingSequence(values=tuple(p), raise_residual=raise_res, lower_residual=lower_res)
-
-
-def _ambient_triplets(cfg, h, j, orientation=-1):
-    """so(D+1) generator L_{h,j} on the identified chain basis (the cutoff prepended to every chain)."""
-    sign = orientation if j == cfg.D + 1 else 1
-    basis = basis_of(cfg)
-    labels = np.hstack([np.full((len(basis), 1), cfg.cutoff), basis.labels])
-
-    def moves(src):
-        rows, targets, amps = _moves.generator_moves(cfg.D + 1, src, h, j)
-        return rows, targets, sign * amps
-
-    return _Triplets(len(labels), *_move_triplets(labels, labels, moves))
 
 
 def ambient_generator(cfg, h, j, orientation=-1):
@@ -103,17 +92,28 @@ def ambient_generator(cfg, h, j, orientation=-1):
 
     For j <= D this coincides entrywise with the native generator.  For
     j = D+1 the default orientation -1 applies the parity flip described in
-    the module docstring; pass orientation=+1 for the unflipped family.
+    the module docstring; pass orientation=+1 for the unflipped family.  The
+    moves act on the (D+1)-chains, the cutoff prepended to every chain; no
+    generator moves that frozen top label, so it is dropped from the targets,
+    which are then looked up in the native basis.
     """
     if not 1 <= h < j <= cfg.D + 1:
         raise ValueError(f"ambient generator indices ({h}, {j}) invalid for so({cfg.D + 1})")
-    return SparseOperator._from_triplets(_ambient_triplets(cfg, h, j, orientation))
+    sign = orientation if j == cfg.D + 1 else 1
+    basis = basis_of(cfg)
+    labels = np.hstack([np.full((len(basis), 1), cfg.cutoff), basis.labels])
+
+    def moves(src):
+        rows, targets, amps = _moves.generator_moves(cfg.D + 1, src, h, j)
+        return rows, targets[:, 1:], sign * amps
+
+    return SparseOperator(len(basis), *_move_triplets(labels, basis, moves))
 
 
 def ambient_casimir(cfg):
     """Total casimir of the ambient so(D+1) family; a scalar on the irrep."""
-    squares = [_product_terms(m, m) for m in (_ambient_triplets(cfg, h, j) for h, j in _generator_pairs(cfg.D + 1))]
-    return SparseOperator._from_triplets(_sum(dimension(cfg.D, cfg.cutoff), squares).drop_noise())
+    squares = [_product_terms(m, m) for m in (ambient_generator(cfg, h, j) for h, j in _generator_pairs(cfg.D + 1))]
+    return _sum(dimension(cfg.D, cfg.cutoff), squares).drop_noise()
 
 
 def _dressing(cfg):
@@ -132,8 +132,7 @@ def realize_position(cfg, h, orientation=-1, conjugate_left=True):
     conjugate_left=False gives the variant without conjugation on the left
     dressing factor; it is kept only so its residual can be reported.
     """
-    amb = _ambient_triplets(cfg, h, cfg.D + 1, orientation)
-    return SparseOperator._from_triplets(_dress(amb, _dressing(cfg), conjugate_left))
+    return _dress(ambient_generator(cfg, h, cfg.D + 1, orientation), _dressing(cfg), conjugate_left)
 
 
 def verify_isomorphism(cfg):
@@ -160,18 +159,18 @@ def verify_isomorphism(cfg):
     dev = dict.fromkeys(("gen", "pos", "adj", "alt", "par"), 0.0)
     squares = []
     for h, j in _generator_pairs(D + 1):
-        amb = _ambient_triplets(cfg, h, j)
+        amb = ambient_generator(cfg, h, j)
         squares.append(_product_terms(amb, amb))
         if j <= D:
-            dev["gen"] = max(dev["gen"], (amb - _generator_triplets(cfg, h, j)).max_abs())
+            dev["gen"] = max(dev["gen"], (amb - build_angular_momentum(cfg, h, j)).max_abs())
             continue
         realized = _dress(amb, p)
-        native = _position_triplets(cfg, h)
+        native = build_position(cfg, h)
         dev["pos"] = max(dev["pos"], (realized - native).max_abs())
         dev["adj"] = max(dev["adj"], (realized - realized.adjoint()).max_abs())
         dev["alt"] = max(dev["alt"], (_dress(amb, p, conjugate_left=False) - native).max_abs())
         # the unflipped orientation (+1), built on its own, dressed like the default
-        flipped = _dress(_ambient_triplets(cfg, h, j, orientation=+1), p)
+        flipped = _dress(ambient_generator(cfg, h, j, orientation=+1), p)
         dev["par"] = max(dev["par"], (flipped + realized).max_abs())
     n = dimension(D, lam)
     amb_cas = _sum(n, squares).drop_noise()

@@ -9,7 +9,7 @@ matrices by breadth-first search.
 
 import numpy as np
 
-from fuzzyd.operators import ENTRY_DROP, _Triplets
+from fuzzyd.operators import ENTRY_DROP, SparseOperator
 
 
 def dense_casimir(n, dense_generators):
@@ -44,6 +44,6 @@ def components(ops):
 
 
 def triplets_of(dense):
-    """The triplets of the nonzero entries of a dense square array."""
+    """The operator of the nonzero entries of a dense square array."""
     rows, cols = np.nonzero(dense)
-    return _Triplets(len(dense), rows, cols, dense[rows, cols].astype(complex))
+    return SparseOperator(len(dense), rows, cols, dense[rows, cols].astype(complex))

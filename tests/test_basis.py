@@ -90,6 +90,37 @@ def test_index_roundtrip_and_errors():
         bm.index_of((3, 0, 0))
 
 
+def test_index_of_and_membership_reject_malformed_chains():
+    bm = enumerate_chains(4, 2)
+    assert (1, 1, -1) in bm and bm.index_of([1, 1, -1]) == bm.chains.index((1, 1, -1))
+    assert bm.index_of((np.int64(2), 0, 0)) == bm.chains.index((2, 0, 0))
+    malformed = [(1, 1), (1, 1, 0, 0), (), (1, 2, 0), (1, 1, 2), (-1, 0, 0), (3, 0, 0), (1.0, 0, 0), ("1", 0, 0), (2**70, 0, 0)]
+    for chain in malformed:
+        assert chain not in bm, chain
+        with pytest.raises(KeyError, match="not in basis"):
+            bm.index_of(chain)
+
+
+@pytest.mark.parametrize("D, cutoff", [(D, cutoff) for D in range(3, 9) for cutoff in (0, 1, 3)] + [(3, 12), (70, 1)])
+def test_ordinals_follow_basis_order_and_mark_rows_outside_it(D, cutoff):
+    # the closed-form count of the chains before each one is its row, at every D (no key of D - 1 digits to overflow)
+    bm = enumerate_chains(D, cutoff)
+    assert np.array_equal(bm.ordinals(bm.labels), np.arange(len(bm)))
+    above = enumerate_chains(D, cutoff + 1).labels[len(bm) :]  # level cutoff + 1
+    assert len(above) and np.all(bm.ordinals(above) == -1)
+    # branching violations: l_{d-1} above the level, l_1 beyond l_2 (either sign), a negative label, a negative level
+    broken = np.zeros((5, D - 1), dtype=np.int64)
+    broken[0, :2] = [cutoff, cutoff + 1]
+    broken[1, -2:] = [cutoff, cutoff + 1]
+    broken[2, -2:] = [cutoff, -cutoff - 1]
+    broken[3, -2] = -1
+    broken[4, 0] = -1
+    assert np.all(bm.ordinals(broken) == -1)
+    assert np.array_equal(bm.ordinals(np.vstack([broken, bm.labels[::-1]])), np.r_[[-1] * 5, np.arange(len(bm))[::-1]])
+    with pytest.raises(ValueError, match="not chains"):
+        bm.ordinals(bm.labels[:, 1:])
+
+
 def test_deterministic_ordering():
     a = enumerate_chains(5, 3)
     b = enumerate_chains(5, 3)

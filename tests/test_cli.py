@@ -7,7 +7,7 @@ import fuzzyd.cli
 import fuzzyd.operators
 from fuzzyd.basis import FuzzyConfig, dimension
 from fuzzyd.cli import _write_json, main
-from fuzzyd.operators import SparseOperator, _generator_pairs, _generator_triplets, build_position
+from fuzzyd.operators import SparseOperator, _generator_pairs, build_angular_momentum, build_position
 
 from operators_oracle import dense_casimir
 
@@ -50,21 +50,21 @@ def test_build_casimirs_equal_the_dense_route(tmp_path, D, cutoff):
     assert main(["build", "--d", str(D), "--lambda", str(cutoff), "--out", str(tmp_path / "ops")]) == 0
     cfg = FuzzyConfig(D=D, cutoff=cutoff, k=json.loads((tmp_path / "ops" / "manifest.json").read_text())["config"]["k"])
     for p in range(2, D + 1):
-        gens = (_generator_triplets(cfg, h, j).to_dense() for h, j in _generator_pairs(p))
+        gens = (build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(p))
         _write_json(tmp_path / "dense.json", SparseOperator.from_dense(dense_casimir(dimension(D, cutoff), gens)).to_json_obj())
         assert (tmp_path / "ops" / f"C_{p}.json").read_bytes() == (tmp_path / "dense.json").read_bytes(), p
 
 
 def test_build_builds_each_generator_once(tmp_path, monkeypatch):
     calls = []
-    honest = _generator_triplets
+    honest = build_angular_momentum
 
     def counted(cfg, h, j):
         calls.append((h, j))
         return honest(cfg, h, j)
 
-    monkeypatch.setattr(fuzzyd.operators, "_generator_triplets", counted)
-    monkeypatch.setattr(fuzzyd.cli, "_generator_triplets", counted)
+    monkeypatch.setattr(fuzzyd.operators, "build_angular_momentum", counted)
+    monkeypatch.setattr(fuzzyd.cli, "build_angular_momentum", counted)
     assert main(["build", "--d", "4", "--lambda", "2", "--out", str(tmp_path)]) == 0
     assert calls == _generator_pairs(4)
 
@@ -113,6 +113,13 @@ def test_config_errors_exit_two(capsys):
     assert "got nan" in capsys.readouterr().err
     assert main(["verify", "--suite", "algebra", "--d", "3", "--lambda", "1", "--k", "nan"]) == 2
     assert "stiffness k must be positive, got nan" in capsys.readouterr().err
+    # an infinite --k or --alpha (1e400 reads as inf) would run every suite with unit radial weights
+    for flag, value in (("--k", "inf"), ("--k", "1e400"), ("--alpha", "inf")):
+        argv = ["verify", "--suite", "algebra", "--d", "3", "--lambda", "2", "--schedule", "power", flag, value]
+        assert main(argv) == 2
+        assert f"{flag} must be finite, got inf" in capsys.readouterr().err
+    assert main(["converge", "--d", "3", "--lambda-max", "2", "--schedule", "power", "--alpha", "inf", "--out", "/tmp/unused"]) == 2
+    assert "--alpha must be finite, got inf" in capsys.readouterr().err
     # a degree-2 tolerance that would leave its checks unasserted (inf) or failing (nan, < 0)
     for tol in ("inf", "nan", "-1"):
         assert main(["verify", "--suite", "algebra", "--d", "3", "--lambda", "2", "--tol-degree2", tol]) == 2

@@ -6,8 +6,8 @@ import pytest
 import moves_oracle
 from fuzzyd import _moves
 from fuzzyd.basis import FuzzyConfig, enumerate_chains
-from fuzzyd.operators import _chain_keys, _generator_pairs, _move_triplets, _product_terms, _sum, _Triplets
-from fuzzyd.realization import _ambient_triplets
+from fuzzyd.operators import SparseOperator, _generator_pairs, _move_triplets, _product_terms, _sum
+from fuzzyd.realization import ambient_generator
 
 
 def assert_bitwise_equal(got, expected):
@@ -28,12 +28,12 @@ def test_kernels_equal_the_per_chain_route_bit_for_bit(D, cutoff, raise_cutoff):
     src, dst = enumerate_chains(D, cutoff), enumerate_chains(D, cutoff + raise_cutoff)
     for h in range(1, D + 1):
         assert_bitwise_equal(
-            _move_triplets(src.labels, dst.labels, lambda labels: _moves.t_moves(D, labels, h)),
+            _move_triplets(src.labels, dst, lambda labels: _moves.t_moves(D, labels, h)),
             moves_oracle.move_triplets(src.chains, dst.chains, lambda chain: moves_oracle.t_terms(D, chain, h)),
         )
     for h, j in _generator_pairs(D):
         assert_bitwise_equal(
-            _move_triplets(src.labels, dst.labels, lambda labels: _moves.generator_moves(D, labels, h, j)),
+            _move_triplets(src.labels, dst, lambda labels: _moves.generator_moves(D, labels, h, j)),
             moves_oracle.move_triplets(src.chains, dst.chains, lambda chain: moves_oracle.generator_terms(D, chain, h, j)),
         )
 
@@ -43,7 +43,7 @@ def test_ambient_generators_equal_the_per_chain_route_bit_for_bit(D, cutoff):
     cfg = FuzzyConfig(D=D, cutoff=cutoff, k=1e6)
     for h, j in _generator_pairs(D + 1):
         for orientation in (-1, 1) if j == D + 1 else (-1,):
-            got = _ambient_triplets(cfg, h, j, orientation)
+            got = ambient_generator(cfg, h, j, orientation)
             assert_bitwise_equal((got.rows, got.cols, got.vals), moves_oracle.ambient_triplets(D, cutoff, h, j, orientation))
 
 
@@ -67,31 +67,14 @@ def test_kernels_reject_malformed_arguments():
         _moves.generator_moves(4, labels, 3, 3)
 
 
-def test_chain_keys_follow_basis_order_and_mark_targets_outside_the_basis():
-    labels = enumerate_chains(5, 3).labels
-    outside = np.array([[4, 0, 0, 0], [3, 3, 3, -4], [0, 0, 0, 1]])
-    keys, target_keys = _chain_keys(labels, np.vstack([labels, outside]))
-    assert np.all(np.diff(keys) > 0)
-    # labels outside the basis's range of their column key to -1; a chain breaking the branching rule to no key
-    assert np.array_equal(target_keys[: len(keys)], keys) and np.array_equal(target_keys[len(keys) : -1], [-1, -1])
-    assert target_keys[-1] >= 0 and target_keys[-1] not in keys
-
-
-def test_chain_keys_rank_their_prefixes_past_int64():
-    # D=70 cutoff 1: 68 columns of radix 2 and l_1 of radix 3 do not fit one int64 key
-    labels = enumerate_chains(70, 1).labels
-    keys, target_keys = _chain_keys(labels, labels[::-1])
-    assert np.all(np.diff(keys) > 0) and np.array_equal(target_keys, keys[::-1])
-
-
 @pytest.mark.parametrize("h", [19, 21])
 def test_kernels_equal_the_per_chain_route_at_d21(h):
-    # cutoff 3 into cutoff 4 at D=21: the x_h targets reach l_1 = +-4, past one key of a shared radix
-    # (9^20 >= 2^63); h near D keeps the per-chain route's 2^(D - h + 1) patterns few
+    # cutoff 3 into cutoff 4 at D=21 (n = 2002 -> 12,397): the x_h targets reach l_1 = +-4; h near D keeps
+    # the per-chain route's 2^(D - h + 1) patterns few
     D = 21
     src, dst = enumerate_chains(D, 3), enumerate_chains(D, 4)
     assert_bitwise_equal(
-        _move_triplets(src.labels, dst.labels, lambda labels: _moves.t_moves(D, labels, h)),
+        _move_triplets(src.labels, dst, lambda labels: _moves.t_moves(D, labels, h)),
         moves_oracle.move_triplets(src.chains, dst.chains, lambda chain: moves_oracle.t_terms(D, chain, h)),
     )
 
@@ -102,22 +85,22 @@ def test_unit_coordinates_square_to_one_past_64_sites():
     D = 70
     basis = enumerate_chains(D, 2)
     n, low = len(basis), basis.labels[:, 0] <= 1
-    moves = [_move_triplets(basis.labels, basis.labels, lambda labels: _moves.t_moves(D, labels, h)) for h in range(1, D + 1)]
-    square = _sum(n, [_product_terms(_Triplets(n, *t), _Triplets(n, *t)) for t in moves])
-    assert (square.where(low[square.cols]) - _Triplets.diagonal(low.astype(float))).max_abs() < 1e-14
+    moves = [SparseOperator(n, *_move_triplets(basis.labels, basis, lambda labels: _moves.t_moves(D, labels, h))) for h in range(1, D + 1)]
+    square = _sum(n, [_product_terms(t, t) for t in moves])
+    assert (square.where(low[square.cols]) - SparseOperator.diagonal(low.astype(float))).max_abs() < 1e-14
 
 
 def test_kernels_carry_only_live_terms_in_high_dimension():
     # D=14 cutoff 1: an unpruned walk carries 2^(D - nu + 1) patterns per chain (4.0 MB traced peak over all
     # t_h and L_hj); the pruned one drops each dead term at the site where its amplitude vanishes (0.07 MB)
     D = 14
-    labels = enumerate_chains(D, 1).labels
+    basis = enumerate_chains(D, 1)
     tracemalloc.start()
     try:
         for h in range(1, D + 1):
-            _move_triplets(labels, labels, lambda labels: _moves.t_moves(D, labels, h))
+            _move_triplets(basis.labels, basis, lambda labels: _moves.t_moves(D, labels, h))
         for h, j in _generator_pairs(D):
-            _move_triplets(labels, labels, lambda labels: _moves.generator_moves(D, labels, h, j))
+            _move_triplets(basis.labels, basis, lambda labels: _moves.generator_moves(D, labels, h, j))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

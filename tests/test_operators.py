@@ -17,12 +17,9 @@ from fuzzyd.operators import (
     _casimir_tower,
     _component_labels,
     _generator_pairs,
-    _generator_triplets,
-    _position_triplets,
     _product_terms,
     _reflection_deviation,
     _sum,
-    _Triplets,
     build_angular_momentum,
     build_casimir,
     build_generator_ladder,
@@ -282,7 +279,7 @@ def _assert_casimir_product_formulas_pass(cfg):
     n = dimension(D, lam)
     eye = np.eye(n)
     pairs = _generator_pairs(D)
-    L = {(h, j): _generator_triplets(cfg, h, j).to_dense() for h, j in pairs}
+    L = {(h, j): build_angular_momentum(cfg, h, j).to_dense() for h, j in pairs}
     C = {p: build_casimir(cfg, p).to_dense() for p in range(2, D + 1)}
     amax = lambda m: float(np.max(np.abs(m)))
 
@@ -343,7 +340,7 @@ def test_verify_algebra_equals_dense_product_formulas(D, cutoff):
 def _tamper_generator(monkeypatch, pair, entries):
     """Write `entries` {(row chain, col chain): value} into L_pair at D=4, cutoff 2."""
     bm = enumerate_chains(4, 2)
-    honest = _generator_triplets
+    honest = build_angular_momentum
 
     def tampered(cfg, h, j):
         op = honest(cfg, h, j)
@@ -354,7 +351,7 @@ def _tamper_generator(monkeypatch, pair, entries):
             op = triplets_of(op)
         return op
 
-    monkeypatch.setattr(fuzzyd.operators, "_generator_triplets", tampered)
+    monkeypatch.setattr(fuzzyd.operators, "build_angular_momentum", tampered)
 
 
 def _checks_with_generator_entry(monkeypatch, pair, entries):
@@ -391,7 +388,7 @@ def test_lower_casimir_residual_fails_the_spectra_check(monkeypatch):
     def shifted(cfg, orders, generator=None):
         for p, casimir in honest(cfg, orders, generator):
             if p == 3:
-                casimir = casimir + _Triplets(casimir.n, np.array([0]), np.array([0]), np.array([1e-9 + 0j]))
+                casimir = casimir + SparseOperator(casimir.dim, np.array([0]), np.array([0]), np.array([1e-9 + 0j]))
             yield p, casimir
 
     monkeypatch.setattr(fuzzyd.operators, "_casimir_tower", shifted)
@@ -414,7 +411,7 @@ def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
     tower = dict(_casimir_tower(cfg, range(2, D + 1)))
     assert sorted(tower) == list(range(2, D + 1))
     for p, casimir in tower.items():
-        dense = dense_casimir(n, (_generator_triplets(cfg, h, j).to_dense() for h, j in _generator_pairs(p)))
+        dense = dense_casimir(n, (build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(p)))
         assert np.array_equal(casimir.to_dense(), dense), p
         assert build_casimir(cfg, p) == SparseOperator.from_dense(dense), p
 
@@ -430,7 +427,7 @@ def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
 
     def generator(h, j):
         built.append((h, j))
-        return _generator_triplets(cfg, h, j)
+        return build_angular_momentum(cfg, h, j)
 
     monkeypatch.setattr(fuzzyd.operators, "_level_squares", counted)
     assert [p for p, _ in _casimir_tower(cfg, range(2, 6), generator)] == [2, 3, 4, 5]
@@ -464,8 +461,8 @@ def test_reflection_witness_is_exact_and_its_phased_variant_fails(D, cutoff):
     assert check.passed and check.deviation == 0.0
     bm = enumerate_chains(D, cutoff)
     perm = np.array([bm.index_of(c[:-1] + (-c[-1],)) for c in bm.chains])
-    L = {(h, j): _generator_triplets(cfg, h, j) for h, j in _generator_pairs(D)}
-    X = {h: _position_triplets(cfg, h) for h in range(1, D + 1)}
+    L = {(h, j): build_angular_momentum(cfg, h, j) for h, j in _generator_pairs(D)}
+    X = {h: build_position(cfg, h) for h in range(1, D + 1)}
     assert _reflection_deviation(L, X, perm, np.ones(len(bm))) == 0.0
     phase = np.array([(-1.0) ** abs(c[-1]) for c in bm.chains])
     assert _reflection_deviation(L, X, perm, phase) > 1.0
@@ -500,12 +497,13 @@ def test_component_labels_agree_with_breadth_first_search(seed):
 
 
 def test_triplet_arithmetic_equals_the_dense_arithmetic():
-    a_op, b_op = _generator_triplets(CFG42, 1, 3), _position_triplets(CFG42, 2)
+    a_op, b_op = build_angular_momentum(CFG42, 1, 3), build_position(CFG42, 2)
     a, b = a_op.to_dense(), b_op.to_dense()
     product = _sum(14, [_product_terms(a_op, b_op)])
     for op in (a_op, b_op, product, a_op + b_op, a_op - b_op, a_op.adjoint()):
-        key = op.rows * op.n + op.cols
+        key = op.rows * op.dim + op.cols
         assert np.all(np.diff(key) > 0)  # row-major, each (row, col) once
+        assert op.rows.dtype == op.cols.dtype == np.int64 and op.vals.dtype == complex
     assert np.max(np.abs(product.to_dense() - a @ b)) <= 1e-15
     assert _sum(14, []).max_abs() == 0.0
     assert np.array_equal((a_op + b_op).to_dense(), a + b)
@@ -521,13 +519,15 @@ def test_triplet_arithmetic_equals_the_dense_arithmetic():
 
 
 def test_operator_json_text_is_the_json_module_encoding():
-    odd = SparseOperator(dim=2, entries=((0, 1, complex(-0.0, 1e-300)), (1, 0, complex(1e300, -0.0))))
+    odd = SparseOperator(2, np.array([0, 1]), np.array([1, 0]), np.array([complex(-0.0, 1e-300), complex(1e300, -0.0)]))
     ops = [build_position(CFG42, 2), build_angular_momentum(CFG42, 2, 3), build_casimir(CFG42, 4), odd]
     ops.append(build_position(FuzzyConfig(D=4, cutoff=0, k=1.0), 1))
     for op in ops:
         assert op.to_json_text() == json.dumps(op.to_json_obj(), indent=2, sort_keys=True) + "\n"
     with pytest.raises(ValueError, match="finite"):
-        SparseOperator(dim=1, entries=((0, 0, complex(math.nan, 0.0)),)).to_json_text()
+        SparseOperator(1, np.array([0]), np.array([0]), np.array([complex(math.nan, 0.0)])).to_json_text()
+    with pytest.raises(ValueError, match="finite"):
+        SparseOperator(1, np.array([0]), np.array([0]), np.array([complex(0.0, math.inf)])).to_json_text()
 
 
 SWEEP_CONFIGS = (
@@ -626,7 +626,7 @@ SMALL_CONFIGS = [(3, lam) for lam in range(4)] + [(4, lam) for lam in range(3)] 
 def test_burnside_test_agrees_with_word_span_closure(D, cutoff):
     # below n = 16 the closure of coordinate words is cheap enough to serve as the oracle
     cfg = _consistency_config(D, cutoff)
-    positions = [_position_triplets(cfg, h).to_dense() for h in range(1, D + 1)]
+    positions = [build_position(cfg, h).to_dense() for h in range(1, D + 1)]
     assert len(positions[0]) <= 16
     assert _word_span_deficit(positions) == 0
     components, gap = _commutant_test(positions)
@@ -642,7 +642,7 @@ def test_burnside_test_agrees_with_word_span_closure(D, cutoff):
 def test_span_certificate_agrees_with_burnside_oracle(D, cutoff):
     # where the eigenvalue gap of the oracle's generic element is still well above its floor
     cfg = _consistency_config(D, cutoff)
-    positions = [_position_triplets(cfg, h).to_dense() for h in range(1, D + 1)]
+    positions = [build_position(cfg, h).to_dense() for h in range(1, D + 1)]
     assert len(positions[0]) <= 300
     components, gap = _commutant_test(positions)
     check = _span_check(cfg)
@@ -654,7 +654,7 @@ def test_span_certificate_agrees_with_burnside_oracle(D, cutoff):
 def test_generators_alone_are_reducible(D, cutoff):
     # generators keep every level: one component per level, and words miss every off-block entry
     cfg = _consistency_config(D, cutoff)
-    generators = [_generator_triplets(cfg, h, j).to_dense() for h, j in _generator_pairs(D)]
+    generators = [build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(D)]
     assert components(generators) == cutoff + 1
     assert _commutant_test(generators)[0] == cutoff + 1
     n = dimension(D, cutoff)
@@ -664,13 +664,13 @@ def test_generators_alone_are_reducible(D, cutoff):
 
 def test_span_check_fails_for_a_reducible_position_set(monkeypatch):
     # positions with every coupling from level 0 removed leave the constant state invariant
-    honest = _position_triplets
+    honest = build_position
 
     def cut(cfg, h):
         x = honest(cfg, h)
         return x.where((x.rows != 0) & (x.cols != 0))
 
-    monkeypatch.setattr(fuzzyd.operators, "_position_triplets", cut)
+    monkeypatch.setattr(fuzzyd.operators, "build_position", cut)
     assert _commutant_test([cut(CFG42, h).to_dense() for h in range(1, 5)])[0] > 1
     check = _span_check(CFG42)
     assert not check.passed and check.deviation == 1.0
@@ -682,7 +682,7 @@ def test_span_check_fails_for_a_chain_cut_off_inside_its_level(monkeypatch):
     # merging levels 0 and 2 keeps the total count at cutoff + 1, and must not hide it
     bm = enumerate_chains(4, 2)
     cut, a, b = bm.index_of((1, 1, 0)), bm.index_of((0, 0, 0)), bm.index_of((2, 0, 0))
-    honest = _generator_triplets
+    honest = build_angular_momentum
 
     def split(cfg, h, j):
         op = honest(cfg, h, j).to_dense()
@@ -692,7 +692,7 @@ def test_span_check_fails_for_a_chain_cut_off_inside_its_level(monkeypatch):
             op[a, b] = op[b, a] = 0.5
         return triplets_of(op)
 
-    monkeypatch.setattr(fuzzyd.operators, "_generator_triplets", split)
+    monkeypatch.setattr(fuzzyd.operators, "build_angular_momentum", split)
     generators = [split(CFG42, h, j).to_dense() for h, j in _generator_pairs(4)]
     assert components(generators) == CFG42.cutoff + 1
     check = _span_check(CFG42)
@@ -728,6 +728,30 @@ def test_sparse_operator_json_roundtrip():
     assert obj["entries"] == sorted(obj["entries"], key=lambda e: (e[0], e[1]))
     back = SparseOperator.from_json_obj(json.loads(json.dumps(obj)))
     assert back == op
+    # signed zeros and extreme magnitudes survive the written form bit for bit
+    vals = np.array([complex(-0.0, 0.5), complex(1e-300, -0.0), complex(-1e300, 0.0)])
+    odd = SparseOperator(3, np.array([0, 1, 2]), np.array([2, 0, 1]), vals)
+    back = SparseOperator.from_json_obj(json.loads(odd.to_json_text()))
+    assert back.rows.dtype == back.cols.dtype == np.int64
+    assert np.array_equal(back.rows, odd.rows) and np.array_equal(back.cols, odd.cols)
+    assert np.array_equal(back.vals.view(np.uint64), vals.view(np.uint64))
+    empty = SparseOperator.from_json_obj(json.loads(build_position(FuzzyConfig(D=4, cutoff=0, k=1.0), 1).to_json_text()))
+    assert empty.dim == 1 and empty.entries == () and empty.rows.dtype == np.int64
+
+
+def test_sparse_operator_equality_compares_dimension_positions_and_values():
+    op = build_position(CFG42, 2)
+    assert op == SparseOperator(op.dim, op.rows.copy(), op.cols.copy(), op.vals.copy())
+    assert op == SparseOperator.from_dense(op.to_dense())
+    assert op != SparseOperator(op.dim + 1, op.rows, op.cols, op.vals)
+    assert op != op.with_values(op.vals * (1 + 1e-15))
+    assert op != op.where(np.arange(len(op.vals)) > 0)
+    assert op != SparseOperator(op.dim, op.rows, op.cols[::-1], op.vals)
+    assert op != op.entries  # not an operator
+    # values compare as numbers: -0.0 equals 0.0, and NaN equals nothing
+    zero, nan = (SparseOperator(1, np.array([0]), np.array([0]), np.array([v])) for v in (0j, complex(math.nan, 0)))
+    assert zero == zero.with_values(np.array([complex(-0.0, -0.0)]))
+    assert nan != nan
 
 
 def test_sparse_operator_drops_noise_and_validates():

@@ -101,8 +101,8 @@ def test_orientation_flip_negates_positions():
 
 
 def test_orientation_check_fails_when_the_flip_is_ignored(monkeypatch):
-    honest = realization._ambient_triplets
-    monkeypatch.setattr(realization, "_ambient_triplets", lambda cfg, h, j, orientation=-1: honest(cfg, h, j))
+    honest = realization.ambient_generator
+    monkeypatch.setattr(realization, "ambient_generator", lambda cfg, h, j, orientation=-1: honest(cfg, h, j))
     cfg = FuzzyConfig(D=3, cutoff=3, k=1e3)
     checks = {c.name: c for c in verify_isomorphism(cfg).checks}
     assert not checks["negating the extra-index generators negates every position"].passed
