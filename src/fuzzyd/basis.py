@@ -110,12 +110,17 @@ def _extend(prefix, upper, entries_left):
         yield from _extend(prefix + (m,), m, entries_left - 1)
 
 
-def iter_chains(D, cutoff):
-    """All chains for (D, cutoff) in canonical (ascending lexicographic) order."""
+def level_chains(D, top):
+    """The chains with top entry `top`, in canonical (ascending lexicographic) order."""
     if D < 3:
         raise ValueError(f"ambient dimension must be >= 3, got {D}")
+    return sorted(_extend((top,), top, D - 2))
+
+
+def iter_chains(D, cutoff):
+    """All chains for (D, cutoff) in canonical (ascending lexicographic) order."""
     for top in range(cutoff + 1):
-        yield from sorted(_extend((top,), top, D - 2))
+        yield from level_chains(D, top)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .harmonics import verify_harmonics
 from .operators import (
     TOL_DEGREE2,
     _casimir_tower,
+    _degree2_tolerance,
     build_angular_momentum,
     build_position,
     build_projector,
@@ -126,11 +127,12 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
+    tol_degree2 = _degree2_tolerance(args.tol_degree2)  # before any suite runs, whichever reads it
     cfg = _config(args)
     out = _output_dir(args.out) if args.out else None
     reports = []
     if args.suite in ("algebra", "all"):
-        reports.append(verify_algebra(cfg, tol_degree2=args.tol_degree2))
+        reports.append(verify_algebra(cfg, tol_degree2=tol_degree2))
     if args.suite in ("harmonics", "all"):
         level_max = min(cfg.cutoff + 1, 4)
         reports.append(verify_harmonics(cfg.D, level_max))

@@ -239,6 +239,8 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
 
 def coordinate_coefficients(D, h):
     """Harmonic expansion coefficients of the unit coordinate t_h."""
+    if not 1 <= h <= D:
+        raise ValueError(f"coordinate index {h} outside 1..{D}")
     mono = tuple(1 if i == h - 1 else 0 for i in range(D))
     return {chain: val for chain, val in _project({mono: 1.0 + 0j}, D, (1,)).items() if abs(val) > 1e-14}
 

@@ -2,14 +2,16 @@
 
 Each basis polynomial comes in closed form from the Gelfand-Tsetlin product
 formula: an azimuthal power (x_1 +- i x_2)^|l_1| times one homogenised
-Gegenbauer polynomial per casimir order, with exact Gaussian-rational
-coefficients.  Nothing in that construction uses the ladder recursion, so the
-basis is an independent oracle for it; the harmonics suite certifies the
-construction from its definitions by applying the flat Laplacian, every
-casimir of the commuting tower and the azimuthal generator in exact integer
-arithmetic, and by counting against the dimension of the harmonic space.
-Each polynomial is normalised and multiplied by (-1)^{l_1} when l_1 < 0;
-that closed-form phase is the one the sin/cos ladder recurrences assume.
+Gegenbauer polynomial per casimir order.  It is built once, exactly, as two
+integer columns over the monomials, its real and imaginary parts up to a
+positive integer factor.  Nothing in that construction uses the ladder
+recursion, so the basis is an independent oracle for it; the harmonics suite
+certifies the construction from its definitions by applying the flat
+Laplacian, every casimir of the commuting tower and the azimuthal generator
+to those columns in exact integer arithmetic, and by counting against the
+dimension of the harmonic space.  The float polynomial is the columns
+normalised and multiplied by (-1)^{l_1} when l_1 < 0; that closed-form phase
+is the one the sin/cos ladder recurrences assume.
 
 Every expansion coefficient on this basis is one sphere inner product
 <Y_c, P>, taken by `_project`: products of harmonics, the coordinates, and
@@ -35,8 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _moves
-from ._exact import QQi
-from .basis import dimension, enumerate_chains, iter_chains, level_dimension
+from .basis import dimension, enumerate_chains, level_chains, level_dimension
 from .operators import (
     ENTRY_DROP,
     SparseOperator,
@@ -231,84 +232,98 @@ def _laplacian(V, D, degree):
 # exact construction and its checks
 
 
+def _times(V, D, degree, h, power=1):
+    """x_h^power V (h 0-based) on the columns V over monomials(D, degree)."""
+    return _move(V, D, degree, tuple(power * (i == h) for i in range(D)))
+
+
 def _azimuthal_power(D, m):
-    """(x_1 + i sgn(m) x_2)^|m| as an exact coefficient dict."""
-    i_sgn = QQi(0, 1 if m >= 0 else -1)
-    units = [QQi(1), i_sgn, QQi(-1), -i_sgn]
-    return {(abs(m) - j, j) + (0,) * (D - 2): math.comb(abs(m), j) * units[j % 4] for j in range(abs(m) + 1)}
-
-
-def _gegenbauer_factor(D, p, n, alpha):
-    """rho_p^n C_n^alpha(x_p / rho_p), rho_p^2 = x_1^2 + ... + x_p^2, as an exact coefficient dict.
-
-    Term k of the Gegenbauer sum, (-1)^k (alpha)_{n-k} 2^{n-2k} / (k! (n-2k)!)
-    x_p^{n-2k} rho_p^{2k}, is expanded by the multinomial theorem.
-    """
-    out = {}
-    for k in range(n // 2 + 1):
-        rising = math.prod((alpha + i for i in range(n - k)), start=Fraction(1))
-        c = (-1) ** k * rising * 2 ** (n - 2 * k) / math.factorial(n - 2 * k)
-        for beta in monomials(p, k):
-            key = [2 * b for b in beta] + [0] * (D - p)
-            key[p - 1] += n - 2 * k
-            key = tuple(key)
-            term = c / math.prod(math.factorial(b) for b in beta)
-            out[key] = out[key] + term if key in out else term
-    return {k: v for k, v in out.items() if v}
+    """(x_1 + i sgn(m) x_2)^|m| as integer [re, im] columns over monomials(D, |m|)."""
+    vec = np.array([[1, 0]], dtype=object)
+    for degree in range(abs(m)):
+        x2 = _times(vec, D, degree, 1)
+        vec = _times(vec, D, degree, 0) + (1 if m > 0 else -1) * np.column_stack([-x2[:, 1], x2[:, 0]])
+    return vec
 
 
 @functools.lru_cache(maxsize=None)
-def _exact_chain_vectors(D, degree):
-    """Exact unnormalized harmonic vector per chain with top entry `degree`.
+def _gegenbauer_terms(n, alpha):
+    """Integers proportional to the terms of rho^n C_n^alpha(x / rho) = sum_k g_k x^{n-2k} rho^{2k}, k = 0..n//2.
 
-    Gelfand-Tsetlin product formula: for the chain (l_{D-1}, ..., l_2, l_1),
-    Y = (x_1 + i sgn(l_1) x_2)^|l_1| prod_{p=3..D} rho_p^n C_n^alpha(x_p / rho_p)
-    with n = l_{p-1} - l_{p-2} and alpha = l_{p-2} + (p-2)/2, reading |l_1|
-    for l_{p-2} at p = 3.
+    g_k = (-1)^k (alpha)_{n-k} 2^{n-2k} / (k! (n-2k)!), cleared to integers
+    with the lcm of its denominators, so a positive multiple of the g_k.
     """
-    out = {}
-    for chain in iter_chains(D, degree):
-        if chain[0] != degree:
-            continue
-        vec = _azimuthal_power(D, chain[-1])
-        for p in range(3, D + 1):
-            lower = abs(chain[D - p + 1])
-            vec = poly_mul(vec, _gegenbauer_factor(D, p, chain[D - p] - lower, lower + Fraction(p - 2, 2)))
-        out[chain] = vec
+    terms = [
+        (-1) ** k * math.prod((alpha + i for i in range(n - k)), start=Fraction(1)) * 2 ** (n - 2 * k)
+        / (math.factorial(k) * math.factorial(n - 2 * k))
+        for k in range(n // 2 + 1)
+    ]
+    lcm = math.lcm(*(c.denominator for c in terms))
+    return tuple(int(c * lcm) for c in terms)
+
+
+def _gegenbauer_factor(V, D, degree, p, n, alpha):
+    """rho_p^n C_n^alpha(x_p / rho_p) V up to a positive integer, on the columns V over monomials(D, degree).
+
+    rho_p^2 = x_1^2 + ... + x_p^2; term k multiplies V by rho_p^2 k times, then by x_p^{n-2k}.
+    """
+    out, rho_power = 0, V  # rho_p^{2k} V
+    for k, g in enumerate(_gegenbauer_terms(n, alpha)):
+        if k:
+            rho_power = sum(_times(rho_power, D, degree + 2 * k - 2, i, 2) for i in range(p))
+        out = out + g * _times(rho_power, D, degree + 2 * k, p - 1, n - 2 * k)
     return out
 
 
-def _integer_columns(vectors, D, degree):
-    """[re | im]: each exact dict times the lcm of its denominators, as integer columns over monomials(D, degree).
+def _exact_integers(cols, D, degree):
+    """Integer columns over monomials(D, degree) as int64 when the exact checks cannot overflow it, else as Python ints.
 
     A rotation has at most two entries per row, each at most `degree`, so the
     images and eigenvalue multiples the exact checks form are bounded by
     (2 D (degree + 1))^2 times the largest entry: int64 when that stays below
-    2^62, Python integers otherwise.
+    2^62, dtype object otherwise.
     """
-    index = _exponents(D, degree)[1]
-    out = np.zeros((len(index), 2 * len(vectors)), dtype=object)
-    largest = 0
-    for col, vec in enumerate(vectors):
-        lcm = math.lcm(*(x.denominator for c in vec.values() for x in (c.re, c.im)))
-        for alpha, c in vec.items():
-            re, im = c.re.numerator * (lcm // c.re.denominator), c.im.numerator * (lcm // c.im.denominator)
-            out[index[alpha], col], out[index[alpha], len(vectors) + col] = re, im
-            largest = max(largest, abs(re), abs(im))
-    return out.astype(np.int64) if largest * (2 * D * (degree + 1)) ** 2 < 2**62 else out
+    largest = int(np.abs(cols).max(initial=0))
+    return cols.astype(np.int64 if largest * (2 * D * (degree + 1)) ** 2 < 2**62 else object)
 
 
-def _exact_failures(vectors, chains, D, degree):
-    """Per exact vector: whether its flat Laplacian is nonzero, and how many tower eigen-equations fail.
+@functools.lru_cache(maxsize=None)
+def _exact_chain_vectors(D, degree):
+    """The chains with top entry `degree` in canonical order, and their exact harmonics as read-only integer columns.
 
-    The tower is C_D, ..., C_2 with eigenvalues m (m + p - 2) read from the
-    chain labels, and L_12 = t_1 d_2 - t_2 d_1 with eigenvalue i l_1.  On the
-    integer parts re, im of a vector (see `_integer_columns`) these are the
-    integer identities C re = e re, C im = e im, L_12 re = -l_1 im and
-    L_12 im = l_1 re, so the checks are exact.
+    Gelfand-Tsetlin product formula: for the chain (l_{D-1}, ..., l_2, l_1),
+    Y = (x_1 + i sgn(l_1) x_2)^|l_1| prod_{p=3..D} rho_p^n C_n^alpha(x_p / rho_p)
+    with n = l_{p-1} - l_{p-2} and alpha = l_{p-2} + (p-2)/2, reading |l_1|
+    for l_{p-2} at p = 3.  For k chains the columns are [re | im] over
+    monomials(D, degree): column c and k + c hold a positive integer multiple
+    of the real and imaginary parts of chain c's Y.
     """
-    cols = _integer_columns(vectors, D, degree)
-    k = len(vectors)
+    chains = tuple(level_chains(D, degree))
+    vectors = []
+    for chain in chains:
+        vec = _azimuthal_power(D, chain[-1])
+        for p in range(3, D + 1):
+            lower = abs(chain[D - p + 1])
+            if chain[D - p] > lower:
+                vec = _gegenbauer_factor(vec, D, lower, p, chain[D - p] - lower, lower + Fraction(p - 2, 2))
+        vectors.append(vec)
+    cols = _exact_integers(np.hstack([v[:, :1] for v in vectors] + [v[:, 1:] for v in vectors]), D, degree)
+    cols.flags.writeable = False
+    return chains, cols
+
+
+def _exact_failures(cols, chains, D, degree):
+    """Per chain: whether the flat Laplacian of its exact vector is nonzero, and how many tower eigen-equations fail.
+
+    `cols` holds the integer parts [re | im] of one vector per chain over
+    monomials(D, degree), as `_exact_chain_vectors` returns them.  The tower
+    is C_D, ..., C_2 with eigenvalues m (m + p - 2) read from the chain
+    labels, and L_12 = t_1 d_2 - t_2 d_1 with eigenvalue i l_1.  On re and im
+    these are the integer identities C re = e re, C im = e im,
+    L_12 re = -l_1 im and L_12 im = l_1 re, so the checks are exact.
+    """
+    cols = _exact_integers(cols, D, degree)
+    k = len(chains)
     labels = np.array(chains, dtype=np.int64).reshape(k, D - 1).astype(cols.dtype)
 
     def per_vector(bad):
@@ -336,8 +351,6 @@ class HarmonicPolynomial:
     chain: tuple
     degree: int
     coefficients: dict = field(repr=False)
-    exact: dict = field(repr=False)      # unnormalized Gaussian-rational coefficients
-    scale: float = field(repr=False)     # coefficients == scale * exact
 
     def __call__(self, points):
         return poly_eval(self.coefficients, points)
@@ -351,12 +364,14 @@ class HarmonicBasis(dict):
     """{chain: HarmonicPolynomial} of one degree, with the same polynomials as the columns of `matrix`.
 
     `matrix` is Y_d, the coefficients over monomials(D, degree), one column
-    per chain in the dict's order.
+    per chain in the dict's order; `exact` is the exact form, the integer
+    columns [re | im] of `_exact_chain_vectors`.
     """
 
-    def __init__(self, polys, matrix):
+    def __init__(self, polys, matrix, exact):
         super().__init__(polys)
         self.matrix = matrix
+        self.exact = exact
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -370,26 +385,18 @@ def harmonic_basis(D, degree):
     """
     D = _integer_at_least(D, 3, "ambient dimension")
     degree = _integer_at_least(degree, 0, "degree")
-    exact = _exact_chain_vectors(D, degree)
-    chains = sorted(exact)
-    index = _exponents(D, degree)[1]
-    floats = np.zeros((len(index), len(chains)), dtype=complex)
-    for col, chain in enumerate(chains):
-        for alpha, c in exact[chain].items():
-            floats[index[alpha], col] = complex(c)
+    chains, exact = _exact_chain_vectors(D, degree)
+    floats = exact.astype(float)
+    floats = floats[:, : len(chains)] + 1j * floats[:, len(chains) :]
     norms = np.sum(floats.conj() * (_moments(D, degree, degree) @ floats), axis=0).real
     scales = [(-1) ** max(-chain[-1], 0) / math.sqrt(norm) for chain, norm in zip(chains, norms)]
+    matrix = floats * np.array(scales)
+    monos = monomials(D, degree)
     polys = {
-        chain: HarmonicPolynomial(
-            chain=chain,
-            degree=degree,
-            coefficients={alpha: scale * complex(c) for alpha, c in exact[chain].items()},
-            exact=exact[chain],
-            scale=scale,
-        )
-        for chain, scale in zip(chains, scales)
+        chain: HarmonicPolynomial(chain, degree, {monos[i]: complex(column[i]) for i in np.flatnonzero(column)})
+        for chain, column in zip(chains, matrix.T)
     }
-    return HarmonicBasis(polys, floats * np.array(scales))
+    return HarmonicBasis(polys, matrix, exact)
 
 
 def _basis_inner(D, degree, parts, columns):
@@ -512,10 +519,7 @@ def _substitute(coeffs, D, ops):
 
 def build_fuzzy_harmonic(chain, cfg):
     """Symmetrized substitution of position operators into a basis harmonic."""
-    chain = tuple(chain)
-    if chain[0] > 2 * cfg.cutoff:
-        raise ValueError(f"degree {chain[0]} exceeds 2*cutoff = {2 * cfg.cutoff}; the operator vanishes identically")
-    return approximate_function({chain: 1.0}, cfg)
+    return approximate_function({tuple(chain): 1.0}, cfg)
 
 
 def _fuzzy_image(coeffs, cfg, positions):
@@ -558,7 +562,7 @@ def verify_harmonics(D, level_max):
         gram = basis.matrix.conj().T @ _moments(D, l, l) @ basis.matrix
         gram_dev = max(gram_dev, _max_entry(gram - np.eye(len(basis))))
         lap_float_dev = max(lap_float_dev, _max_entry(_laplacian(basis.matrix, D, l)))
-        lap_bad, tower_bad = _exact_failures([p.exact for p in basis.values()], list(basis), D, l)
+        lap_bad, tower_bad = _exact_failures(basis.exact, list(basis), D, l)
         lap_exact_bad += int(np.count_nonzero(lap_bad))
         eig_bad += int(tower_bad.sum())
     report.add("basis sizes match the counting formula", float(count_bad), 0.0)

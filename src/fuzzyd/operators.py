@@ -534,14 +534,20 @@ def _reflection_deviation(generators, positions, perm, phase):
     return dev
 
 
+def _degree2_tolerance(tol):
+    """`tol` if it is finite and >= 0, else ValueError: inf would leave the degree-2 checks unasserted, NaN or < 0 fail them."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"degree-2 tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
 def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     """Check every algebraic relation the operators are supposed to satisfy.
 
     Every operator is held as triplets; diagonal operators (projectors,
     parity, label functions) act as vectors on the row or column labels.
     """
-    if not 0 <= tol_degree2 < math.inf:
-        raise ValueError(f"degree-2 tolerance must be finite and >= 0, got {tol_degree2}")
+    tol_degree2 = _degree2_tolerance(tol_degree2)
     D, lam, k = cfg.D, cfg.cutoff, cfg.k
     basis = basis_of(cfg)
     n = len(basis)

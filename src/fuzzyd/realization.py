@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _moves
-from .basis import basis_of, dimension, iter_chains
+from .basis import basis_of, dimension, level_chains
 from .coefficients import radial_weight, reduced_element
 from .operators import (
     SparseOperator,
@@ -140,7 +140,7 @@ def verify_isomorphism(cfg):
     D, lam = cfg.D, cfg.cutoff
     report = VerificationReport(config=f"D={D}, cutoff={lam}, k={cfg.k:.6g}")
 
-    count = sum(1 for _ in iter_chains(D + 1, lam) if _[0] == lam)
+    count = len(level_chains(D + 1, lam))
     report.add(
         "identified bases have equal dimension",
         abs(count - dimension(D, lam)),

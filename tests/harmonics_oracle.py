@@ -4,13 +4,14 @@
 runs its exact checks on integer coefficient columns.  The loops here are the
 definitions those replace: the inner product as a double sum over monomial
 pairs, and the flat Laplacian, the rotations t_h d_j - t_j d_h and the
-casimirs applied to coefficient dicts in Gaussian-rational arithmetic.
+casimirs applied one monomial at a time to integer coefficient dicts, the
+real and imaginary parts of an exact harmonic, with no use of the monomial
+shifts the package applies to whole columns.
 """
 
 import numpy as np
 
-from fuzzyd._exact import QQi
-from fuzzyd.harmonics import harmonic_basis, sphere_integral
+from fuzzyd.harmonics import harmonic_basis, monomials, sphere_integral
 
 
 def poly_inner(p, q, D):
@@ -32,56 +33,75 @@ def project(poly, D, degrees):
     }
 
 
+def column_dicts(cols, D, degree):
+    """Per chain, its integer parts (re, im) as {exponent tuple: int} dicts, read from the [re | im] columns over monomials(D, degree)."""
+    k = cols.shape[1] // 2
+    monos = monomials(D, degree)
+
+    def part(col):
+        return {alpha: int(cols[i, col]) for i, alpha in enumerate(monos) if cols[i, col]}
+
+    return [(part(c), part(k + c)) for c in range(k)]
+
+
 def laplacian(poly, D):
-    """Flat Laplacian of a monomial coefficient dict (QQi or complex scalars)."""
+    """Flat Laplacian of a monomial coefficient dict."""
     out = {}
     for alpha, c in poly.items():
         for h in range(D):
             if alpha[h] >= 2:
                 key = alpha[:h] + (alpha[h] - 2,) + alpha[h + 1:]
-                term = c * (alpha[h] * (alpha[h] - 1))
-                out[key] = out[key] + term if key in out else term
+                out[key] = out.get(key, 0) + c * (alpha[h] * (alpha[h] - 1))
     return {k: v for k, v in out.items() if v}
 
 
-def rotation_exact(vec, h, j):
-    """Apply t_h d_j - t_j d_h (h, j 1-based) to an exact coefficient dict."""
+def rotation(poly, h, j):
+    """Apply t_h d_j - t_j d_h (h, j 1-based) to a monomial coefficient dict."""
     out = {}
     h -= 1
     j -= 1
-    for alpha, c in vec.items():
+    for alpha, c in poly.items():
         if alpha[j]:
             key = list(alpha)
             key[h] += 1
             key[j] -= 1
             key = tuple(key)
-            out[key] = out.get(key, QQi(0)) + c * alpha[j]
+            out[key] = out.get(key, 0) + c * alpha[j]
         if alpha[h]:
             key = list(alpha)
             key[j] += 1
             key[h] -= 1
             key = tuple(key)
-            out[key] = out.get(key, QQi(0)) - c * alpha[h]
+            out[key] = out.get(key, 0) - c * alpha[h]
     return {k: v for k, v in out.items() if v}
 
 
-def casimir_exact(vec, order):
-    """Apply C_order = -sum_{h<j<=order} (t_h d_j - t_j d_h)^2 to an exact coefficient dict."""
+def casimir(poly, order):
+    """Apply C_order = -sum_{h<j<=order} (t_h d_j - t_j d_h)^2 to a monomial coefficient dict."""
     out = {}
     for h in range(1, order + 1):
         for j in range(h + 1, order + 1):
-            twice = rotation_exact(rotation_exact(vec, h, j), h, j)
-            for k, v in twice.items():
-                out[k] = out.get(k, QQi(0)) - v
+            for k, v in rotation(rotation(poly, h, j), h, j).items():
+                out[k] = out.get(k, 0) - v
     return {k: v for k, v in out.items() if v}
 
 
-def is_eigenvector(image, vec, eigenvalue):
-    return not any(image.get(a, QQi(0)) - eigenvalue * vec.get(a, QQi(0)) for a in set(image) | set(vec))
+def is_multiple(image, poly, factor):
+    """image == factor * poly, coefficient by coefficient."""
+    return not any(image.get(a, 0) - factor * poly.get(a, 0) for a in set(image) | set(poly))
 
 
-def exact_failures(vec, chain, D):
-    """(flat Laplacian nonzero, number of failing tower eigen-equations) for one exact vector under `chain`'s labels."""
-    tower = [(casimir_exact(vec, order), QQi(m * (m + order - 2))) for order, m in zip(range(D, 1, -1), chain)]
-    tower.append((rotation_exact(vec, 1, 2), QQi(0, chain[-1])))
-    return bool(laplacian(vec, D)), sum(not is_eigenvector(image, vec, e) for image, e in tower)
+def exact_failures(re, im, chain, D):
+    """(flat Laplacian nonzero, number of failing tower eigen-equations) for the vector re + i im under `chain`'s labels.
+
+    C_p is real, so C_p (re + i im) = e (re + i im) holds iff it holds for re
+    and im alike; L_12 (re + i im) = i l_1 (re + i im) couples the two as
+    L_12 re = -l_1 im and L_12 im = l_1 re.
+    """
+    tower = [
+        is_multiple(casimir(re, order), re, e) and is_multiple(casimir(im, order), im, e)
+        for order, e in ((order, m * (m + order - 2)) for order, m in zip(range(D, 1, -1), chain))
+    ]
+    l1 = chain[-1]
+    tower.append(is_multiple(rotation(re, 1, 2), im, -l1) and is_multiple(rotation(im, 1, 2), re, l1))
+    return bool(laplacian(re, D) or laplacian(im, D)), sum(not ok for ok in tower)

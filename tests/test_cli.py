@@ -124,6 +124,12 @@ def test_config_errors_exit_two(capsys):
     for tol in ("inf", "nan", "-1"):
         assert main(["verify", "--suite", "algebra", "--d", "3", "--lambda", "2", "--tol-degree2", tol]) == 2
         assert f"degree-2 tolerance must be finite and >= 0, got {float(tol)}" in capsys.readouterr().err
+    # the flag is checked before any suite runs, also for the suites that never read it
+    for suite, tol in (("harmonics", "-1"), ("isomorphism", "nan"), ("harmonics", "inf")):
+        assert main(["verify", "--suite", suite, "--d", "3", "--lambda", "2", "--tol-degree2", tol]) == 2
+        captured = capsys.readouterr()
+        assert f"degree-2 tolerance must be finite and >= 0, got {float(tol)}" in captured.err
+        assert "verification report" not in captured.out
 
 
 def test_malformed_flags_exit_two():

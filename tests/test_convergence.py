@@ -172,6 +172,13 @@ def test_product_diagnostic_for_coordinate_function():
         assert r.operator_norm <= r.norm_bound
 
 
+@pytest.mark.parametrize("h", [0, 4, -1])
+def test_coordinate_index_outside_the_dimension_is_refused(h):
+    # t_h for h outside 1..D used to project to no coefficients at all, and the diagnostic then failed in max()
+    with pytest.raises(ValueError, match=f"coordinate index {h} outside 1..3"):
+        coordinate_coefficients(3, h)
+
+
 def test_product_diagnostic_rejects_degrees_beyond_twice_the_cutoff():
     with pytest.raises(ValueError):
         product_convergence_diagnostic({(3, 0): 1.0}, {(0, 0): 1.0}, 3, [1])

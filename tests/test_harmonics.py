@@ -1,11 +1,9 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fuzzyd import harmonics
-from fuzzyd._exact import QQi
 from fuzzyd.basis import FuzzyConfig, enumerate_chains, level_dimension
 from fuzzyd.convergence import coordinate_coefficients, expand_product
 from fuzzyd.harmonics import (
@@ -82,9 +80,17 @@ def _harmonic_dimension(D, l):
     return len(monomials(D, l)) - (len(monomials(D, l - 2)) if l >= 2 else 0)
 
 
-def _proportional(vec, ref):
+def _vector(D, degree, chain):
+    """The exact vector of `chain` as {exponent tuple: re + i im}; its Gaussian integers are small, so complex holds them exactly."""
+    chains, cols = _exact_chain_vectors(D, degree)
+    re, im = oracle.column_dicts(cols, D, degree)[chains.index(chain)]
+    return {a: complex(re.get(a, 0), im.get(a, 0)) for a in set(re) | set(im)}
+
+
+def _positive_multiple(vec, ref):
     b = next(iter(ref))
-    return set(vec) == set(ref) and all(vec[a] * ref[b] == vec[b] * ref[a] for a in ref)
+    ratio = vec.get(b, 0) * complex(ref[b]).conjugate()  # a positive multiple of vec[b] / ref[b]
+    return set(vec) == set(ref) and ratio.real > 0 and ratio.imag == 0 and all(vec[a] * ref[b] == vec[b] * ref[a] for a in ref)
 
 
 def test_counting_formula_is_the_harmonic_dimension():
@@ -96,20 +102,22 @@ def test_counting_formula_is_the_harmonic_dimension():
 @pytest.mark.parametrize("D", range(3, 8))
 def test_exact_vectors_solve_their_defining_equations(D):
     for degree in range(5):
-        vectors = _exact_chain_vectors(D, degree)
-        assert len(vectors) == _harmonic_dimension(D, degree)
-        for chain, vec in vectors.items():
-            assert not oracle.laplacian(vec, D)
-            for order, m in zip(range(D, 1, -1), chain):
-                assert oracle.is_eigenvector(oracle.casimir_exact(vec, order), vec, QQi(m * (m + order - 2)))
-            assert oracle.is_eigenvector(oracle.rotation_exact(vec, 1, 2), vec, QQi(0, chain[-1]))
+        chains, cols = _exact_chain_vectors(D, degree)
+        assert len(chains) == _harmonic_dimension(D, degree)
+        # every honest basis fits int64 under the overflow bound, and the cached columns cannot be written
+        assert cols.dtype == np.int64 and not cols.flags.writeable
+        with pytest.raises(ValueError):
+            cols[0, 0] = 0
+        for chain, (re, im) in zip(chains, oracle.column_dicts(cols, D, degree)):
+            assert oracle.exact_failures(re, im, chain, D) == (False, 0)
 
 
 def test_closed_form_values():
-    assert _proportional(_exact_chain_vectors(3, 2)[(2, 0)], {(0, 0, 2): 2, (2, 0, 0): -1, (0, 2, 0): -1})
-    assert _proportional(_exact_chain_vectors(3, 1)[(1, -1)], {(1, 0, 0): 1, (0, 1, 0): QQi(0, -1)})
+    # each chain's columns are a positive integer multiple of its product formula; the phase (-1)^{l_1} is not in them
+    assert _positive_multiple(_vector(3, 2, (2, 0)), {(0, 0, 2): 2, (2, 0, 0): -1, (0, 2, 0): -1})
+    assert _positive_multiple(_vector(3, 1, (1, -1)), {(1, 0, 0): 1, (0, 1, 0): -1j})
     # D=4, chain (2, 1, 1): (x_1 + i x_2) x_4, the Gegenbauer factor C_1^{3/2}
-    assert _proportional(_exact_chain_vectors(4, 2)[(2, 1, 1)], {(1, 0, 0, 1): 1, (0, 1, 0, 1): QQi(0, 1)})
+    assert _positive_multiple(_vector(4, 2, (2, 1, 1)), {(1, 0, 0, 1): 1, (0, 1, 0, 1): 1j})
 
 
 @pytest.mark.parametrize("D, degree, pinned", [(4, 3, "D4_DEGREE3"), (5, 2, "D5_DEGREE2")])
@@ -125,11 +133,18 @@ def test_float_coefficients_pinned(D, degree, pinned):
 
 @pytest.fixture
 def corrupt_basis(monkeypatch):
-    """Install `corrupt(D, degree, vectors) -> vectors` over the exact basis; the basis cache is emptied at each install."""
+    """Install `corrupt(D, degree, chains, cols) -> (chains, cols)` over the exact columns; the basis cache is emptied at each install.
+
+    `chains` is a list and `cols` a writable copy of the [re | im] columns.
+    """
     real = harmonics._exact_chain_vectors
 
     def install(corrupt):
-        monkeypatch.setattr(harmonics, "_exact_chain_vectors", lambda D, degree: corrupt(D, degree, dict(real(D, degree))))
+        def corrupted(D, degree):
+            chains, cols = real(D, degree)
+            return corrupt(D, degree, list(chains), cols.copy())
+
+        monkeypatch.setattr(harmonics, "_exact_chain_vectors", corrupted)
         harmonics.harmonic_basis.cache_clear()
 
     harmonics.harmonic_basis.cache_clear()
@@ -137,111 +152,119 @@ def corrupt_basis(monkeypatch):
     harmonics.harmonic_basis.cache_clear()
 
 
-def _checks(report):
-    return {c.name: c.passed for c in report.checks}
+def _failed(report):
+    return {c.name for c in report.checks if not c.passed}
+
+
+def _pair(chains, chain):
+    """The columns [re, im] of `chain`."""
+    c = chains.index(chain)
+    return [c, len(chains) + c]
+
+
+EXACT_LAPLACIAN = "flat laplacian annihilates every element, exactly"
+EXACT_TOWER = "commuting-tower eigenvalues match chain labels, exactly"
+ELEMENTS = "multiplication elements: recursion vs quadrature"
+# two azimuthal vectors summed into one column: not normalised, and the products built on it are wrong
+MIXED = {
+    EXACT_TOWER,
+    ELEMENTS,
+    "orthonormal under the sphere inner product",
+    "products reconstruct pointwise on random sphere points",
+    "products satisfy the norm identity",
+}
 
 
 def test_dropped_chain_fails_the_count(corrupt_basis):
-    def drop(D, degree, vectors):
+    def drop(D, degree, chains, cols):
         if degree == 2:
-            del vectors[(2, 2)]
-        return vectors
+            cols = np.delete(cols, _pair(chains, (2, 2)), axis=1)
+            chains.remove((2, 2))
+        return chains, cols
 
     corrupt_basis(drop)
-    assert not _checks(verify_harmonics(3, 2))["basis sizes match the counting formula"]
+    assert _failed(verify_harmonics(3, 2)) == {"basis sizes match the counting formula", ELEMENTS}
 
 
 def test_radial_admixture_fails_the_exact_checks(corrupt_basis):
     # r^2 Y_(1,1,1) has the lower labels of (3, 1, 1) but is not harmonic
-    real_vectors = harmonics._exact_chain_vectors
+    lower_chains, lower = harmonics._exact_chain_vectors(4, 1)
     r2 = {tuple(2 * (i == h) for i in range(4)): 1 for h in range(4)}
+    index = {alpha: i for i, alpha in enumerate(monomials(4, 3))}
+    admixture = [poly_mul(r2, part) for part in oracle.column_dicts(lower[:, _pair(lower_chains, (1, 1, 1))], 4, 1)[0]]
 
-    def admix(D, degree, vectors):
+    def admix(D, degree, chains, cols):
         if degree == 3:
-            lower = poly_mul(r2, real_vectors(D, 1)[(1, 1, 1)])
-            vec = dict(vectors[(3, 1, 1)])
-            for alpha, c in lower.items():
-                vec[alpha] = vec[alpha] + c if alpha in vec else c
-            vectors[(3, 1, 1)] = vec
-        return vectors
+            for col, part in zip(_pair(chains, (3, 1, 1)), admixture):
+                for alpha, c in part.items():
+                    cols[index[alpha], col] += c
+        return chains, cols
 
     corrupt_basis(admix)
-    checks = _checks(verify_harmonics(4, 3))
-    assert not checks["flat laplacian annihilates every element, exactly"]
-    assert not checks["commuting-tower eigenvalues match chain labels, exactly"]
+    float_laplacian = "flat laplacian annihilates every element, floats"
+    assert _failed(verify_harmonics(4, 3)) == {EXACT_LAPLACIAN, EXACT_TOWER, float_laplacian, ELEMENTS}
+
+
+def _mix(D, degree, chains, cols):
+    if degree == 2:
+        cols[:, _pair(chains, (2, 1))] += cols[:, _pair(chains, (2, -1))]
+    return chains, cols
 
 
 def test_mixed_azimuthal_labels_fail_the_tower(corrupt_basis):
-    # same Laplacian and casimir labels, so only the azimuthal generator sees it
-    def mix(D, degree, vectors):
-        if degree == 2:
-            plus, minus = vectors[(2, 1)], vectors[(2, -1)]
-            vectors[(2, 1)] = {a: plus.get(a, QQi(0)) + minus.get(a, QQi(0)) for a in set(plus) | set(minus)}
-        return vectors
-
-    corrupt_basis(mix)
-    checks = _checks(verify_harmonics(3, 2))
-    assert checks["flat laplacian annihilates every element, exactly"]
-    assert not checks["commuting-tower eigenvalues match chain labels, exactly"]
+    # same Laplacian and casimir labels, so only the azimuthal generator sees it among the exact checks
+    corrupt_basis(_mix)
+    assert _failed(verify_harmonics(3, 2)) == MIXED
 
 
 def test_wrong_azimuthal_sign_is_caught(corrupt_basis):
-    def flip(D, degree, vectors):
+    def flip(D, degree, chains, cols):
         if degree == 2:
-            vectors[(2, 1)], vectors[(2, -1)] = vectors[(2, -1)], vectors[(2, 1)]
-        return vectors
+            plus, minus = _pair(chains, (2, 1)), _pair(chains, (2, -1))
+            cols[:, plus + minus] = cols[:, minus + plus]
+        return chains, cols
 
     corrupt_basis(flip)
     # each vector now sits under the other's label, which only the azimuthal generator sees
-    checks = _checks(verify_harmonics(3, 2))
-    assert checks["flat laplacian annihilates every element, exactly"]
-    assert not checks["commuting-tower eigenvalues match chain labels, exactly"]
+    assert _failed(verify_harmonics(3, 2)) == {EXACT_TOWER, ELEMENTS}
 
 
 def test_imaginary_shift_below_float_resolution_fails_the_tower(corrupt_basis):
-    # 1e-40 i z^2 on Y_(2,0) is far below every float tolerance; only exact arithmetic sees it
-    def shift(D, degree, vectors):
+    # i z^2 on 10^40 Y_(2,0) is far below every float tolerance; only exact arithmetic sees it
+    def shift(D, degree, chains, cols):
         if degree == 2:
-            vec = dict(vectors[(2, 0)])
-            vec[(0, 0, 2)] = vec[(0, 0, 2)] + QQi(0, Fraction(1, 10**40))
-            vectors[(2, 0)] = vec
-        return vectors
+            re, im = _pair(chains, (2, 0))
+            cols = cols.astype(object)
+            cols[:, [re, im]] *= 10**40
+            cols[monomials(3, 2).index((0, 0, 2)), im] += 1
+            # no honest basis reaches the Python-integer branch of the exact checks; this one must
+            assert harmonics._exact_integers(cols, D, degree).dtype == object
+        return chains, cols
 
     corrupt_basis(shift)
-    checks = _checks(verify_harmonics(3, 2))
-    assert checks["orthonormal under the sphere inner product"]
-    assert checks["flat laplacian annihilates every element, floats"]
-    assert not checks["commuting-tower eigenvalues match chain labels, exactly"]
+    assert _failed(verify_harmonics(3, 2)) == {EXACT_LAPLACIAN, EXACT_TOWER}
 
 
 def test_corruption_after_a_verify_is_not_hidden_by_the_cache(corrupt_basis):
     # everything derived from the basis lives in harmonic_basis's cache, so clearing it must be enough
     assert verify_harmonics(3, 2).all_passed
-
-    def mix(D, degree, vectors):
-        if degree == 2:
-            plus, minus = vectors[(2, 1)], vectors[(2, -1)]
-            vectors[(2, 1)] = {a: plus.get(a, QQi(0)) + minus.get(a, QQi(0)) for a in set(plus) | set(minus)}
-        return vectors
-
-    corrupt_basis(mix)
-    checks = _checks(verify_harmonics(3, 2))
-    assert not checks["orthonormal under the sphere inner product"]
-    assert not checks["commuting-tower eigenvalues match chain labels, exactly"]
+    corrupt_basis(_mix)
+    assert _failed(verify_harmonics(3, 2)) == MIXED
 
 
 @pytest.mark.parametrize("D", range(3, 7))
 def test_integer_tower_matches_the_rational_oracle(D):
     # verdicts per chain under its own labels (all pass) and under the next chain's labels (mostly fail),
-    # and for the sum of neighbouring vectors, which is an eigenvector only when the labels agree
+    # and for the sum of neighbouring vectors, which is an eigenvector only when the labels agree;
+    # the oracle applies every operator one monomial at a time to the integer parts
     for degree in range(4):
-        basis = harmonic_basis(D, degree)
-        chains = list(basis)
-        vectors = [p.exact for p in basis.values()]
-        sums = [{a: u.get(a, QQi(0)) + v.get(a, QQi(0)) for a in set(u) | set(v)} for u, v in zip(vectors, vectors[1:])]
-        for vecs, labels in [(vectors, chains), (vectors, chains[1:] + chains[:1]), (sums, chains[:-1])]:
+        chains, cols = _exact_chain_vectors(D, degree)
+        re, im = np.hsplit(cols, 2)
+        sums = np.hstack([re[:, :-1] + re[:, 1:], im[:, :-1] + im[:, 1:]])
+        for vecs, labels in [(cols, chains), (cols, chains[1:] + chains[:1]), (sums, chains[:-1])]:
             lap, tower = _exact_failures(vecs, labels, D, degree)
-            expected = [oracle.exact_failures(v, c, D) for v, c in zip(vecs, labels)]
+            parts = oracle.column_dicts(vecs, D, degree)
+            expected = [oracle.exact_failures(r, i, c, D) for (r, i), c in zip(parts, labels)]
             assert [(bool(a), int(b)) for a, b in zip(lap, tower)] == expected
 
 
@@ -363,7 +386,7 @@ def test_perturbed_multiplication_matrix_fails_the_elements_check(monkeypatch):
             out[enumerate_chains(D, dst_cutoff).index_of((1, 0)), 0] *= 1.01  # <Y_(1,0), t_3 Y_(0,0)> = 1/sqrt(3)
         return out
 
-    assert _checks(verify_harmonics(3, 2))["multiplication elements: recursion vs quadrature"]
+    assert ELEMENTS not in _failed(verify_harmonics(3, 2))
     monkeypatch.setattr(harmonics, "multiplication_matrix", perturbed)
     report = verify_harmonics(3, 2)
     [check] = [c for c in report.checks if c.name == "multiplication elements: recursion vs quadrature"]
