@@ -22,22 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-Chain = tuple  # alias for readability; a chain is a tuple of ints
-
-
-def is_valid_chain(chain, D=None, cutoff=None):
-    """True iff the tuple satisfies the branching inequalities."""
-    if len(chain) < 2 or any(not isinstance(v, int) for v in chain):
-        return False
-    if D is not None and len(chain) != D - 1:
-        return False
-    top = chain[0]
-    if top < 0 or (cutoff is not None and top > cutoff):
-        return False
-    for a, b in zip(chain, chain[1:-1]):
-        if a < b or b < 0:
-            return False
-    return chain[-2] >= abs(chain[-1])
+def _integer_at_least(value, minimum, name):
+    """`value` as an int; ValueError unless it is an integer >= minimum (numpy integers included, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -140,11 +129,6 @@ class BasisMap:
     def __len__(self):
         return len(self.chains)
 
-    def chain_at(self, i):
-        if not 0 <= i < len(self.chains):
-            raise IndexError(f"basis ordinal {i} out of range [0, {len(self.chains)})")
-        return self.chains[i]
-
     def ordinals(self, labels):
         """The basis ordinal of every row of the (m, D - 1) int64 label matrix `labels`; -1 for a row not in the basis.
 
@@ -174,21 +158,14 @@ class BasisMap:
         out[~valid] = -1
         return out
 
-    def _ordinal(self, chain):
-        """The ordinal of one chain of integers, -1 if it is not in the basis."""
-        chain = tuple(chain)
-        if len(chain) != self.D - 1 or not all(isinstance(v, (int, np.integer)) and abs(v) <= self.cutoff for v in chain):
-            return -1
-        return int(self.ordinals([chain])[0])
-
     def index_of(self, chain):
-        i = self._ordinal(chain)
-        if i < 0:
-            raise KeyError(f"chain {chain} not in basis (D={self.D}, cutoff={self.cutoff})")
-        return i
-
-    def __contains__(self, chain):
-        return self._ordinal(chain) >= 0
+        """The ordinal of one chain of integers; KeyError if it is not in the basis."""
+        chain = tuple(chain)
+        if len(chain) == self.D - 1 and all(isinstance(v, (int, np.integer)) and abs(v) <= self.cutoff for v in chain):
+            i = int(self.ordinals([chain])[0])
+            if i >= 0:
+                return i
+        raise KeyError(f"chain {chain} not in basis (D={self.D}, cutoff={self.cutoff})")
 
     def to_json_obj(self):
         """JSON form: array of integer arrays, ordinal implicit by position."""

@@ -105,8 +105,9 @@ def radial_weight(l, cfg):
     sqrt(1 + (b(l) + b(l-1)) / (2k)) for 1 <= l <= cutoff, with b the
     centrifugal coefficient; defined as 0 at l = 0 and l = cutoff + 1 (no
     level below the bottom, nothing above the cutoff).  This truncated form
-    is the canonical weight used in all operator builds; the quadrature value
-    from the radial module is an independent cross-check.
+    is the canonical weight used in all operator builds; the Gauss-Hermite
+    quadrature of the radial ground states in `tests/radial_oracle.py` is an
+    independent cross-check.
     """
     if not 0 <= l <= cfg.cutoff + 1:
         raise ValueError(f"radial weight index {l} outside [0, cutoff+1={cfg.cutoff + 1}]")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _moves
-from .basis import FuzzyConfig, dimension, enumerate_chains
+from .basis import FuzzyConfig, _integer_at_least, dimension, enumerate_chains
 from .coefficients import centrifugal_coeff
 from .harmonics import (
     _fuzzy_image,
@@ -241,6 +241,7 @@ def coordinate_coefficients(D, h):
     """Harmonic expansion coefficients of the unit coordinate t_h."""
     if not 1 <= h <= D:
         raise ValueError(f"coordinate index {h} outside 1..{D}")
+    h = _integer_at_least(h, 1, "coordinate index")
     mono = tuple(1 if i == h - 1 else 0 for i in range(D))
     return {chain: val for chain, val in _project({mono: 1.0 + 0j}, D, (1,)).items() if abs(val) > 1e-14}
 

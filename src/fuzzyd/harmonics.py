@@ -37,16 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _moves
-from .basis import dimension, enumerate_chains, level_chains, level_dimension
-from .operators import (
-    ENTRY_DROP,
-    SparseOperator,
-    VerificationReport,
-    _max_entry,
-    _move_triplets,
-    _scatter,
-    build_position,
-)
+from .basis import _integer_at_least, dimension, enumerate_chains, level_chains, level_dimension
+from .operators import ENTRY_DROP, VerificationReport, _max_entry, _move_triplets, _scatter
 
 RNG_PRODUCT_SEED = 7261
 PRODUCT_POINTS = 200
@@ -55,13 +47,6 @@ TOL_GRAM = 1e-10
 TOL_EIGEN = 1e-12
 TOL_ELEMENTS = 1e-10
 TOL_PRODUCT = 1e-9
-
-
-def _integer_at_least(value, minimum, name):
-    """`value` as an int; ValueError unless it is an integer >= minimum (numpy integers included, bools not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +74,12 @@ def _exponents(D, degree):
 
 
 @functools.lru_cache(maxsize=None)
-def sphere_integral(alpha, D=None):
+def sphere_integral(alpha):
     """Exact monomial moment over the unit sphere in R^len(alpha), for a tuple `alpha`.
 
     Zero when any exponent is odd, else 2 * prod Gamma((a_i+1)/2) /
     Gamma(sum (a_i+1)/2).
     """
-    if D is not None and len(alpha) != D:
-        raise ValueError(f"exponent tuple {alpha} does not match dimension {D}")
     if any(a < 0 for a in alpha):
         raise ValueError(f"negative exponent in {alpha}")
     if any(a % 2 for a in alpha):
@@ -105,10 +88,6 @@ def sphere_integral(alpha, D=None):
     for a in alpha:
         num *= math.gamma((a + 1) / 2.0)
     return 2.0 * num / math.gamma(sum(a + 1 for a in alpha) / 2.0)
-
-
-def sphere_volume(D):
-    return sphere_integral((0,) * D)
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,13 +331,6 @@ class HarmonicPolynomial:
     degree: int
     coefficients: dict = field(repr=False)
 
-    def __call__(self, points):
-        return poly_eval(self.coefficients, points)
-
-    def to_json_obj(self):
-        terms = sorted(self.coefficients.items(), reverse=True)
-        return {"degree": self.degree, "terms": [[list(a), v.real, v.imag] for a, v in terms]}
-
 
 class HarmonicBasis(dict):
     """{chain: HarmonicPolynomial} of one degree, with the same polynomials as the columns of `matrix`.
@@ -517,11 +489,6 @@ def _substitute(coeffs, D, ops):
     return acc
 
 
-def build_fuzzy_harmonic(chain, cfg):
-    """Symmetrized substitution of position operators into a basis harmonic."""
-    return approximate_function({tuple(chain): 1.0}, cfg)
-
-
 def _fuzzy_image(coeffs, cfg, positions):
     """Symmetrized substitution of the position matrices into f, which must sit at degree <= 2*cutoff."""
     for chain in coeffs:
@@ -530,12 +497,6 @@ def _fuzzy_image(coeffs, cfg, positions):
     image = _substitute(coeffs, cfg.D, positions)
     image[np.abs(image) < ENTRY_DROP] = 0
     return image
-
-
-def approximate_function(coeffs, cfg):
-    """Operator approximation of f = sum coeffs[chain] * Y_chain."""
-    positions = [build_position(cfg, h).to_dense() for h in range(1, cfg.D + 1)]
-    return SparseOperator.from_dense(_fuzzy_image(coeffs, cfg, positions))
 
 
 # ---------------------------------------------------------------------------

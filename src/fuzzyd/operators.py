@@ -5,12 +5,13 @@ one form that the builders return, the checks compute with and the CLI
 writes.  `_move_triplets` is the only place where a chain move becomes a
 matrix entry.  The moves come from the numpy kernels of `_moves`, which move
 the label matrix of a whole basis at once, and `BasisMap.ordinals` finds
-their target rows in closed form.  Each operator has one builder
-(`build_angular_momentum`, `build_position`, ...), and every caller, the
-checks and the CLI included, goes through it.  The arithmetic the checks need
-(products, sums, adjoint, diagonal scaling, per-entry masks on the chain
-labels, max-abs) works on the triplets, so no operator is ever an n x n
-array here.
+their target rows in closed form.  Each operator has one builder, and every
+caller, the checks and the CLI included, goes through it:
+`build_angular_momentum`, `build_position` and `build_projector`, and the
+casimir tower pass below, of which `build_casimir` takes a single order.
+The arithmetic the checks need (products, sums, adjoint, diagonal scaling,
+per-entry masks on the chain labels, max-abs) works on the triplets, so no
+operator is ever an n x n array here.
 
 The casimirs C_2 .. C_D come from one pass, `_casimir_tower`: each generator
 is squared once, one level block at a time, as the row panel m[b, :] times
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _moves
-from .basis import basis_of, level_dimension
+from .basis import _integer_at_least, basis_of, level_dimension
 from .coefficients import centrifugal_coeff, radial_weight, updown_weights
 
 ENTRY_DROP = 1e-15
@@ -84,23 +85,6 @@ class SparseOperator:
     def diagonal(cls, values):
         idx = np.arange(len(values))
         return cls(len(values), idx, idx, np.asarray(values, dtype=complex))
-
-    @classmethod
-    def from_dense(cls, arr):
-        """The entries of a square array of magnitude at least ENTRY_DROP."""
-        arr = np.asarray(arr)
-        n = arr.shape[0]
-        if arr.shape != (n, n):
-            raise ValueError(f"operator must be square, got shape {arr.shape}")
-        rows, cols = np.nonzero(np.abs(arr) >= ENTRY_DROP)
-        return cls(n, rows, cols, arr[rows, cols].astype(complex))
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        entries = obj["entries"]
-        rows = np.array([r for r, _, _, _ in entries], dtype=np.int64)
-        cols = np.array([c for _, c, _, _ in entries], dtype=np.int64)
-        return cls(int(obj["dim"]), rows, cols, np.array([complex(re, im) for _, _, re, im in entries], dtype=complex))
 
     def __eq__(self, other):
         if not isinstance(other, SparseOperator):
@@ -250,6 +234,7 @@ def build_angular_momentum(cfg, h, j):
     """Rotation generator L_{h,j} on the chain basis; accepts h > j as -L_{j,h}."""
     if h == j or not (1 <= min(h, j) and max(h, j) <= cfg.D):
         raise ValueError(f"generator indices ({h}, {j}) invalid for D={cfg.D}")
+    h, j = (_integer_at_least(a, 1, "generator index") for a in (h, j))
     if h > j:
         return -build_angular_momentum(cfg, j, h)
     basis = basis_of(cfg)
@@ -260,19 +245,10 @@ def build_position(cfg, h):
     """Projected coordinate operator x_h: the coordinate move t_h weighted by the truncated radial factors."""
     if not 1 <= h <= cfg.D:
         raise ValueError(f"coordinate index {h} outside 1..{cfg.D}")
+    h = _integer_at_least(h, 1, "coordinate index")
     basis = basis_of(cfg)
     move = _move_triplets(basis.labels, basis, lambda src: _moves.t_moves(cfg.D, src, h))
     return SparseOperator(len(basis), *_radial_weighted(cfg, *move))
-
-
-def _position_ladder(x1, x2, sign):
-    """x_1 + i*sign*x_2."""
-    return (x1 + 1j * sign * x2).drop_noise()
-
-
-def _ladder_combination(l1, l2, sign):
-    """L_{2,nu} -+ i L_{1,nu}."""
-    return (l2 - 1j * sign * l1).drop_noise()
 
 
 def _generator_pairs(D):
@@ -349,29 +325,11 @@ def _label_projector(basis, p, value):
     return (basis.labels[:, basis.D - p] == value).astype(float)
 
 
-def _parity(basis):
-    """Diagonal (-1)^level."""
-    return np.where(basis.labels[:, 0] % 2, -1.0, 1.0)
-
-
-def build_position_ladder(cfg, sign):
-    """x_1 + i*sign*x_2 (sign=+1 is the raising combination)."""
-    return _position_ladder(build_position(cfg, 1), build_position(cfg, 2), sign)
-
-
-def build_generator_ladder(cfg, nu, sign):
-    """L_{2,nu} -+ i L_{1,nu} for nu >= 3 (sign=+1 is the raising combination)."""
-    if nu < 3:
-        raise ValueError(f"ladder generator needs nu >= 3, got {nu}")
-    l1, l2 = (build_angular_momentum(cfg, h, nu) for h in (1, 2))
-    return _ladder_combination(l1, l2, sign)
-
-
 def build_casimir(cfg, p):
     """Sum of the squared generators of the so(p) subalgebra: the casimir tower pass with the single order p."""
     if not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
-    [(_, casimir)] = _casimir_tower(cfg, (p,))
+    [(_, casimir)] = _casimir_tower(cfg, (_integer_at_least(p, 2, "casimir order"),))
     return casimir
 
 
@@ -393,15 +351,11 @@ def build_projector(cfg, p=None, value=None):
         p, value = cfg.D, cfg.cutoff
     elif not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
+    p = _integer_at_least(p, 2, "casimir order")
     diag = _label_projector(basis, p, value)
     if not diag.any():
         raise ValueError(f"no chain has branching label l_{p - 1} = {value}")
     return SparseOperator.diagonal(diag).drop_noise()
-
-
-def parity_operator(cfg):
-    """Diagonal (-1)^level; conjugation flips the sign of every position operator."""
-    return SparseOperator.diagonal(_parity(basis_of(cfg)))
 
 
 def position_square_expected(cfg, l):
@@ -568,6 +522,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         residuals = dict.fromkeys(range(2, D + 1), math.inf)
     residual_12 = _diagonal_residual(L[(1, 2)], azimuthal)
     top = _label_projector(basis, D, lam)
+    squared_distance = [position_square_expected(cfg, l) for l in range(lam + 1)]  # per level
 
     def gen(a, b):
         return L[(a, b)] if a < b else -L[(b, a)]
@@ -651,8 +606,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         split = sum(label[b].min() != label[b].max() for b in blocks)
         coupled = {int(l) for x in X.values() for l in levels[x.cols][levels[x.rows] == levels[x.cols] + 1]}
         uncoupled = sum(m not in coupled for m in range(lam))
-        e_top = position_square_expected(cfg, lam)
-        top_gap = min((abs(e_top - position_square_expected(cfg, l)) for l in range(lam)), default=math.inf)
+        top_gap = min((abs(squared_distance[lam] - e) for e in squared_distance[:lam]), default=math.inf)
         return Check(
             "coordinate words span the full matrix algebra",
             float(split + uncoupled + (not top_gap > 2 * tol_degree2)),
@@ -671,8 +625,7 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
 
     def check_position_square():
         sq = _sum(n, [_product_terms(x, x) for x in X.values()])
-        expected = [position_square_expected(cfg, int(l)) for l in levels]
-        return Check("squared distance spectrum per level", _diagonal_residual(sq, expected), tol_degree2)
+        return Check("squared distance spectrum per level", _diagonal_residual(sq, np.array(squared_distance)[levels]), tol_degree2)
 
     def check_casimir_spectra():
         return Check("casimir operators diagonal with branching eigenvalues", max(residuals.values()), tol_degree2)
@@ -715,9 +668,9 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         power = 2 * lam + 1
         dev = 0.0
         for sign in (+1, -1):
-            ladders = [_position_ladder(X[1], X[2], sign)]
-            ladders += [_ladder_combination(L[(1, nu)], L[(2, nu)], sign) for nu in range(3, D + 1)]
-            for op in ladders:
+            # x_1 + i sign x_2 and L_{2,nu} - i sign L_{1,nu}
+            ladders = [X[1] + 1j * sign * X[2]] + [L[(2, nu)] - 1j * sign * L[(1, nu)] for nu in range(3, D + 1)]
+            for op in map(SparseOperator.drop_noise, ladders):
                 dev = max(dev, op.where(azimuthal[op.rows] - azimuthal[op.cols] != sign).max_abs())
         return Check(
             f"azimuthal ladder operators nilpotent at power {power}",
@@ -744,8 +697,8 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         )
 
     def check_parity():
-        # par M par has entries s_i s_j M_ij
-        sign = _parity(basis)
+        # par = diag((-1)^level), and par M par has entries s_i s_j M_ij
+        sign = np.where(levels % 2, -1.0, 1.0)
         dev = max((x.scaled(sign, sign) + x).max_abs() for x in X.values())
         dev = max([dev] + [(M.scaled(sign, sign) - M).max_abs() for M in L.values()])
         return Check("parity conjugation flips positions, fixes generators", dev, TOL_HERMITIAN)

@@ -14,8 +14,10 @@ reproduces the position operators exactly, and it is a legitimate so(D+1)
 family since flipping all generators carrying one fixed index is conjugation
 by a reflection.
 
-`ambient_generator` is the one builder of the so(D+1) family, and the checks
-compare it with the native builders `build_angular_momentum` and
+`ambient_generator` is the one builder of the so(D+1) family.
+`verify_isomorphism` sums the squares of the whole family into the ambient
+casimir, compares the generators with j <= D with `build_angular_momentum`,
+and dresses those with j = D+1 (`_dress`) to compare them with
 `build_position`.
 """
 
@@ -27,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _moves
-from .basis import basis_of, dimension, level_chains
+from .basis import _integer_at_least, basis_of, dimension, level_chains
 from .coefficients import radial_weight, reduced_element
 from .operators import (
     SparseOperator,
     VerificationReport,
-    _casimir_tower,
     _diagonal_residual,
     _generator_pairs,
     _move_triplets,
@@ -45,20 +46,6 @@ from .operators import (
 TOL_ISO = 1e-10
 TOL_ADJOINT = 1e-12
 TOL_SEQUENCE = 1e-13
-
-
-def level_operator(cfg):
-    """Diagonal operator whose entry on every chain is its level index.
-
-    Computed honestly from the built total casimir through the scalar map
-    level = (2 - D + sqrt((D-2)^2 + 4*casimir)) / 2.
-    """
-    [(_, casimir)] = _casimir_tower(cfg, (cfg.D,))
-    on = casimir.rows == casimir.cols
-    diag = np.zeros(casimir.dim)
-    diag[casimir.rows[on]] = casimir.vals[on].real
-    vals = 0.5 * (2 - cfg.D + np.sqrt((cfg.D - 2) ** 2 + 4.0 * diag))
-    return SparseOperator.diagonal(vals).drop_noise()
 
 
 @dataclass(frozen=True)
@@ -99,6 +86,7 @@ def ambient_generator(cfg, h, j, orientation=-1):
     """
     if not 1 <= h < j <= cfg.D + 1:
         raise ValueError(f"ambient generator indices ({h}, {j}) invalid for so({cfg.D + 1})")
+    h, j = (_integer_at_least(a, 1, "ambient generator index") for a in (h, j))
     sign = orientation if j == cfg.D + 1 else 1
     basis = basis_of(cfg)
     labels = np.hstack([np.full((len(basis), 1), cfg.cutoff), basis.labels])
@@ -110,12 +98,6 @@ def ambient_generator(cfg, h, j, orientation=-1):
     return SparseOperator(len(basis), *_move_triplets(labels, basis, moves))
 
 
-def ambient_casimir(cfg):
-    """Total casimir of the ambient so(D+1) family; a scalar on the irrep."""
-    squares = [_product_terms(m, m) for m in (ambient_generator(cfg, h, j) for h, j in _generator_pairs(cfg.D + 1))]
-    return _sum(dimension(cfg.D, cfg.cutoff), squares).drop_noise()
-
-
 def _dressing(cfg):
     """Dressing value p(level) of every chain, in basis order."""
     seq = dressing_sequence(cfg)
@@ -123,16 +105,12 @@ def _dressing(cfg):
 
 
 def _dress(amb, p, conjugate_left=True):
-    return amb.scaled(np.conjugate(p) if conjugate_left else p, p).drop_noise()
-
-
-def realize_position(cfg, h, orientation=-1, conjugate_left=True):
-    """Dressed ambient generator p*(level) L_{h,D+1} p(level).
+    """The dressed ambient generator p*(level) amb p(level), p the per-chain dressing of `_dressing`.
 
     conjugate_left=False gives the variant without conjugation on the left
     dressing factor; it is kept only so its residual can be reported.
     """
-    return _dress(ambient_generator(cfg, h, cfg.D + 1, orientation), _dressing(cfg), conjugate_left)
+    return amb.scaled(np.conjugate(p) if conjugate_left else p, p).drop_noise()
 
 
 def verify_isomorphism(cfg):

@@ -20,7 +20,7 @@ def poly_inner(p, q, D):
     for a, ca in p.items():
         for b, cb in q.items():
             if all((x + y) % 2 == 0 for x, y in zip(a, b)):
-                acc += np.conjugate(ca) * cb * sphere_integral(tuple(x + y for x, y in zip(a, b)), D)
+                acc += np.conjugate(ca) * cb * sphere_integral(tuple(x + y for x, y in zip(a, b)))
     return acc
 
 

@@ -4,7 +4,9 @@
 forms the casimirs on level blocks.  The routes here are the dense
 definitions those replace: the casimir as the full n x n sum of squared
 generators, and the connected components of the coupling graph of dense
-matrices by breadth-first search.
+matrices by breadth-first search.  Two converters join the dense and the
+written forms to the triplets: `triplets_of` (a dense array) and
+`read_operator` (the JSON object that `build` writes).
 """
 
 import numpy as np
@@ -47,3 +49,11 @@ def triplets_of(dense):
     """The operator of the nonzero entries of a dense square array."""
     rows, cols = np.nonzero(dense)
     return SparseOperator(len(dense), rows, cols, dense[rows, cols].astype(complex))
+
+
+def read_operator(obj):
+    """The operator of a written JSON object {"dim": n, "entries": [[row, col, re, im], ...]}."""
+    entries = obj["entries"]
+    rows = np.array([r for r, _, _, _ in entries], dtype=np.int64)
+    cols = np.array([c for _, c, _, _ in entries], dtype=np.int64)
+    return SparseOperator(int(obj["dim"]), rows, cols, np.array([complex(re, im) for _, _, re, im in entries], dtype=complex))

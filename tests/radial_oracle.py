@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import centrifugal_coeff
+from fuzzyd.coefficients import centrifugal_coeff
 
 QUAD_NODES = 200
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +11,9 @@ import fuzzyd.cli
 import fuzzyd.operators
 from fuzzyd.basis import FuzzyConfig, dimension
 from fuzzyd.cli import _write_json, main
-from fuzzyd.operators import SparseOperator, _generator_pairs, build_angular_momentum, build_position
+from fuzzyd.operators import _generator_pairs, build_angular_momentum, build_position
 
-from operators_oracle import dense_casimir
+from operators_oracle import dense_casimir, read_operator, triplets_of
 
 
 def test_build_outputs(tmp_path):
@@ -33,7 +37,7 @@ def test_build_deterministic_and_roundtrip(tmp_path):
     for name in ("x_1.json", "L_1_2.json", "C_3.json", "basis.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     cfg = FuzzyConfig(D=3, cutoff=2, k=100.0)
-    loaded = SparseOperator.from_json_obj(json.loads((a / "x_1.json").read_text()))
+    loaded = read_operator(json.loads((a / "x_1.json").read_text()))
     assert loaded == build_position(cfg, 1)
 
 
@@ -51,7 +55,7 @@ def test_build_casimirs_equal_the_dense_route(tmp_path, D, cutoff):
     cfg = FuzzyConfig(D=D, cutoff=cutoff, k=json.loads((tmp_path / "ops" / "manifest.json").read_text())["config"]["k"])
     for p in range(2, D + 1):
         gens = (build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(p))
-        _write_json(tmp_path / "dense.json", SparseOperator.from_dense(dense_casimir(dimension(D, cutoff), gens)).to_json_obj())
+        _write_json(tmp_path / "dense.json", triplets_of(dense_casimir(dimension(D, cutoff), gens)).to_json_obj())
         assert (tmp_path / "ops" / f"C_{p}.json").read_bytes() == (tmp_path / "dense.json").read_bytes(), p
 
 
@@ -214,3 +218,24 @@ def test_build_files_have_fixed_hashes(tmp_path, D, cutoff):
     assert written == set(BUILD_SHA256[(D, cutoff)])
     for name, digest in BUILD_SHA256[(D, cutoff)].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+LAYOUT_PROBE = """
+import json, pathlib, sys
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("fuzzyd."))
+import fuzzyd
+bare = loaded()
+import fuzzyd.cli
+files = sorted("fuzzyd." + p.stem for p in pathlib.Path(fuzzyd.__file__).parent.glob("*.py") if p.stem != "__init__")
+print(json.dumps([bare, loaded(), files]))
+"""
+
+
+def test_the_package_holds_what_the_cli_loads():
+    # `import fuzzyd` loads no submodule, and the CLI loads every module file of the package,
+    # so no module can serve the tests alone; a fresh interpreter sees only its own imports
+    env = {**os.environ, "PYTHONPATH": str(Path(fuzzyd.cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", LAYOUT_PROBE], env=env, capture_output=True, text=True, check=True).stdout
+    bare, loaded, files = json.loads(out)
+    assert bare == []
+    assert loaded == files

