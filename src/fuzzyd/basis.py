@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-def _integer_at_least(value, minimum, name):
-    """`value` as an int; ValueError unless it is an integer >= minimum (numpy integers included, bools not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _integer(value, name, minimum=None):
+    """`value` as an int; ValueError unless it is an integer (numpy ones included, bools not) and >= minimum if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (minimum is not None and value < minimum):
+        raise ValueError(f"{name} must be an integer{'' if minimum is None else f' >= {minimum}'}, got {value!r}")
     return int(value)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _moves
-from .basis import FuzzyConfig, _integer_at_least, dimension, enumerate_chains
+from .basis import FuzzyConfig, _integer, dimension, enumerate_chains
 from .coefficients import centrifugal_coeff
 from .harmonics import (
     _fuzzy_image,
@@ -239,9 +239,9 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
 
 def coordinate_coefficients(D, h):
     """Harmonic expansion coefficients of the unit coordinate t_h."""
+    h = _integer(h, "coordinate index")
     if not 1 <= h <= D:
         raise ValueError(f"coordinate index {h} outside 1..{D}")
-    h = _integer_at_least(h, 1, "coordinate index")
     mono = tuple(1 if i == h - 1 else 0 for i in range(D))
     return {chain: val for chain, val in _project({mono: 1.0 + 0j}, D, (1,)).items() if abs(val) > 1e-14}
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _moves
-from .basis import _integer_at_least, dimension, enumerate_chains, level_chains, level_dimension
+from .basis import _integer, dimension, enumerate_chains, level_chains, level_dimension
 from .operators import ENTRY_DROP, VerificationReport, _max_entry, _move_triplets, _scatter
 
 RNG_PRODUCT_SEED = 7261
@@ -74,28 +74,14 @@ def _exponents(D, degree):
 
 
 @functools.lru_cache(maxsize=None)
-def sphere_integral(alpha):
-    """Exact monomial moment over the unit sphere in R^len(alpha), for a tuple `alpha`.
-
-    Zero when any exponent is odd, else 2 * prod Gamma((a_i+1)/2) /
-    Gamma(sum (a_i+1)/2).
-    """
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"negative exponent in {alpha}")
-    if any(a % 2 for a in alpha):
-        return 0.0
-    num = 1.0
-    for a in alpha:
-        num *= math.gamma((a + 1) / 2.0)
-    return 2.0 * num / math.gamma(sum(a + 1 for a in alpha) / 2.0)
-
-
-@functools.lru_cache(maxsize=None)
 def _moments(D, d1, d2):
-    """Moment matrix M[a, b] = sphere_integral(alpha_a + beta_b) over monomials(D, d1) x monomials(D, d2).
+    """Moment matrix M[a, b] over monomials(D, d1) x monomials(D, d2): the unit-sphere integral of x^(alpha_a + beta_b).
 
-    The gamma factors are multiplied in sphere_integral's order, so every
-    entry equals it bit for bit.
+    That integral is zero when an exponent is odd, else
+    2 * prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2).  The gamma factors are
+    multiplied in the order of its one-monomial definition, the test oracle
+    `sphere_integral` (tests/harmonics_oracle.py), so every entry equals it
+    bit for bit.
     """
     total = _exponents(D, d1)[0][:, None, :] + _exponents(D, d2)[0][None, :, :]
     gammas = np.array([math.gamma((k + 1) / 2.0) for k in range(d1 + d2 + 1)])
@@ -167,34 +153,40 @@ def _shift(D, degree, delta):
     return src, np.array([index[a] for a in map(tuple, moved[src].tolist())], dtype=np.intp)
 
 
-def _move(V, D, degree, delta, weight=None):
+def _move(V, D, degree, delta, weight=None, out=None):
     """x^alpha -> weight(alpha) x^(alpha + delta) on the columns V, as columns over monomials(D, degree + sum(delta)).
 
     `weight` maps exponent rows to integer weights (1 when None).  The monomials
     the shift would make negative are dropped; every caller's weight vanishes on them.
+    The image is added into `out` in place when it is given, else into a fresh zero array.
     """
     src, dst = _shift(D, degree, delta)
-    out = np.zeros((len(_exponents(D, degree + sum(delta))[1]), V.shape[1]), dtype=V.dtype)
+    if out is None:
+        out = np.zeros((len(_exponents(D, degree + sum(delta))[1]), V.shape[1]), dtype=V.dtype)
     w = 1 if weight is None else weight(_exponents(D, degree)[0][src])[:, None].astype(V.dtype)
-    out[dst] = w * V[src]
+    out[dst] += w * V[src]
     return out
 
 
-def _rotation(V, D, degree, h, j):
-    """(t_h d_j - t_j d_h) V, with h and j 0-based."""
-
-    def t_d(a, b):
-        return _move(V, D, degree, tuple((i == a) - (i == b) for i in range(D)), lambda e: e[:, b])
-
-    return t_d(h, j) - t_d(j, h)
+def _rotation(V, D, degree, h, j, sign=1, out=None):
+    """sign (t_h d_j - t_j d_h) V, with h and j 0-based, added into `out` in place when it is given."""
+    if out is None:
+        out = np.zeros_like(V)
+    for a, b, s in ((h, j, sign), (j, h, -sign)):
+        _move(V, D, degree, tuple((i == a) - (i == b) for i in range(D)), lambda e: s * e[:, b], out)
+    return out
 
 
 def _casimir_images(V, D, degree):
-    """(p, C_p V) for p = 2..D, with C_p = -sum_{h<j<=p} L_hj^2; each order adds the pairs (h, p) to the last."""
+    """(p, C_p V) for p = 2..D, with C_p = -sum_{h<j<=p} L_hj^2; each order adds the pairs (h, p) to the last.
+
+    Every rotation is added into one image array in place; the yielded image
+    is that array, which the next order goes on adding into.
+    """
     image = np.zeros_like(V)
     for order in range(2, D + 1):
         for h in range(order - 1):
-            image = image - _rotation(_rotation(V, D, degree, h, order - 1), D, degree, h, order - 1)
+            _rotation(_rotation(V, D, degree, h, order - 1), D, degree, h, order - 1, -1, image)
         yield order, image
 
 
@@ -355,8 +347,8 @@ def harmonic_basis(D, degree):
     shared, so callers must not modify it.  The cache is typed, so a bool or
     float D or degree never reaches a cached integer entry.
     """
-    D = _integer_at_least(D, 3, "ambient dimension")
-    degree = _integer_at_least(degree, 0, "degree")
+    D = _integer(D, "ambient dimension", 3)
+    degree = _integer(degree, "degree", 0)
     chains, exact = _exact_chain_vectors(D, degree)
     floats = exact.astype(float)
     floats = floats[:, : len(chains)] + 1j * floats[:, len(chains) :]
@@ -505,8 +497,8 @@ def _fuzzy_image(coeffs, cfg, positions):
 
 def verify_harmonics(D, level_max):
     """Orthonormality, harmonicity, eigenvalue, and product checks up to level_max."""
-    D = _integer_at_least(D, 3, "ambient dimension")
-    level_max = _integer_at_least(level_max, 0, "level_max")
+    D = _integer(D, "ambient dimension", 3)
+    level_max = _integer(level_max, "level_max", 0)
     report = VerificationReport(config=f"D={D}, harmonics up to level {level_max}")
 
     count_bad = 0

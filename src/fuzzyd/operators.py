@@ -16,8 +16,11 @@ operator is ever an n x n array here.
 The casimirs C_2 .. C_D come from one pass, `_casimir_tower`: each generator
 is squared once, one level block at a time, as the row panel m[b, :] times
 the column panel m[:, b] (densified from the triplets, inner dimension n), and
-its square is added to every order it belongs to, in the same order as the
-dense per-order sum, so every entry is bit for bit that sum.
+only the nonzero entries of its square are kept.  Each C_p sums its order's
+squares entry by entry, strictly left to right from +0 in the order of the
+dense per-order sum.  The entries left out are +-0, and by IEEE arithmetic
+alone (x + (+-0) = x and +0 + x = x for x != 0, and a zero partial sum is +0 on
+both routes) every entry is bit for bit that dense sum.
 
 `verify_algebra` compares each casimir once with the diagonal l(l+p-2) that
 its chain label l_{p-1} fixes, and L_12 with l_1; the polynomial, multiplicity
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _moves
-from .basis import _integer_at_least, basis_of, level_dimension
+from .basis import _integer, basis_of, level_dimension
 from .coefficients import centrifugal_coeff, radial_weight, updown_weights
 
 ENTRY_DROP = 1e-15
@@ -71,9 +74,9 @@ class SparseOperator:
 
     `rows` and `cols` are int64, `vals` complex128.  The arithmetic of the
     checks needs no dim x dim array: products (see `_product_terms`) and
-    sums, each entry's terms summed once, in the order given (`_sum`);
-    adjoint, diagonal scaling, per-entry masks and max-abs.  Two operators
-    are equal when their dimensions, positions and values are.
+    sums, each entry's terms summed once (`_sum`); adjoint, diagonal
+    scaling, per-entry masks and max-abs.  Two operators are equal when
+    their dimensions, positions and values are.
     """
 
     dim: int
@@ -180,7 +183,13 @@ def _product_terms(a, b):
 
 
 def _sum(n, terms):
-    """The n x n operator summing (row, col, value) term arrays: each entry's terms in the order given, 0 for none."""
+    """The n x n operator summing (row, col, value) term arrays, 0 for none.
+
+    Each entry's terms are gathered in the order given and summed once by
+    np.add.reduceat, which adds the first term to numpy's pairwise sum of the
+    rest: t0 + (t1 + t2), not (t0 + t1) + t2.  So `_sum` is not the dense
+    left-to-right sum of the same terms bit for bit; `_sum_left_to_right` is.
+    """
     terms = list(terms) or [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
     rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
     key = rows * n + cols
@@ -232,9 +241,9 @@ def _radial_weighted(cfg, rows, cols, vals):
 
 def build_angular_momentum(cfg, h, j):
     """Rotation generator L_{h,j} on the chain basis; accepts h > j as -L_{j,h}."""
+    h, j = (_integer(a, "generator index") for a in (h, j))
     if h == j or not (1 <= min(h, j) and max(h, j) <= cfg.D):
         raise ValueError(f"generator indices ({h}, {j}) invalid for D={cfg.D}")
-    h, j = (_integer_at_least(a, 1, "generator index") for a in (h, j))
     if h > j:
         return -build_angular_momentum(cfg, j, h)
     basis = basis_of(cfg)
@@ -243,9 +252,9 @@ def build_angular_momentum(cfg, h, j):
 
 def build_position(cfg, h):
     """Projected coordinate operator x_h: the coordinate move t_h weighted by the truncated radial factors."""
+    h = _integer(h, "coordinate index")
     if not 1 <= h <= cfg.D:
         raise ValueError(f"coordinate index {h} outside 1..{cfg.D}")
-    h = _integer_at_least(h, 1, "coordinate index")
     basis = basis_of(cfg)
     move = _move_triplets(basis.labels, basis, lambda src: _moves.t_moves(cfg.D, src, h))
     return SparseOperator(len(basis), *_radial_weighted(cfg, *move))
@@ -261,21 +270,47 @@ def _level_blocks(basis):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _level_squares(m, blocks):
-    """The level blocks (m @ m)[b, b] of a generator m that keeps every level, as panels m[b, :] @ m[:, b].
+def _square_entries(m, blocks):
+    """The nonzero entries of m @ m for a generator m that keeps every level: (key, value) arrays, key = row * n + col.
 
-    Each d_b x n row panel and n x d_b column panel is densified from the
-    triplets on its own (they hold the same entries, as m keeps the level).
-    The inner dimension stays n, so BLAS sums every entry over the same terms
-    in the same order as the full square, and each block is bit for bit the
-    block of the dense m @ m.
+    Each level block is the row panel m[b, :] times the column panel m[:, b],
+    both densified from the triplets (they hold the same entries, as m keeps
+    the level).  The inner dimension stays n, so BLAS sums every entry over
+    the same terms in the same order as the full square, and each block is
+    bit for bit the block of the dense m @ m.  The keys come in row-major
+    order; every entry left out is +-0.
     """
-    squares = []
+    keys, vals = [], []
     for b in blocks:
         s = slice(m.indptr[b.start], m.indptr[b.stop])
-        rows, cols, vals, d = m.rows[s], m.cols[s], m.vals[s], b.stop - b.start
-        squares.append(_scatter((d, m.dim), rows - b.start, cols, vals) @ _scatter((m.dim, d), rows, cols - b.start, vals))
-    return squares
+        rows, cols, v, d = m.rows[s], m.cols[s], m.vals[s], b.stop - b.start
+        panel = _scatter((d, m.dim), rows - b.start, cols, v) @ _scatter((m.dim, d), rows, cols - b.start, v)
+        r, c = np.nonzero(panel)
+        keys.append((r + b.start) * m.dim + (c + b.start))
+        vals.append(panel[r, c])
+    return np.concatenate(keys), np.concatenate(vals)
+
+
+def _sum_left_to_right(n, entries):
+    """The n x n operator summing (key, value) arrays, key = row * n + col: each entry's terms left to right from +0.
+
+    A stable sort by key keeps every entry's terms in the order of
+    `entries`, and one vectorised += per term rank adds them: 0 + t0, then
+    + t1, and so on, at most len(entries) adds.  Entries below ENTRY_DROP are
+    dropped.  (`_sum` would compute t0 + (t1 + t2); see its docstring.)
+    """
+    keys = np.concatenate([key for key, _ in entries])
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], np.concatenate([val for _, val in entries])[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    count = np.diff(np.append(first, len(keys)))
+    total = np.zeros(len(first), dtype=complex)
+    for rank in range(count.max(initial=0)):
+        live = np.flatnonzero(count > rank)
+        total[live] += vals[first[live] + rank]
+    keep = np.abs(total) >= ENTRY_DROP
+    keys = keys[first[keep]]
+    return SparseOperator(n, keys // n, keys % n, total[keep])
 
 
 def _casimir_tower(cfg, orders, generator=None):
@@ -283,41 +318,28 @@ def _casimir_tower(cfg, orders, generator=None):
 
     `generator(h, j)` gives L_hj (`build_angular_momentum` when None); it is
     called once per pair of so(max(orders)), in _generator_pairs order.  Each
-    square is formed on the level blocks by `_level_squares` and added to
-    every order p >= j, and C_p is yielded as soon as its last pair (p - 1, p)
-    is in.  A generator keeps the level, so its square is exactly +-0 off the
-    blocks, and each order's additions come in _generator_pairs(p) order from
-    0, so every entry equals the dense sum of that order's squares bit for
-    bit.  A generator joining two levels raises RuntimeError.
+    square is kept as its nonzero entries (`_square_entries`), and C_p is
+    yielded as soon as its last pair (p - 1, p) is in: the sum of its
+    order's squares, each entry's terms taken left to right in
+    _generator_pairs(p) order from +0 (`_sum_left_to_right`).  That is bit for
+    bit the dense sum `part += square` over the same squares, by IEEE
+    arithmetic alone: the terms left out are +-0, and x + (+-0) = x for every
+    x != 0; a zero partial sum is +0 on both routes (it starts at +0, and
+    +0 + (+-0) and x + (-x) are +0), and +0 + s = s for every s != 0; an entry
+    whose terms are all zero is +0, below ENTRY_DROP on both routes.  A
+    generator joining two levels raises RuntimeError.
     """
     basis = basis_of(cfg)
     blocks = _level_blocks(basis)
     levels = basis.labels[:, 0]
-    acc = {}  # order -> level blocks, allocated once the first square is in
+    squares = {}
     for h, j in _generator_pairs(max(orders)):
         m = generator(h, j) if generator else build_angular_momentum(cfg, h, j)
         if np.any(levels[m.rows] != levels[m.cols]):
             raise RuntimeError(f"generator L_{h}_{j} joins two levels; its square would leave the level blocks")
-        squares = _level_squares(m, blocks)
-        for p in orders:
-            if p >= j:
-                if p not in acc:
-                    acc[p] = [np.zeros_like(square) for square in squares]
-                for part, square in zip(acc[p], squares):
-                    part += square
+        squares[h, j] = _square_entries(m, blocks)
         if h == j - 1 and j in orders:
-            yield j, _from_level_blocks(len(basis), acc.pop(j), blocks)
-
-
-def _from_level_blocks(n, parts, blocks):
-    """The operator holding `parts` on the diagonal `blocks`, entries below ENTRY_DROP dropped."""
-    kept = [np.nonzero(np.abs(part) >= ENTRY_DROP) for part in parts]
-    return SparseOperator(
-        n,
-        np.concatenate([r + b.start for (r, _), b in zip(kept, blocks)]),
-        np.concatenate([c + b.start for (_, c), b in zip(kept, blocks)]),
-        np.concatenate([part[r, c] for part, (r, c) in zip(parts, kept)]),
-    )
+            yield j, _sum_left_to_right(len(basis), [squares[pair] for pair in _generator_pairs(j)])
 
 
 def _label_projector(basis, p, value):
@@ -327,9 +349,10 @@ def _label_projector(basis, p, value):
 
 def build_casimir(cfg, p):
     """Sum of the squared generators of the so(p) subalgebra: the casimir tower pass with the single order p."""
+    p = _integer(p, "casimir order")
     if not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
-    [(_, casimir)] = _casimir_tower(cfg, (_integer_at_least(p, 2, "casimir order"),))
+    [(_, casimir)] = _casimir_tower(cfg, (p,))
     return casimir
 
 
@@ -349,9 +372,9 @@ def build_projector(cfg, p=None, value=None):
     basis = basis_of(cfg)
     if p is None and value is None:
         p, value = cfg.D, cfg.cutoff
-    elif not 2 <= p <= cfg.D:
+    p = _integer(p, "casimir order")
+    if not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
-    p = _integer_at_least(p, 2, "casimir order")
     diag = _label_projector(basis, p, value)
     if not diag.any():
         raise ValueError(f"no chain has branching label l_{p - 1} = {value}")

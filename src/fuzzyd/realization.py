@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _moves
-from .basis import _integer_at_least, basis_of, dimension, level_chains
+from .basis import _integer, basis_of, dimension, level_chains
 from .coefficients import radial_weight, reduced_element
 from .operators import (
     SparseOperator,
@@ -84,9 +84,9 @@ def ambient_generator(cfg, h, j, orientation=-1):
     generator moves that frozen top label, so it is dropped from the targets,
     which are then looked up in the native basis.
     """
+    h, j = (_integer(a, "ambient generator index") for a in (h, j))
     if not 1 <= h < j <= cfg.D + 1:
         raise ValueError(f"ambient generator indices ({h}, {j}) invalid for so({cfg.D + 1})")
-    h, j = (_integer_at_least(a, 1, "ambient generator index") for a in (h, j))
     sign = orientation if j == cfg.D + 1 else 1
     basis = basis_of(cfg)
     labels = np.hstack([np.full((len(basis), 1), cfg.cutoff), basis.labels])

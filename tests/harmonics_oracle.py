@@ -2,16 +2,37 @@
 
 `fuzzyd.harmonics` takes sphere inner products as moment-matrix products and
 runs its exact checks on integer coefficient columns.  The loops here are the
-definitions those replace: the inner product as a double sum over monomial
-pairs, and the flat Laplacian, the rotations t_h d_j - t_j d_h and the
-casimirs applied one monomial at a time to integer coefficient dicts, the
+definitions those replace: the sphere integral of one monomial (which the
+moment matrix reproduces bit for bit), the inner product as a double sum over
+monomial pairs, and the flat Laplacian, the rotations t_h d_j - t_j d_h and
+the casimirs applied one monomial at a time to integer coefficient dicts, the
 real and imaginary parts of an exact harmonic, with no use of the monomial
 shifts the package applies to whole columns.
 """
 
+import functools
+import math
+
 import numpy as np
 
-from fuzzyd.harmonics import harmonic_basis, monomials, sphere_integral
+from fuzzyd.harmonics import harmonic_basis, monomials
+
+
+@functools.lru_cache(maxsize=None)
+def sphere_integral(alpha):
+    """Exact monomial moment over the unit sphere in R^len(alpha), for a tuple `alpha`.
+
+    Zero when any exponent is odd, else 2 * prod Gamma((a_i+1)/2) /
+    Gamma(sum (a_i+1)/2).
+    """
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"negative exponent in {alpha}")
+    if any(a % 2 for a in alpha):
+        return 0.0
+    num = 1.0
+    for a in alpha:
+        num *= math.gamma((a + 1) / 2.0)
+    return 2.0 * num / math.gamma(sum(a + 1 for a in alpha) / 2.0)
 
 
 def poly_inner(p, q, D):

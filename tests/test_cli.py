@@ -239,3 +239,21 @@ def test_the_package_holds_what_the_cli_loads():
     bare, loaded, files = json.loads(out)
     assert bare == []
     assert loaded == files
+
+
+NUMPY_MA_PROBE = """
+import sys, tempfile
+from fuzzyd.cli import main
+with tempfile.TemporaryDirectory() as out:
+    assert main(["build", "--d", "4", "--lambda", "3", "--out", out]) == 0
+assert main(["verify", "--suite", "algebra", "--d", "4", "--lambda", "3"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_build_and_verify_leave_numpy_ma_unimported():
+    # a bare np.unique imports numpy.ma on numpy 2.4 (about 16 ms and 1 MB of resident memory),
+    # which neither command needs; a fresh interpreter sees only its own imports
+    env = {**os.environ, "PYTHONPATH": str(Path(fuzzyd.cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split()[-1] == "False"

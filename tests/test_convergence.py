@@ -15,10 +15,11 @@ from fuzzyd.convergence import (
     product_convergence_diagnostic,
     x_convergence_diagnostic,
 )
-from fuzzyd.harmonics import multiplication_matrix, sphere_integral
+from fuzzyd.harmonics import multiplication_matrix
 from fuzzyd.operators import build_position
 
 from convergence_oracle import dense_x_deviations
+from harmonics_oracle import sphere_integral
 
 
 def test_schedule_values():

