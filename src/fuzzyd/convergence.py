@@ -31,7 +31,7 @@ from .harmonics import (
     _fuzzy_image,
     _project,
     function_multiplication_matrix,
-    harmonic_basis,
+    harmonic,
     poly_eval,
     sample_sphere_points,
 )
@@ -39,6 +39,7 @@ from .operators import _move_triplets, _radial_weighted, build_position
 
 SCHEDULE_NAMES = ("consistency", "strong-x", "product", "power")
 RANDOM_VECTORS = 5
+SUP_NORM_POINTS = 512
 RNG_SEED = 20318
 
 
@@ -89,10 +90,10 @@ def _embed(dense, rows):
     return np.vstack([dense, np.zeros((rows - dense.shape[0], dense.shape[1]), dtype=complex)])
 
 
-def _random_vectors(n, seed=RNG_SEED):
+def _random_vectors(n):
     """The seeded pseudo-random unit vectors of the test family."""
     vecs = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RNG_SEED)
     for _ in range(RANDOM_VECTORS):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         vecs.append(v / np.linalg.norm(v))
@@ -197,12 +198,12 @@ def expand_product(f_coeffs, g_coeffs, D):
     return {c: complex(v) for c, v in zip(dst.chains, fg) if abs(v) > 1e-13}
 
 
-def function_sup_norm(coeffs, D, samples=512, seed=RNG_SEED):
+def function_sup_norm(coeffs, D):
     """Sampled sup norm of f (a lower bound, keeping the norm-bound check honest)."""
-    pts = sample_sphere_points(D, samples, seed)
-    vals = np.zeros(samples, dtype=complex)
+    pts = sample_sphere_points(D, SUP_NORM_POINTS, RNG_SEED)
+    vals = np.zeros(SUP_NORM_POINTS, dtype=complex)
     for chain, c in coeffs.items():
-        vals += c * poly_eval(harmonic_basis(D, tuple(chain)[0])[tuple(chain)].coefficients, pts)
+        vals += c * poly_eval(harmonic(D, chain), pts)
     return float(np.max(np.abs(vals)))
 
 
@@ -242,8 +243,9 @@ def coordinate_coefficients(D, h):
     h = _integer(h, "coordinate index")
     if not 1 <= h <= D:
         raise ValueError(f"coordinate index {h} outside 1..{D}")
-    mono = tuple(1 if i == h - 1 else 0 for i in range(D))
-    return {chain: val for chain, val in _project({mono: 1.0 + 0j}, D, (1,)).items() if abs(val) > 1e-14}
+    # t_h as a column over monomials(D, 1), where x_h is row h - 1
+    t_h = (1, np.eye(D, dtype=complex)[h - 1])
+    return {chain: val for chain, val in _project(t_h, D, (1,)).items() if abs(val) > 1e-14}
 
 
 def write_csv(path, D, rows):

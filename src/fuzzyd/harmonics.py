@@ -18,20 +18,21 @@ Every expansion coefficient on this basis is one sphere inner product
 the quadrature matrix of t_h.  On the unit sphere a polynomial of degree d
 has components in degrees d, d - 2, ... only, and harmonics of different
 degree are orthogonal, so projecting on those degrees is the whole
-expansion.  Inner products are matrix products: each degree's basis is held
-as a coefficient matrix Y_d over the monomials, and the moment matrix
-M[d, e] holds the exact sphere integral of every monomial product, so
-<Y_c, P> is the row c of Y_d^H M[d, e] P_e summed over the homogeneous parts
-P_e.  The quadrature matrix is compared with `multiplication_matrix`, the
-ladder-recursion matrix the diagnostics use; the phases are not imposed
-through the ladder moves, and the two agree only if every sign is right.
+expansion.  A polynomial is held in one form only, (degree, column over
+monomials(D, degree)): each degree's basis is the coefficient matrix Y_d
+over the monomials, and a chain's polynomial is its read-only column.  Inner
+products are matrix products: the moment matrix M[d, e] holds the exact
+sphere integral of every monomial product, so <Y_c, P> is the row c of
+Y_d^H M[d, e] P for P of degree e.  The quadrature matrix is compared with
+`multiplication_matrix`, the ladder-recursion matrix the diagnostics use;
+the phases are not imposed through the ladder moves, and the two agree only
+if every sign is right.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -81,55 +82,56 @@ def _moments(D, d1, d2):
     2 * prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2).  The gamma factors are
     multiplied in the order of its one-monomial definition, the test oracle
     `sphere_integral` (tests/harmonics_oracle.py), so every entry equals it
-    bit for bit.
+    bit for bit.  The exponent sums are formed one axis at a time, so no
+    (n1, n2, D) array is held.
     """
-    total = _exponents(D, d1)[0][:, None, :] + _exponents(D, d2)[0][None, :, :]
+    e1, e2 = _exponents(D, d1)[0], _exponents(D, d2)[0]
     gammas = np.array([math.gamma((k + 1) / 2.0) for k in range(d1 + d2 + 1)])
-    num = np.ones(total.shape[:2])
+    num = np.ones((len(e1), len(e2)))
+    odd = np.zeros(num.shape, dtype=bool)
     for i in range(D):
-        num = num * gammas[total[:, :, i]]
+        total = e1[:, i, None] + e2[None, :, i]
+        num = num * gammas[total]
+        odd |= total % 2 == 1
     out = 2.0 * num / math.gamma((d1 + d2 + D) / 2.0)
-    out[(total % 2 == 1).any(axis=2)] = 0.0
+    out[odd] = 0.0
     return out
 
 
-def _parts(poly, D):
-    """Homogeneous parts of a coefficient dict: {degree: column over monomials(D, degree)}."""
-    out = {}
-    for alpha, c in poly.items():
-        degree = sum(alpha)
-        if degree not in out:
-            out[degree] = np.zeros((len(_exponents(D, degree)[1]), 1), dtype=complex)
-        out[degree][_exponents(D, degree)[1][alpha], 0] += c
-    return out
+def poly_mul(p, q, D):
+    """The product of two polynomials (degree, column): each coefficient sums its terms left to right from +0.
 
-
-def poly_mul(p, q):
-    out = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            term = ca * cb
-            out[key] = out[key] + term if key in out else term
-    return {k: v for k, v in out.items() if v}
+    The terms are p_a q_b over the nonzero entries, a before b, each in
+    monomial order.
+    """
+    (d1, u), (d2, v) = p, q
+    a, b = np.flatnonzero(u), np.flatnonzero(v)
+    index = _exponents(D, d1 + d2)[1]
+    exps = _exponents(D, d1)[0][a, None] + _exponents(D, d2)[0][None, b]
+    rows = [index[alpha] for alpha in map(tuple, exps.reshape(-1, D).tolist())]
+    out = np.zeros(len(index), dtype=complex)
+    np.add.at(out, rows, (u[a, None] * v[None, b]).ravel())
+    return d1 + d2, out
 
 
 def poly_inner(p, q, D):
-    """Sphere inner product <p, q> = integral of conj(p) q: p_e^H M[e, f] q_f summed over homogeneous parts."""
-    qs = _parts(q, D)
-    return sum((np.vdot(u, _moments(D, e, f) @ v) for e, u in _parts(p, D).items() for f, v in qs.items()), 0j)
+    """Sphere inner product <p, q> = integral of conj(p) q of two polynomials (degree, column): p^H M[d, e] q."""
+    (d, u), (e, v) = p, q
+    return np.vdot(u, _moments(D, d, e) @ v)
 
 
 def poly_eval(p, points):
-    """Evaluate at an (N, D) array of points."""
+    """Evaluate the polynomial p = (degree, column) at an (N, D) array of points."""
+    degree, column = p
     pts = np.asarray(points, dtype=float)
+    exps = _exponents(pts.shape[1], degree)[0]
     acc = np.zeros(pts.shape[0], dtype=complex)
-    for alpha, c in p.items():
+    for row in np.flatnonzero(column):
         term = np.ones(pts.shape[0])
-        for i, a in enumerate(alpha):
+        for i, a in enumerate(exps[row].tolist()):
             if a:
                 term = term * pts[:, i] ** a
-        acc += c * term
+        acc += column[row] * term
     return acc
 
 
@@ -315,25 +317,17 @@ def _exact_failures(cols, chains, D, degree):
 # the phased orthonormal basis
 
 
-@dataclass(frozen=True)
-class HarmonicPolynomial:
-    """One orthonormal harmonic basis polynomial in the unit coordinates."""
-
-    chain: tuple
-    degree: int
-    coefficients: dict = field(repr=False)
-
-
 class HarmonicBasis(dict):
-    """{chain: HarmonicPolynomial} of one degree, with the same polynomials as the columns of `matrix`.
+    """{chain: column of `matrix`} of one degree: each chain's orthonormal harmonic over monomials(D, degree).
 
-    `matrix` is Y_d, the coefficients over monomials(D, degree), one column
-    per chain in the dict's order; `exact` is the exact form, the integer
-    columns [re | im] of `_exact_chain_vectors`.
+    `matrix` is Y_d, one column per chain in the dict's order; it and its
+    columns are read-only.  `exact` is the exact form, the integer columns
+    [re | im] of `_exact_chain_vectors`.
     """
 
-    def __init__(self, polys, matrix, exact):
-        super().__init__(polys)
+    def __init__(self, chains, matrix, exact):
+        matrix.flags.writeable = False
+        super().__init__(zip(chains, matrix.T))
         self.matrix = matrix
         self.exact = exact
 
@@ -342,10 +336,11 @@ class HarmonicBasis(dict):
 def harmonic_basis(D, degree):
     """Orthonormal harmonic polynomials of one degree, phased (-1)^{l_1} for l_1 < 0.
 
-    Returns a HarmonicBasis {chain: HarmonicPolynomial} in canonical chain
-    order; one entry per chain with top entry `degree`.  It is cached and
-    shared, so callers must not modify it.  The cache is typed, so a bool or
-    float D or degree never reaches a cached integer entry.
+    Returns a HarmonicBasis {chain: column over monomials(D, degree)} in
+    canonical chain order; one entry per chain with top entry `degree`.  It
+    is cached and shared, and its matrix cannot be written.  The cache is
+    typed, so a bool or float D or degree never reaches a cached integer
+    entry.
     """
     D = _integer(D, "ambient dimension", 3)
     degree = _integer(degree, "degree", 0)
@@ -354,34 +349,27 @@ def harmonic_basis(D, degree):
     floats = floats[:, : len(chains)] + 1j * floats[:, len(chains) :]
     norms = np.sum(floats.conj() * (_moments(D, degree, degree) @ floats), axis=0).real
     scales = [(-1) ** max(-chain[-1], 0) / math.sqrt(norm) for chain, norm in zip(chains, norms)]
-    matrix = floats * np.array(scales)
-    monos = monomials(D, degree)
-    polys = {
-        chain: HarmonicPolynomial(chain, degree, {monos[i]: complex(column[i]) for i in np.flatnonzero(column)})
-        for chain, column in zip(chains, matrix.T)
-    }
-    return HarmonicBasis(polys, matrix, exact)
+    return HarmonicBasis(chains, floats * np.array(scales), exact)
 
 
-def _basis_inner(D, degree, parts, columns):
-    """<Y_c, P> for every chain c of `degree` (rows) and every column P of the homogeneous parts `parts` = {e: P_e}.
-
-    The sum over e of Y_d^H M[d, e] P_e; P_e has `columns` columns over monomials(D, e).
-    """
-    basis = harmonic_basis(D, degree)
-    out = np.zeros((len(basis), columns), dtype=complex)
-    for e, part in parts.items():
-        out += basis.matrix.conj().T @ (_moments(D, degree, e) @ part)
-    return out
+def harmonic(D, chain):
+    """The basis polynomial of `chain` as (degree, column over monomials(D, degree))."""
+    chain = tuple(chain)
+    return chain[0], harmonic_basis(D, chain[0])[chain]
 
 
-def _project(poly, D, degrees):
-    """{chain: <Y_chain, poly>} over the basis of each degree in `degrees`, in that order."""
-    parts = _parts(poly, D)
+def _basis_inner(D, degree, e, P):
+    """<Y_c, P> for every chain c of `degree` (rows) and every column of P over monomials(D, e): Y_d^H M[d, e] P."""
+    return harmonic_basis(D, degree).matrix.conj().T @ (_moments(D, degree, e) @ P)
+
+
+def _project(p, D, degrees):
+    """{chain: <Y_chain, p>} over the basis of each degree in `degrees`, in that order, for p = (degree, column)."""
+    e, column = p
     return {
         chain: val
         for degree in degrees
-        for chain, val in zip(harmonic_basis(D, degree), _basis_inner(D, degree, parts, 1)[:, 0])
+        for chain, val in zip(harmonic_basis(D, degree), _basis_inner(D, degree, e, column[:, None])[:, 0])
     }
 
 
@@ -400,12 +388,12 @@ def position_matrix_elements(D, h, level_max):
     out = np.zeros((len(dst), len(src)), dtype=complex)
     for l in range(level_max + 1):
         basis = harmonic_basis(D, l)
-        moved = {l + 1: _move(basis.matrix, D, l, tuple(int(i == h - 1) for i in range(D)))}
+        moved = _move(basis.matrix, D, l, tuple(int(i == h - 1) for i in range(D)))
         cols = src.ordinals(np.array(list(basis)))
         for degree in (l - 1, l + 1):
             if degree >= 0:
                 rows = dst.ordinals(np.array(list(harmonic_basis(D, degree))))
-                out[np.ix_(rows, cols)] = _basis_inner(D, degree, moved, len(cols))
+                out[np.ix_(rows, cols)] = _basis_inner(D, degree, l + 1, moved)
     return out
 
 
@@ -440,9 +428,8 @@ def multiply_harmonics(a, b, D):
     The product has degree a[0] + b[0]; on the sphere its components lie in
     degrees a[0] + b[0], a[0] + b[0] - 2, ..., 0 or 1, and it is projected on each.
     """
-    a, b = tuple(a), tuple(b)
-    product = poly_mul(harmonic_basis(D, a[0])[a].coefficients, harmonic_basis(D, b[0])[b].coefficients)
-    gamma = _project(product, D, range(a[0] + b[0], -1, -2))
+    product = poly_mul(harmonic(D, a), harmonic(D, b), D)
+    gamma = _project(product, D, range(product[0], -1, -2))
     return {chain: val for chain, val in gamma.items() if abs(val) > 1e-13}
 
 
@@ -475,9 +462,10 @@ def _substitute(coeffs, D, ops):
     cache = {}
     acc = np.zeros((n, n), dtype=complex)
     for chain, c in coeffs.items():
-        chain = tuple(chain)
-        for alpha, p in harmonic_basis(D, chain[0])[chain].coefficients.items():
-            acc += (c * p) * _symmetrized_word(alpha, ops, cache)
+        degree, column = harmonic(D, chain)
+        exps = _exponents(D, degree)[0]
+        for row in np.flatnonzero(column):
+            acc += (c * column[row]) * _symmetrized_word(tuple(exps[row].tolist()), ops, cache)
     return acc
 
 
@@ -537,10 +525,10 @@ def verify_harmonics(D, level_max):
     pairs = [(a, b) for a in level_one for b in level_one[: len(level_one) // 2 + 1]]
     for a, b in pairs[:6]:
         gamma = multiply_harmonics(a, b, D)
-        product = poly_mul(harmonic_basis(D, 1)[a].coefficients, harmonic_basis(D, 1)[b].coefficients)
+        product = poly_mul(harmonic(D, a), harmonic(D, b), D)
         recon = np.zeros(len(pts), dtype=complex)
         for c, g in gamma.items():
-            recon += g * poly_eval(harmonic_basis(D, c[0])[c].coefficients, pts)
+            recon += g * poly_eval(harmonic(D, c), pts)
         prod_dev = max(prod_dev, float(np.max(np.abs(recon - poly_eval(product, pts)))))
         parseval_dev = max(
             parseval_dev,

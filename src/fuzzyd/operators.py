@@ -13,14 +13,20 @@ The arithmetic the checks need (products, sums, adjoint, diagonal scaling,
 per-entry masks on the chain labels, max-abs) works on the triplets, so no
 operator is ever an n x n array here.
 
-The casimirs C_2 .. C_D come from one pass, `_casimir_tower`: each generator
-is squared once, one level block at a time, as the row panel m[b, :] times
-the column panel m[:, b] (densified from the triplets, inner dimension n), and
-only the nonzero entries of its square are kept.  Each C_p sums its order's
-squares entry by entry, strictly left to right from +0 in the order of the
-dense per-order sum.  The entries left out are +-0, and by IEEE arithmetic
-alone (x + (+-0) = x and +0 + x = x for x != 0, and a zero partial sum is +0 on
-both routes) every entry is bit for bit that dense sum.
+Every sum of operators is one `_sum` over (row, col, value) terms: each
+entry's terms are added strictly left to right from +0, in the order given,
+as `dense[row, col] += value` over the terms would add them.  Commutators,
+`+`, `permuted`, the squared distance, the ambient casimir and the casimirs
+C_2 .. C_D all go through it.
+
+The casimirs come from one pass, `_casimir_tower`: each generator is squared
+once, one level block at a time, as the row panel m[b, :] times the column
+panel m[:, b] (densified from the triplets, inner dimension n), and only the
+nonzero entries of its square are kept.  Each C_p is the `_sum` of its
+order's squares in the order of the dense per-order sum.  The entries left
+out are +-0, and by IEEE arithmetic alone (x + (+-0) = x and +0 + x = x for
+x != 0, and a zero partial sum is +0 on both routes) every entry is bit for
+bit that dense sum.
 
 `verify_algebra` compares each casimir once with the diagonal l(l+p-2) that
 its chain label l_{p-1} fixes, and L_12 with l_1; the polynomial, multiplicity
@@ -74,7 +80,7 @@ class SparseOperator:
 
     `rows` and `cols` are int64, `vals` complex128.  The arithmetic of the
     checks needs no dim x dim array: products (see `_product_terms`) and
-    sums, each entry's terms summed once (`_sum`); adjoint, diagonal
+    sums, each entry's terms added left to right (`_sum`); adjoint, diagonal
     scaling, per-entry masks and max-abs.  Two operators are equal when
     their dimensions, positions and values are.
     """
@@ -145,7 +151,7 @@ class SparseOperator:
         return self.where(np.abs(self.vals) >= ENTRY_DROP)
 
     def max_abs(self):
-        return float(np.max(np.abs(self.vals))) if len(self.vals) else 0.0
+        return _max_entry(self.vals)
 
     def to_dense(self):
         return _scatter((self.dim, self.dim), self.rows, self.cols, self.vals)
@@ -183,22 +189,22 @@ def _product_terms(a, b):
 
 
 def _sum(n, terms):
-    """The n x n operator summing (row, col, value) term arrays, 0 for none.
+    """The n x n operator summing (row, col, value) term arrays, 0 for none: each entry's terms left to right from +0.
 
-    Each entry's terms are gathered in the order given and summed once by
-    np.add.reduceat, which adds the first term to numpy's pairwise sum of the
-    rest: t0 + (t1 + t2), not (t0 + t1) + t2.  So `_sum` is not the dense
-    left-to-right sum of the same terms bit for bit; `_sum_left_to_right` is.
+    A stable sort by key = row * n + col keeps every entry's terms in the
+    order given, and np.add.at adds them one at a time in that order:
+    (0 + t0) + t1 + ..., as `dense[row, col] += value` over the terms gives
+    it.  No entry is dropped; `drop_noise` drops those below ENTRY_DROP.
     """
     terms = list(terms) or [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-    key = rows * n + cols
+    key = np.concatenate([rows * n + cols for rows, cols, _ in terms])
     order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    if len(first) < len(key):
-        key, vals = key[first], np.add.reduceat(vals, first)
-    return SparseOperator(n, key // n, key % n, vals)
+    key = key[order]
+    first = np.diff(key, prepend=-1) != 0
+    total = np.zeros(np.count_nonzero(first), dtype=complex)
+    np.add.at(total, np.cumsum(first) - 1, np.concatenate([vals for _, _, vals in terms])[order])
+    key = key[first]
+    return SparseOperator(n, key // n, key % n, total)
 
 
 def _scatter(shape, rows, cols, vals):
@@ -206,6 +212,11 @@ def _scatter(shape, rows, cols, vals):
     out = np.zeros(shape, dtype=complex)
     out[rows, cols] = vals
     return out
+
+
+def _max_entry(arr):
+    """max |arr|, 0 for an empty array."""
+    return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
 def _move_triplets(src, dst, moves):
@@ -271,46 +282,23 @@ def _level_blocks(basis):
 
 
 def _square_entries(m, blocks):
-    """The nonzero entries of m @ m for a generator m that keeps every level: (key, value) arrays, key = row * n + col.
+    """The nonzero entries of m @ m for a generator m that keeps every level, as (row, col, value) arrays.
 
     Each level block is the row panel m[b, :] times the column panel m[:, b],
     both densified from the triplets (they hold the same entries, as m keeps
     the level).  The inner dimension stays n, so BLAS sums every entry over
     the same terms in the same order as the full square, and each block is
-    bit for bit the block of the dense m @ m.  The keys come in row-major
+    bit for bit the block of the dense m @ m.  The entries come in row-major
     order; every entry left out is +-0.
     """
-    keys, vals = [], []
+    parts = []
     for b in blocks:
         s = slice(m.indptr[b.start], m.indptr[b.stop])
         rows, cols, v, d = m.rows[s], m.cols[s], m.vals[s], b.stop - b.start
         panel = _scatter((d, m.dim), rows - b.start, cols, v) @ _scatter((m.dim, d), rows, cols - b.start, v)
         r, c = np.nonzero(panel)
-        keys.append((r + b.start) * m.dim + (c + b.start))
-        vals.append(panel[r, c])
-    return np.concatenate(keys), np.concatenate(vals)
-
-
-def _sum_left_to_right(n, entries):
-    """The n x n operator summing (key, value) arrays, key = row * n + col: each entry's terms left to right from +0.
-
-    A stable sort by key keeps every entry's terms in the order of
-    `entries`, and one vectorised += per term rank adds them: 0 + t0, then
-    + t1, and so on, at most len(entries) adds.  Entries below ENTRY_DROP are
-    dropped.  (`_sum` would compute t0 + (t1 + t2); see its docstring.)
-    """
-    keys = np.concatenate([key for key, _ in entries])
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], np.concatenate([val for _, val in entries])[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    count = np.diff(np.append(first, len(keys)))
-    total = np.zeros(len(first), dtype=complex)
-    for rank in range(count.max(initial=0)):
-        live = np.flatnonzero(count > rank)
-        total[live] += vals[first[live] + rank]
-    keep = np.abs(total) >= ENTRY_DROP
-    keys = keys[first[keep]]
-    return SparseOperator(n, keys // n, keys % n, total[keep])
+        parts.append((r + b.start, c + b.start, panel[r, c]))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _casimir_tower(cfg, orders, generator=None):
@@ -319,10 +307,10 @@ def _casimir_tower(cfg, orders, generator=None):
     `generator(h, j)` gives L_hj (`build_angular_momentum` when None); it is
     called once per pair of so(max(orders)), in _generator_pairs order.  Each
     square is kept as its nonzero entries (`_square_entries`), and C_p is
-    yielded as soon as its last pair (p - 1, p) is in: the sum of its
-    order's squares, each entry's terms taken left to right in
-    _generator_pairs(p) order from +0 (`_sum_left_to_right`).  That is bit for
-    bit the dense sum `part += square` over the same squares, by IEEE
+    yielded as soon as its last pair (p - 1, p) is in: the `_sum` of its
+    order's squares in _generator_pairs(p) order, each entry's terms left to
+    right from +0, with the entries below ENTRY_DROP dropped.  That is bit
+    for bit the dense sum `part += square` over the same squares, by IEEE
     arithmetic alone: the terms left out are +-0, and x + (+-0) = x for every
     x != 0; a zero partial sum is +0 on both routes (it starts at +0, and
     +0 + (+-0) and x + (-x) are +0), and +0 + s = s for every s != 0; an entry
@@ -339,7 +327,7 @@ def _casimir_tower(cfg, orders, generator=None):
             raise RuntimeError(f"generator L_{h}_{j} joins two levels; its square would leave the level blocks")
         squares[h, j] = _square_entries(m, blocks)
         if h == j - 1 and j in orders:
-            yield j, _sum_left_to_right(len(basis), [squares[pair] for pair in _generator_pairs(j)])
+            yield j, _sum(len(basis), [squares[pair] for pair in _generator_pairs(j)]).drop_noise()
 
 
 def _label_projector(basis, p, value):
@@ -459,18 +447,12 @@ class VerificationReport:
         lines.append("  => " + ("ALL PASSED" if self.all_passed else "FAILURES PRESENT"))
         return "\n".join(lines)
 
-    def save(self, json_path=None, csv_path=None):
-        if json_path:
-            with open(json_path, "w") as fh:
-                json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        if csv_path:
-            with open(csv_path, "w") as fh:
-                fh.write(self.to_csv())
-
-
-def _max_entry(arr):
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    def save(self, json_path, csv_path):
+        with open(json_path, "w") as fh:
+            json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        with open(csv_path, "w") as fh:
+            fh.write(self.to_csv())
 
 
 def _component_labels(n, rows, cols):

@@ -1,13 +1,15 @@
 """Per-monomial reference routes for the harmonics layer, kept as test oracles.
 
-`fuzzyd.harmonics` takes sphere inner products as moment-matrix products and
-runs its exact checks on integer coefficient columns.  The loops here are the
-definitions those replace: the sphere integral of one monomial (which the
-moment matrix reproduces bit for bit), the inner product as a double sum over
-monomial pairs, and the flat Laplacian, the rotations t_h d_j - t_j d_h and
-the casimirs applied one monomial at a time to integer coefficient dicts, the
-real and imaginary parts of an exact harmonic, with no use of the monomial
-shifts the package applies to whole columns.
+`fuzzyd.harmonics` holds a polynomial as (degree, column over the monomials
+of that degree), takes sphere inner products as moment-matrix products and
+runs its exact checks on integer coefficient columns.  The loops here work on
+{exponent tuple: coefficient} dicts (`poly_dict` converts a column) and are
+the definitions those replace: the sphere integral of one monomial (which the
+moment matrix reproduces bit for bit), the product and the inner product as
+double sums over monomial pairs, and the flat Laplacian, the rotations
+t_h d_j - t_j d_h and the casimirs applied one monomial at a time to integer
+coefficient dicts, the real and imaginary parts of an exact harmonic, with no
+use of the monomial shifts the package applies to whole columns.
 """
 
 import functools
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from fuzzyd.harmonics import harmonic_basis, monomials
+from fuzzyd.harmonics import harmonic, harmonic_basis, monomials
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,6 +37,22 @@ def sphere_integral(alpha):
     return 2.0 * num / math.gamma(sum(a + 1 for a in alpha) / 2.0)
 
 
+def poly_dict(p, D):
+    """The polynomial p = (degree, column over monomials(D, degree)) as {exponent tuple: complex} of its nonzero coefficients."""
+    degree, column = p
+    return {alpha: complex(c) for alpha, c in zip(monomials(D, degree), column) if c}
+
+
+def poly_mul(p, q):
+    """Product of two monomial coefficient dicts, one monomial pair at a time."""
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
 def poly_inner(p, q, D):
     """Sphere inner product <p, q> = integral of conj(p) q, one monomial pair at a time."""
     acc = 0j
@@ -46,11 +64,11 @@ def poly_inner(p, q, D):
 
 
 def project(poly, D, degrees):
-    """{chain: <Y_chain, poly>} over the basis of each degree in `degrees`."""
+    """{chain: <Y_chain, poly>} over the basis of each degree in `degrees`, for a monomial coefficient dict `poly`."""
     return {
-        chain: poly_inner(pol.coefficients, poly, D)
+        chain: poly_inner(poly_dict(harmonic(D, chain), D), poly, D)
         for degree in degrees
-        for chain, pol in harmonic_basis(D, degree).items()
+        for chain in harmonic_basis(D, degree)
     }
 
 

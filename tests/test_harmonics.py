@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fuzzyd.harmonics import (
     _moments,
     _project,
     function_multiplication_matrix,
+    harmonic,
     harmonic_basis,
     monomials,
     multiplication_matrix,
@@ -53,17 +55,15 @@ def test_basis_counts():
 
 
 def test_constant_and_degree_one_values():
-    lk0 = harmonic_basis(3, 0)
-    [(chain, pol)] = lk0.items()
+    [chain] = harmonic_basis(3, 0)
     assert chain == (0, 0)
-    assert pol.coefficients[(0, 0, 0)] == pytest.approx(1 / math.sqrt(4 * math.pi), abs=1e-15)
-    lk1 = harmonic_basis(3, 1)
-    t3 = lk1[(1, 0)].coefficients
+    assert oracle.poly_dict(harmonic(3, chain), 3)[(0, 0, 0)] == pytest.approx(1 / math.sqrt(4 * math.pi), abs=1e-15)
+    t3 = oracle.poly_dict(harmonic(3, (1, 0)), 3)
     assert set(t3) == {(0, 0, 1)}
     assert t3[(0, 0, 1)] == pytest.approx(math.sqrt(3 / (4 * math.pi)), abs=1e-14)
     # azimuthal pair: the ladder-consistent phases put the minus on the lowered one
-    plus = lk1[(1, 1)].coefficients
-    minus = lk1[(1, -1)].coefficients
+    plus = oracle.poly_dict(harmonic(3, (1, 1)), 3)
+    minus = oracle.poly_dict(harmonic(3, (1, -1)), 3)
     kappa = math.sqrt(3 / (8 * math.pi))
     assert plus[(1, 0, 0)] == pytest.approx(kappa, abs=1e-14)
     assert plus[(0, 1, 0)] == pytest.approx(1j * kappa, abs=1e-14)
@@ -121,10 +121,22 @@ def test_float_coefficients_pinned(D, degree, pinned):
     expected = globals()[pinned]
     basis = harmonic_basis(D, degree)
     assert list(basis) == list(expected)
-    for chain, pol in basis.items():
-        assert set(pol.coefficients) == set(expected[chain])
-        for alpha, v in pol.coefficients.items():
+    for chain in basis:
+        coefficients = oracle.poly_dict(harmonic(D, chain), D)
+        assert set(coefficients) == set(expected[chain])
+        for alpha, v in coefficients.items():
             assert abs(v - expected[chain][alpha]) <= 1e-14
+
+
+def test_basis_matrix_and_columns_are_read_only():
+    # the basis is cached and shared, so neither its matrix nor a chain's column can be written
+    basis = harmonic_basis(4, 2)
+    degree, column = harmonic(4, (2, 1, 1))
+    assert degree == 2 and np.shares_memory(column, basis.matrix)
+    for array in (basis.matrix, column, *basis.values()):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 @pytest.fixture
@@ -187,7 +199,7 @@ def test_radial_admixture_fails_the_exact_checks(corrupt_basis):
     lower_chains, lower = harmonics._exact_chain_vectors(4, 1)
     r2 = {tuple(2 * (i == h) for i in range(4)): 1 for h in range(4)}
     index = {alpha: i for i, alpha in enumerate(monomials(4, 3))}
-    admixture = [poly_mul(r2, part) for part in oracle.column_dicts(lower[:, _pair(lower_chains, (1, 1, 1))], 4, 1)[0]]
+    admixture = [oracle.poly_mul(r2, part) for part in oracle.column_dicts(lower[:, _pair(lower_chains, (1, 1, 1))], 4, 1)[0]]
 
     def admix(D, degree, chains, cols):
         if degree == 3:
@@ -275,30 +287,46 @@ def test_moment_route_matches_the_per_monomial_oracle(D):
                 for i, a in enumerate(monomials(D, d1))
                 for j, b in enumerate(monomials(D, d2))
             )
-    level_one = list(harmonic_basis(D, 1))
+    last = harmonic(D, list(harmonic_basis(D, 1))[-1])
     for degree in range(5):
         basis = harmonic_basis(D, degree)
-        sample = list(basis.values())[:: max(1, len(basis) // 8)]
+        sample = list(basis)[:: max(1, len(basis) // 8)]
+        polys = [harmonic(D, chain) for chain in sample]
+        dicts = [oracle.poly_dict(p, D) for p in polys]
         # Gram matrix entries on a sample of chains, against the package route
         full = basis.matrix.conj().T @ _moments(D, degree, degree) @ basis.matrix
-        cols = [list(basis).index(p.chain) for p in sample]
-        oracle_gram = np.array([[oracle.poly_inner(p.coefficients, q.coefficients, D) for q in sample] for p in sample])
+        cols = [list(basis).index(chain) for chain in sample]
+        oracle_gram = np.array([[oracle.poly_inner(p, q, D) for q in dicts] for p in dicts])
         assert np.max(np.abs(full[np.ix_(cols, cols)] - oracle_gram)) <= 1e-14
-        for p in sample:
-            for q in sample[:2]:
-                got = poly_inner(p.coefficients, q.coefficients, D)
-                assert abs(got - oracle.poly_inner(p.coefficients, q.coefficients, D)) <= 1e-14
-        # projections: a product of harmonics, and one inhomogeneous polynomial
-        product = poly_mul(sample[-1].coefficients, harmonic_basis(D, 1)[level_one[-1]].coefficients)
-        mixed = dict(product)
-        for alpha, c in sample[0].coefficients.items():
-            mixed[alpha] = mixed.get(alpha, 0) + 0.5j * c
-        mixed[(0,) * D] = mixed.get((0,) * D, 0) + 0.25
-        for poly in (product, mixed):
-            degrees = range(degree + 1, -1, -1)
-            got, want = _project(poly, D, degrees), oracle.project(poly, D, degrees)
+        for p, p_dict in zip(polys, dicts):
+            for q, q_dict in zip(polys[:2], dicts[:2]):
+                assert abs(poly_inner(p, q, D) - oracle.poly_inner(p_dict, q_dict, D)) <= 1e-14
+        # a product of harmonics against the per-monomial product
+        product = poly_mul(polys[-1], last, D)
+        want = oracle.poly_mul(dicts[-1], oracle.poly_dict(last, D))
+        got = oracle.poly_dict(product, D)
+        assert product[0] == degree + 1
+        assert max(abs(got.get(a, 0) - want.get(a, 0)) for a in set(got) | set(want)) <= 1e-15
+        # projections: that product, and a combination of two basis polynomials of one degree
+        combination = (degree, 0.5j * polys[0][1] + 0.25 * polys[-1][1])
+        for poly in (product, combination):
+            degrees = range(poly[0], -1, -1)
+            got, want = _project(poly, D, degrees), oracle.project(oracle.poly_dict(poly, D), D, degrees)
             assert list(got) == list(want)
             assert max(abs(got[c] - want[c]) for c in got) <= 1e-14
+
+
+def test_moment_matrix_holds_no_exponent_sum_cube():
+    # D=12, degrees 4 x 4 (1365 monomials each): the (n1, n2, D) exponent sums and their parity
+    # mask traced about 390 MiB; formed one axis at a time, the peak is about 46 MiB
+    harmonics._exponents(12, 4)
+    tracemalloc.start()
+    try:
+        harmonics._moments.__wrapped__(12, 4, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("bad", [-1, -5, True, False, 2.0, 2.5, "2", None, np.bool_(True)])
@@ -331,7 +359,7 @@ def test_numpy_integer_dimensions_are_accepted():
 def test_gram_matrices_are_identity():
     for D, lmax in [(3, 4), (4, 3), (5, 2)]:
         for l in range(lmax + 1):
-            polys = [p.coefficients for p in harmonic_basis(D, l).values()]
+            polys = [oracle.poly_dict(harmonic(D, chain), D) for chain in harmonic_basis(D, l)]
             gram = np.array([[oracle.poly_inner(p, q, D) for q in polys] for p in polys])
             assert np.max(np.abs(gram - np.eye(len(polys)))) <= 1e-10
 
@@ -407,11 +435,12 @@ def test_multiply_reconstruction_and_norm_identity():
     pts = sample_sphere_points(3, 200, seed=4321)
     for a, b in [((1, 0), (1, 1)), ((1, 1), (1, 1)), ((2, 1), (1, -1))]:
         g = multiply_harmonics(a, b, 3)
-        prod = poly_mul(harmonic_basis(3, a[0])[a].coefficients, harmonic_basis(3, b[0])[b].coefficients)
+        prod = poly_mul(harmonic(3, a), harmonic(3, b), 3)
         recon = np.zeros(len(pts), dtype=complex)
         for c, v in g.items():
-            recon += v * poly_eval(harmonic_basis(3, c[0])[c].coefficients, pts)
+            recon += v * poly_eval(harmonic(3, c), pts)
         assert np.max(np.abs(recon - poly_eval(prod, pts))) <= 1e-9
+        prod = oracle.poly_dict(prod, 3)
         assert sum(abs(v) ** 2 for v in g.values()) == pytest.approx(oracle.poly_inner(prod, prod, 3).real, abs=1e-9)
         assert all(k[-1] == a[-1] + b[-1] for k in g)
 
@@ -484,9 +513,9 @@ def test_fuzzy_hermitian_pairing():
     # same phase that relates the polynomial to its conjugate
     for chain in [(1, 1), (2, 1), (2, 2)]:
         flipped = chain[:-1] + (-chain[-1],)
-        pol = harmonic_basis(3, chain[0])[chain].coefficients
+        pol = oracle.poly_dict(harmonic(3, chain), 3)
         conj = {a: np.conjugate(v) for a, v in pol.items()}
-        flip = harmonic_basis(3, chain[0])[flipped].coefficients
+        flip = oracle.poly_dict(harmonic(3, flipped), 3)
         ratios = [flip[a] / conj[a] for a in conj]
         phase = ratios[0]
         assert np.allclose(ratios, phase, atol=1e-12)

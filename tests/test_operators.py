@@ -20,7 +20,6 @@ from fuzzyd.operators import (
     _product_terms,
     _reflection_deviation,
     _sum,
-    _sum_left_to_right,
     build_angular_momentum,
     build_casimir,
     build_position,
@@ -459,19 +458,18 @@ def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
 
 def test_left_to_right_sum_is_the_dense_sum_bit_for_bit():
     # per entry (0 + t0) + t1 + t2, as `part += square` into a zero array gives it: a -0 part comes
-    # out +0, and 1e16 absorbs each later 1, where the pairwise sum of `_sum` gives 1e16 + 2
-    entries = [
-        (np.array([0, 3]), np.array([complex(1, -0.0), 1e16])),
-        (np.array([3]), np.array([1 + 0j])),
-        (np.array([3]), np.array([1 + 0j])),
+    # out +0, and 1e16 absorbs each later 1, where a pairwise or reordered sum would give 1e16 + 2
+    terms = [
+        (np.array([0, 1]), np.array([0, 1]), np.array([complex(1, -0.0), 1e16])),
+        (np.array([1]), np.array([1]), np.array([1 + 0j])),
+        (np.array([1]), np.array([1]), np.array([1 + 0j])),
     ]
-    dense = np.zeros(4, dtype=complex)
-    for keys, vals in entries:
-        dense[keys] += vals
-    total = _sum_left_to_right(2, entries)
-    assert total.to_json_text() == triplets_of(dense.reshape(2, 2)).to_json_text()
+    dense = np.zeros((2, 2), dtype=complex)
+    for rows, cols, vals in terms:
+        dense[rows, cols] += vals
+    total = _sum(2, terms)
+    assert total.to_json_text() == triplets_of(dense).to_json_text()
     assert total.vals[1] == 1e16 and not np.signbit(total.vals.imag).any()
-    assert _sum(2, [(keys // 2, keys % 2, vals) for keys, vals in entries]).vals[1] == 1e16 + 2
 
 
 def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
