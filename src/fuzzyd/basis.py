@@ -42,10 +42,8 @@ class FuzzyConfig:
     k: float
 
     def __post_init__(self):
-        if not isinstance(self.D, int) or self.D < 3:
-            raise ValueError(f"ambient dimension must be an integer >= 3, got {self.D}")
-        if not isinstance(self.cutoff, int) or self.cutoff < 0:
-            raise ValueError(f"cutoff must be an integer >= 0, got {self.cutoff}")
+        object.__setattr__(self, "D", _integer(self.D, "ambient dimension", 3))
+        object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff", 0))
         if not self.k > 0:
             raise ValueError(f"stiffness k must be positive, got {self.k}")
         energy = self.cutoff * (self.cutoff + self.D - 2)
@@ -67,10 +65,7 @@ def dimension(D, cutoff):
     Closed form C(cutoff+D-2, cutoff-1) * (2*cutoff+D-1) / cutoff for
     cutoff >= 1; by convention 1 for cutoff = 0 (only the constant state).
     """
-    if D < 3:
-        raise ValueError(f"ambient dimension must be >= 3, got {D}")
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    D, cutoff = _integer(D, "ambient dimension", 3), _integer(cutoff, "cutoff", 0)
     if cutoff == 0:
         return 1
     num = math.comb(cutoff + D - 2, cutoff - 1) * (2 * cutoff + D - 1)
@@ -101,8 +96,7 @@ def _extend(prefix, upper, entries_left):
 
 def level_chains(D, top):
     """The chains with top entry `top`, in canonical (ascending lexicographic) order."""
-    if D < 3:
-        raise ValueError(f"ambient dimension must be >= 3, got {D}")
+    D, top = _integer(D, "ambient dimension", 3), _integer(top, "level", 0)
     return sorted(_extend((top,), top, D - 2))
 
 

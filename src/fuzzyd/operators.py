@@ -20,13 +20,19 @@ as `dense[row, col] += value` over the terms would add them.  Commutators,
 C_2 .. C_D all go through it.
 
 The casimirs come from one pass, `_casimir_tower`: each generator is squared
-once, one level block at a time, as the row panel m[b, :] times the column
-panel m[:, b] (densified from the triplets, inner dimension n), and only the
-nonzero entries of its square are kept.  Each C_p is the `_sum` of its
-order's squares in the order of the dense per-order sum.  The entries left
-out are +-0, and by IEEE arithmetic alone (x + (+-0) = x and +0 + x = x for
-x != 0, and a zero partial sum is +0 on both routes) every entry is bit for
-bit that dense sum.
+once, one level block b at a time, as row tiles of the row panel m[b, :]
+(balanced, at most ROW_TILE rows, none shorter than half that once a level
+splits) each times the whole column panel m[:, b], densified from the
+triplets into two zero buffers reused for the whole pass, inner dimension
+n.  Only the nonzero entries of each square are kept.  Each C_p is the
+`_sum` of its order's squares in the order of the dense per-order sum.  The
+entries left out are +-0, and by IEEE arithmetic alone (x + (+-0) = x and
++0 + x = x for x != 0, and a zero partial sum is +0 on both routes) every
+entry is bit for bit that dense sum.  The tiles add one assumption on BLAS:
+that zgemm sums each entry over K in an order that does not depend on the
+rows a call covers.  tests/test_operators.py checks it against the dense
+square wherever a level splits (D=4 cutoff 12, D=5 cutoff 8), and the
+sha256s of the build files in perfbench/references.json pin it.
 
 `verify_algebra` compares each casimir once with the diagonal l(l+p-2) that
 its chain label l_{p-1} fixes, and L_12 with l_1; the polynomial, multiplicity
@@ -65,6 +71,7 @@ from .basis import _integer, basis_of, level_dimension
 from .coefficients import centrifugal_coeff, radial_weight, updown_weights
 
 ENTRY_DROP = 1e-15
+ROW_TILE = 128  # most rows of a level squared in one BLAS call (`_row_tiles`)
 
 TOL_HERMITIAN = 1e-13
 TOL_DEGREE2 = 1e-12
@@ -281,23 +288,48 @@ def _level_blocks(basis):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _square_entries(m, blocks):
+def _row_tiles(block):
+    """Balanced slices covering `block`, each at most ROW_TILE rows, and at least ROW_TILE // 2 once it splits."""
+    count = -(-(block.stop - block.start) // ROW_TILE)
+    edges = [block.start + (block.stop - block.start) * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _square_entries(m, blocks, row_buffer, col_buffer):
     """The nonzero entries of m @ m for a generator m that keeps every level, as (row, col, value) arrays.
 
-    Each level block is the row panel m[b, :] times the column panel m[:, b],
-    both densified from the triplets (they hold the same entries, as m keeps
-    the level).  The inner dimension stays n, so BLAS sums every entry over
-    the same terms in the same order as the full square, and each block is
-    bit for bit the block of the dense m @ m.  The entries come in row-major
-    order; every entry left out is +-0.
+    Each level block b is squared as row tiles (`_row_tiles`) of the row
+    panel m[b, :], each times the whole column panel m[:, b], both densified
+    from the triplets (they hold the same entries, as m keeps the level).
+    The inner dimension stays n, so BLAS sums every entry over the same terms
+    as the full square; that it sums them in the same order, whatever rows a
+    call covers, is the one assumption on BLAS here (OpenBLAS zgemm sums
+    each entry over K in an order that does not depend on M), and it makes
+    each tile bit for bit its rows of the dense m @ m.  A tile is never one
+    row unless its level is, so a split never turns a matrix product into a
+    vector one.  The panels are row-major views of the flat zero buffers
+    `row_buffer` (n entries per row of the tallest tile) and `col_buffer`
+    (n x the widest level), and only the entries written are set back to
+    zero after each use.  The entries come in row-major order; every entry
+    left out is +-0.
     """
-    parts = []
+    n, parts = m.dim, []
     for b in blocks:
         s = slice(m.indptr[b.start], m.indptr[b.stop])
         rows, cols, v, d = m.rows[s], m.cols[s], m.vals[s], b.stop - b.start
-        panel = _scatter((d, m.dim), rows - b.start, cols, v) @ _scatter((m.dim, d), rows, cols - b.start, v)
-        r, c = np.nonzero(panel)
-        parts.append((r + b.start, c + b.start, panel[r, c]))
+        col_at = rows, cols - b.start
+        col_panel = col_buffer[: n * d].reshape(n, d)
+        col_panel[col_at] = v
+        for t in _row_tiles(b):
+            e = slice(m.indptr[t.start], m.indptr[t.stop])
+            row_at = m.rows[e] - t.start, m.cols[e]
+            row_panel = row_buffer[: n * (t.stop - t.start)].reshape(-1, n)
+            row_panel[row_at] = m.vals[e]
+            panel = row_panel @ col_panel
+            row_panel[row_at] = 0
+            r, c = np.nonzero(panel)
+            parts.append((r + t.start, c + b.start, panel[r, c]))
+        col_panel[col_at] = 0
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
@@ -306,7 +338,9 @@ def _casimir_tower(cfg, orders, generator=None):
 
     `generator(h, j)` gives L_hj (`build_angular_momentum` when None); it is
     called once per pair of so(max(orders)), in _generator_pairs order.  Each
-    square is kept as its nonzero entries (`_square_entries`), and C_p is
+    square is kept as its nonzero entries (`_square_entries`, from one row
+    tile buffer of min(max d_l, ROW_TILE) x n and one column panel buffer of
+    n x max d_l, both allocated once for the pass), and C_p is
     yielded as soon as its last pair (p - 1, p) is in: the `_sum` of its
     order's squares in _generator_pairs(p) order, each entry's terms left to
     right from +0, with the entries below ENTRY_DROP dropped.  That is bit
@@ -318,16 +352,19 @@ def _casimir_tower(cfg, orders, generator=None):
     generator joining two levels raises RuntimeError.
     """
     basis = basis_of(cfg)
-    blocks = _level_blocks(basis)
+    n, blocks = len(basis), _level_blocks(basis)
     levels = basis.labels[:, 0]
+    widest = max(b.stop - b.start for b in blocks)
+    row_buffer = np.zeros(min(widest, ROW_TILE) * n, dtype=complex)
+    col_buffer = np.zeros(n * widest, dtype=complex)
     squares = {}
     for h, j in _generator_pairs(max(orders)):
         m = generator(h, j) if generator else build_angular_momentum(cfg, h, j)
         if np.any(levels[m.rows] != levels[m.cols]):
             raise RuntimeError(f"generator L_{h}_{j} joins two levels; its square would leave the level blocks")
-        squares[h, j] = _square_entries(m, blocks)
+        squares[h, j] = _square_entries(m, blocks, row_buffer, col_buffer)
         if h == j - 1 and j in orders:
-            yield j, _sum(len(basis), [squares[pair] for pair in _generator_pairs(j)]).drop_noise()
+            yield j, _sum(n, [squares[pair] for pair in _generator_pairs(j)]).drop_noise()
 
 
 def _label_projector(basis, p, value):

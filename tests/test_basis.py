@@ -9,6 +9,7 @@ from fuzzyd.basis import (
     dimension,
     enumerate_chains,
     iter_chains,
+    level_chains,
     level_dimension,
 )
 
@@ -158,6 +159,26 @@ def test_config_validation():
     # cutoff energy 8 needs 8 < 2*sqrt(2k), i.e. k > 8
     with pytest.raises(ValueError):
         FuzzyConfig(D=4, cutoff=2, k=7.9)
+
+
+@pytest.mark.parametrize("D, cutoff", [(3, True), (3, np.bool_(True)), (True, 1), (3, 1.0), (3.0, 1), (3.5, 2), (3, np.float64(2.0))])
+def test_bools_and_floats_are_refused_as_dimension_and_cutoff(D, cutoff):
+    # FuzzyConfig(3, True, 100.0) was once accepted as cutoff 1, and dimension(3.5, 2) raised TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        FuzzyConfig(D=D, cutoff=cutoff, k=100.0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        dimension(D, cutoff)
+    with pytest.raises(ValueError, match="must be an integer"):
+        level_chains(D, cutoff)
+
+
+def test_numpy_integer_dimension_and_cutoff_are_accepted_as_int():
+    # FuzzyConfig(np.int64(3), ...) was once refused with "must be an integer >= 3, got 3"
+    cfg = FuzzyConfig(D=np.int64(3), cutoff=np.int32(2), k=100.0)
+    assert type(cfg.D) is int and type(cfg.cutoff) is int
+    assert cfg == FuzzyConfig(D=3, cutoff=2, k=100.0)
+    assert dimension(np.int64(4), np.int32(2)) == dimension(4, 2) == 14
+    assert level_chains(np.int64(3), np.int64(1)) == level_chains(3, 1) == [(1, -1), (1, 0), (1, 1)]
 
 
 def test_json_form():

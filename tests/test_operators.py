@@ -10,6 +10,7 @@ from fuzzyd.basis import FuzzyConfig, dimension, enumerate_chains, level_dimensi
 from fuzzyd.coefficients import radial_weight
 from fuzzyd.convergence import coordinate_coefficients, k_schedule
 from fuzzyd.operators import (
+    ROW_TILE,
     TOL_DEGREE2,
     TOL_NILPOTENT,
     SparseOperator,
@@ -19,6 +20,7 @@ from fuzzyd.operators import (
     _generator_pairs,
     _product_terms,
     _reflection_deviation,
+    _row_tiles,
     _sum,
     build_angular_momentum,
     build_casimir,
@@ -437,13 +439,14 @@ def test_lower_casimir_residual_fails_the_spectra_check(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "D, cutoff", [(3, 0), (3, 5), (4, 3), (4, 6), (5, 2), (5, 4), (6, 2), (6, 4), (7, 3)]
+    "D, cutoff", [(3, 0), (3, 5), (4, 3), (4, 6), (5, 2), (5, 4), (6, 2), (6, 4), (7, 3), (4, 12), (5, 8)]
 )
 def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
-    # one pass squaring each generator once, by level row panels of inner dimension n, and
-    # summing the nonzero entries of the squares left to right gives every order bit for bit
-    # as the dense sum over that order's generators, down to the written bytes (signed zeros
-    # included); at cutoff 0 every generator and casimir is empty
+    # one pass squaring each generator once, by row tiles of the level panels with inner
+    # dimension n, and summing the nonzero entries of the squares left to right gives every
+    # order bit for bit as the dense sum over that order's generators, down to the written bytes
+    # (signed zeros included); at cutoff 0 every generator and casimir is empty.  The top levels
+    # of D=4 cutoff 12 (169 rows) and D=5 cutoff 8 (285 rows) split into 2 and 3 row tiles
     cfg = _consistency_config(D, cutoff)
     n = dimension(D, cutoff)
     tower = dict(_casimir_tower(cfg, range(2, D + 1)))
@@ -454,6 +457,19 @@ def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
         assert build_casimir(cfg, p) == triplets_of(dense), p
         assert casimir.to_json_text() == triplets_of(dense).to_json_text(), p
         assert (len(casimir.vals) == 0) == (cutoff == 0), p
+
+
+def test_row_tiles_cover_each_level_in_balanced_tiles():
+    # consecutive tiles of at most ROW_TILE rows cover the level exactly; once a level splits,
+    # no tile is shorter than half a tile, so none becomes a 1-row (matrix-vector) product
+    for d in range(1, 601):
+        for start in (0, 7):
+            tiles = _row_tiles(slice(start, start + d))
+            assert tiles[0].start == start and tiles[-1].stop == start + d, d
+            assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:])), d
+            heights = [t.stop - t.start for t in tiles]
+            assert max(heights) <= ROW_TILE and max(heights) - min(heights) <= 1, d
+            assert len(tiles) == 1 or min(heights) >= ROW_TILE // 2, d
 
 
 def test_left_to_right_sum_is_the_dense_sum_bit_for_bit():
@@ -477,9 +493,9 @@ def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
     built, squared = [], []
     honest = fuzzyd.operators._square_entries
 
-    def counted(m, blocks):
+    def counted(m, *args):
         squared.append(m)
-        return honest(m, blocks)
+        return honest(m, *args)
 
     def generator(h, j):
         built.append((h, j))
@@ -493,8 +509,10 @@ def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
 
 def test_casimir_tower_holds_no_per_order_block_accumulators():
     # D=5 cutoff 10 (n = 1716): the squares are kept as their nonzero entries and each order is
-    # summed from them, so the traced peak stays well below the 69 MiB that per-order dense
-    # level-block accumulators took
+    # summed from them, and the levels are squared in row tiles against one column panel, from two
+    # buffers reused across levels and generators (about 24 MiB traced); the peak read 69 MiB with
+    # per-order dense level-block accumulators and 35.4 MiB with a fresh pair of whole level panels
+    # per square
     cfg = _consistency_config(5, 10)
     tracemalloc.start()
     try:
@@ -503,7 +521,7 @@ def test_casimir_tower_holds_no_per_order_block_accumulators():
     finally:
         tracemalloc.stop()
     assert [p for p, _ in tower] == [2, 3, 4, 5]
-    assert peak < 48 * 2**20, peak
+    assert peak < 28 * 2**20, peak
 
 
 def test_generator_joining_two_levels_stops_the_casimir_tower(monkeypatch):
