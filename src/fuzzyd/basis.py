@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,7 +171,7 @@ def enumerate_chains(D, cutoff):
     The two most recently used pairs are kept: as many as a command moves
     between at once (the x diagnostic's cutoff and cutoff + 1).
     """
-    return _enumerate(operator.index(D), operator.index(cutoff))
+    return _enumerate(_integer(D, "ambient dimension", 3), _integer(cutoff, "cutoff", 0))
 
 
 @functools.lru_cache(maxsize=2)
@@ -183,7 +182,7 @@ def _enumerate(D, cutoff):
     labels = np.array(chains, dtype=np.int64).reshape(n, D - 1)
     labels.flags.writeable = False
     table = np.array([[dimension(D - j, a - 1) if a else 0 for a in range(cutoff + 1)] for j in range(D - 2)], dtype=np.int64)
-    return BasisMap(D=int(D), cutoff=int(cutoff), chains=chains, labels=labels, _table=table)
+    return BasisMap(D=D, cutoff=cutoff, chains=chains, labels=labels, _table=table)
 
 
 def basis_of(cfg):

@@ -17,22 +17,28 @@ Every sum of operators is one `_sum` over (row, col, value) terms: each
 entry's terms are added strictly left to right from +0, in the order given,
 as `dense[row, col] += value` over the terms would add them.  Commutators,
 `+`, `permuted`, the squared distance, the ambient casimir and the casimirs
-C_2 .. C_D all go through it.
+C_2 .. C_D all go through it.  A sum of squares is a running total,
+`total = _sum(n, [total.terms, square])`, so no more than one square's
+terms are held at once; a total's entry is never -0, so +0 + total = total,
+and the fold is bit for bit one `_sum` over all the squares.
 
 The casimirs come from one pass, `_casimir_tower`: each generator is squared
 once, one level block b at a time, as row tiles of the row panel m[b, :]
-(balanced, at most ROW_TILE rows, none shorter than half that once a level
-splits) each times the whole column panel m[:, b], densified from the
-triplets into two zero buffers reused for the whole pass, inner dimension
-n.  Only the nonzero entries of each square are kept.  Each C_p is the
-`_sum` of its order's squares in the order of the dense per-order sum.  The
-entries left out are +-0, and by IEEE arithmetic alone (x + (+-0) = x and
-+0 + x = x for x != 0, and a zero partial sum is +0 on both routes) every
-entry is bit for bit that dense sum.  The tiles add one assumption on BLAS:
-that zgemm sums each entry over K in an order that does not depend on the
-rows a call covers.  tests/test_operators.py checks it against the dense
-square wherever a level splits (D=4 cutoff 12, D=5 cutoff 8), and the
-sha256s of the build files in perfbench/references.json pin it.
+times column tiles of the column panel m[:, b], both cut into the same
+balanced `_row_tiles` (at most ROW_TILE, none shorter than half that once a
+level splits) and densified from the triplets into two zero buffers of at
+most ROW_TILE x n entries reused for the whole pass, inner dimension n; a
+pair of tiles that no k joins is skipped, as its entries are all +-0.  Only
+the nonzero entries of each square are kept, folded into the running total
+of every order it belongs to, and dropped.  Each C_p adds its order's
+squares in the order of the dense per-order sum.  The entries left out are
++-0, and by IEEE arithmetic alone (x + (+-0) = x and +0 + x = x for x != 0,
+and a zero partial sum is +0 on both routes) every entry is bit for bit that
+dense sum.  The tiles add one assumption on BLAS: that zgemm sums each entry
+over K in an order that does not depend on the rows or columns a call
+covers.  tests/test_operators.py checks it against the dense square wherever
+a level splits (D=4 cutoff 12, D=5 cutoff 8), and the sha256s of the build
+files in perfbench/references.json pin it.
 
 `verify_algebra` compares each casimir once with the diagonal l(l+p-2) that
 its chain label l_{p-1} fixes, and L_12 with l_1; the polynomial, multiplicity
@@ -71,7 +77,7 @@ from .basis import _integer, basis_of, level_dimension
 from .coefficients import centrifugal_coeff, radial_weight, updown_weights
 
 ENTRY_DROP = 1e-15
-ROW_TILE = 128  # most rows of a level squared in one BLAS call (`_row_tiles`)
+ROW_TILE = 128  # most rows or columns of a level squared in one BLAS call (`_row_tiles`)
 
 TOL_HERMITIAN = 1e-13
 TOL_DEGREE2 = 1e-12
@@ -79,6 +85,7 @@ TOL_INTERIOR = 1e-13
 TOL_NILPOTENT = 1e-9
 
 _ENTRY_JSON = "    [\n      %d,\n      %d,\n      %r,\n      %r\n    ]"
+_NO_TERMS = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +208,12 @@ def _sum(n, terms):
     A stable sort by key = row * n + col keeps every entry's terms in the
     order given, and np.add.at adds them one at a time in that order:
     (0 + t0) + t1 + ..., as `dense[row, col] += value` over the terms gives
-    it.  No entry is dropped; `drop_noise` drops those below ENTRY_DROP.
+    it.  No entry is dropped; `drop_noise` drops those below ENTRY_DROP.  No
+    entry of the result is -0 (+0 + (+-0) and x + (-x) are +0), so a running
+    total `_sum(n, [total.terms, t])` over the term arrays t one at a time is
+    bit for bit one `_sum` over all of them, and holds one of them at a time.
     """
-    terms = list(terms) or [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))]
+    terms = list(terms) or [_NO_TERMS]
     key = np.concatenate([rows * n + cols for rows, cols, _ in terms])
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -289,7 +299,7 @@ def _level_blocks(basis):
 
 
 def _row_tiles(block):
-    """Balanced slices covering `block`, each at most ROW_TILE rows, and at least ROW_TILE // 2 once it splits."""
+    """Balanced slices covering `block`, each at most ROW_TILE long, and at least ROW_TILE // 2 once it splits."""
     count = -(-(block.stop - block.start) // ROW_TILE)
     edges = [block.start + (block.stop - block.start) * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
@@ -298,38 +308,48 @@ def _row_tiles(block):
 def _square_entries(m, blocks, row_buffer, col_buffer):
     """The nonzero entries of m @ m for a generator m that keeps every level, as (row, col, value) arrays.
 
-    Each level block b is squared as row tiles (`_row_tiles`) of the row
-    panel m[b, :], each times the whole column panel m[:, b], both densified
-    from the triplets (they hold the same entries, as m keeps the level).
-    The inner dimension stays n, so BLAS sums every entry over the same terms
-    as the full square; that it sums them in the same order, whatever rows a
-    call covers, is the one assumption on BLAS here (OpenBLAS zgemm sums
-    each entry over K in an order that does not depend on M), and it makes
-    each tile bit for bit its rows of the dense m @ m.  A tile is never one
-    row unless its level is, so a split never turns a matrix product into a
-    vector one.  The panels are row-major views of the flat zero buffers
-    `row_buffer` (n entries per row of the tallest tile) and `col_buffer`
-    (n x the widest level), and only the entries written are set back to
-    zero after each use.  The entries come in row-major order; every entry
-    left out is +-0.
+    Each level block b is squared tile by tile: every row tile t of the row
+    panel m[b, :] times every column tile u of the column panel m[:, b],
+    both cut into the same balanced `_row_tiles(b)` and densified from the
+    triplets (the panels hold the same entries, as m keeps the level).  The
+    inner dimension stays n, so BLAS sums every entry over the same terms as
+    the full square; that it sums them in the same order, whatever rows or
+    columns a call covers, is the one assumption on BLAS here (OpenBLAS zgemm
+    sums each entry over K in an order that depends on neither M nor N), and
+    it makes each tile bit for bit its block of the dense m @ m.  A tile is
+    never one row or one column unless its level is, so a split never turns
+    a matrix product into a vector one.  A pair of tiles with no k at which
+    both m[t, k] and m[k, u] hold an entry is not multiplied: every term of
+    its entries has a zero factor, so they are all +-0.  The panels are views
+    of the flat zero buffers `row_buffer` and `col_buffer` (n entries per row
+    or column of the largest tile), and only the entries written are set back
+    to zero after each use.  Each (row, col) comes once, in tile order, not
+    row-major; every entry left out is +-0.
     """
-    n, parts = m.dim, []
+    n, parts = m.dim, [_NO_TERMS]
     for b in blocks:
         s = slice(m.indptr[b.start], m.indptr[b.stop])
-        rows, cols, v, d = m.rows[s], m.cols[s], m.vals[s], b.stop - b.start
-        col_at = rows, cols - b.start
-        col_panel = col_buffer[: n * d].reshape(n, d)
-        col_panel[col_at] = v
-        for t in _row_tiles(b):
-            e = slice(m.indptr[t.start], m.indptr[t.stop])
-            row_at = m.rows[e] - t.start, m.cols[e]
-            row_panel = row_buffer[: n * (t.stop - t.start)].reshape(-1, n)
-            row_panel[row_at] = m.vals[e]
-            panel = row_panel @ col_panel
-            row_panel[row_at] = 0
-            r, c = np.nonzero(panel)
-            parts.append((r + t.start, c + b.start, panel[r, c]))
-        col_panel[col_at] = 0
+        rows, cols, v = m.rows[s], m.cols[s], m.vals[s]
+        tiles = _row_tiles(b)
+        for u in tiles:
+            inside = (cols >= u.start) & (cols < u.stop)
+            col_at = rows[inside], cols[inside] - u.start
+            col_panel = col_buffer[: n * (u.stop - u.start)].reshape(n, -1)
+            col_panel[col_at] = v[inside]
+            reached = np.zeros(n, dtype=bool)
+            reached[col_at[0]] = True
+            for t in tiles:
+                e = slice(m.indptr[t.start], m.indptr[t.stop])
+                if not reached[m.cols[e]].any():
+                    continue
+                row_at = m.rows[e] - t.start, m.cols[e]
+                row_panel = row_buffer[: n * (t.stop - t.start)].reshape(-1, n)
+                row_panel[row_at] = m.vals[e]
+                panel = row_panel @ col_panel
+                row_panel[row_at] = 0
+                r, c = np.nonzero(panel)
+                parts.append((r + t.start, c + u.start, panel[r, c]))
+            col_panel[col_at] = 0
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
@@ -338,33 +358,40 @@ def _casimir_tower(cfg, orders, generator=None):
 
     `generator(h, j)` gives L_hj (`build_angular_momentum` when None); it is
     called once per pair of so(max(orders)), in _generator_pairs order.  Each
-    square is kept as its nonzero entries (`_square_entries`, from one row
-    tile buffer of min(max d_l, ROW_TILE) x n and one column panel buffer of
-    n x max d_l, both allocated once for the pass), and C_p is
-    yielded as soon as its last pair (p - 1, p) is in: the `_sum` of its
-    order's squares in _generator_pairs(p) order, each entry's terms left to
-    right from +0, with the entries below ENTRY_DROP dropped.  That is bit
-    for bit the dense sum `part += square` over the same squares, by IEEE
-    arithmetic alone: the terms left out are +-0, and x + (+-0) = x for every
-    x != 0; a zero partial sum is +0 on both routes (it starts at +0, and
-    +0 + (+-0) and x + (-x) are +0), and +0 + s = s for every s != 0; an entry
-    whose terms are all zero is +0, below ENTRY_DROP on both routes.  A
-    generator joining two levels raises RuntimeError.
+    square is formed as its nonzero entries (`_square_entries`, from one row
+    tile buffer and one column tile buffer of min(max d_l, ROW_TILE) x n
+    each, both allocated once for the pass), folded into the running total
+    of every order p >= j, `total = _sum(n, [total.terms, square])`, and
+    dropped: _generator_pairs(p) is a subsequence, in the same order, of
+    _generator_pairs(max(orders)), so each total adds its order's squares in
+    _generator_pairs(p) order.  C_p is yielded as soon as its last pair
+    (p - 1, p) is in, with the entries below ENTRY_DROP dropped.  The fold is
+    bit for bit one `_sum` over all the squares (a total's entry is never -0,
+    so +0 + total = total), and that is bit for bit the dense sum
+    `part += square` over the same squares, by IEEE arithmetic alone: the
+    terms left out are +-0, and x + (+-0) = x for every x != 0; a zero
+    partial sum is +0 on both routes (it starts at +0, and +0 + (+-0) and
+    x + (-x) are +0), and +0 + s = s for every s != 0; an entry whose terms
+    are all zero is +0, below ENTRY_DROP on both routes.  A generator joining
+    two levels raises RuntimeError.
     """
     basis = basis_of(cfg)
     n, blocks = len(basis), _level_blocks(basis)
     levels = basis.labels[:, 0]
-    widest = max(b.stop - b.start for b in blocks)
-    row_buffer = np.zeros(min(widest, ROW_TILE) * n, dtype=complex)
-    col_buffer = np.zeros(n * widest, dtype=complex)
-    squares = {}
+    buffer_size = min(max(b.stop - b.start for b in blocks), ROW_TILE) * n
+    row_buffer, col_buffer = np.zeros(buffer_size, dtype=complex), np.zeros(buffer_size, dtype=complex)
+    totals = {p: _sum(n, []) for p in orders}
     for h, j in _generator_pairs(max(orders)):
         m = generator(h, j) if generator else build_angular_momentum(cfg, h, j)
         if np.any(levels[m.rows] != levels[m.cols]):
             raise RuntimeError(f"generator L_{h}_{j} joins two levels; its square would leave the level blocks")
-        squares[h, j] = _square_entries(m, blocks, row_buffer, col_buffer)
-        if h == j - 1 and j in orders:
-            yield j, _sum(n, [squares[pair] for pair in _generator_pairs(j)]).drop_noise()
+        square = _square_entries(m, blocks, row_buffer, col_buffer)
+        for p in totals:
+            if p >= j:
+                totals[p] = _sum(n, [totals[p].terms, square])
+        del square
+        if h == j - 1 and j in totals:
+            yield j, totals.pop(j).drop_noise()
 
 
 def _label_projector(basis, p, value):
@@ -392,12 +419,15 @@ def build_projector(cfg, p=None, value=None):
     With no arguments: projector on the top level (chains with l_d = cutoff).
     With (p, value): projector on the order-p casimir eigenspace whose
     branching label l_{p-1} equals `value`; raises if that eigenvalue does not
-    occur in the spectrum.
+    occur in the spectrum.  Both are integers (bools refused), given together.
     """
     basis = basis_of(cfg)
     if p is None and value is None:
         p, value = cfg.D, cfg.cutoff
-    p = _integer(p, "casimir order")
+    for arg, name, other in ((p, "casimir order p", "value"), (value, "branching label value", "p")):
+        if arg is None:
+            raise ValueError(f"{name} must be an integer given together with {other}, got None")
+    p, value = _integer(p, "casimir order"), _integer(value, "branching label")
     if not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
     diag = _label_projector(basis, p, value)
@@ -666,7 +696,9 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         return Check("positions transform as an so(D) vector", dev, tol_degree2)
 
     def check_position_square():
-        sq = _sum(n, [_product_terms(x, x) for x in X.values()])
+        sq = _sum(n, [])
+        for x in X.values():
+            sq = _sum(n, [sq.terms, _product_terms(x, x)])
         return Check("squared distance spectrum per level", _diagonal_residual(sq, np.array(squared_distance)[levels]), tol_degree2)
 
     def check_casimir_spectra():

@@ -15,9 +15,11 @@ family since flipping all generators carrying one fixed index is conjugation
 by a reflection.
 
 `ambient_generator` is the one builder of the so(D+1) family.
-`verify_isomorphism` sums the squares of the whole family into the ambient
-casimir, compares the generators with j <= D with `build_angular_momentum`,
-and dresses those with j = D+1 (`_dress`) to compare them with
+`verify_isomorphism` folds the square of each generator of the family into
+a running total, the ambient casimir, as soon as it is built (one square's
+terms held at a time, bit for bit one `_sum` over all of them).  It
+compares the generators with j <= D with `build_angular_momentum`, and
+dresses those with j = D+1 (`_dress`) to compare them with
 `build_position`.
 """
 
@@ -134,11 +136,12 @@ def verify_isomorphism(cfg):
     # casimir, and is compared with the native generator (j <= D) or dressed into a
     # position operator (j = D+1)
     p = _dressing(cfg)
+    n = dimension(D, lam)
     dev = dict.fromkeys(("gen", "pos", "adj", "alt", "par"), 0.0)
-    squares = []
+    amb_cas = _sum(n, [])
     for h, j in _generator_pairs(D + 1):
         amb = ambient_generator(cfg, h, j)
-        squares.append(_product_terms(amb, amb))
+        amb_cas = _sum(n, [amb_cas.terms, _product_terms(amb, amb)])
         if j <= D:
             dev["gen"] = max(dev["gen"], (amb - build_angular_momentum(cfg, h, j)).max_abs())
             continue
@@ -150,8 +153,7 @@ def verify_isomorphism(cfg):
         # the unflipped orientation (+1), built on its own, dressed like the default
         flipped = _dress(ambient_generator(cfg, h, j, orientation=+1), p)
         dev["par"] = max(dev["par"], (flipped + realized).max_abs())
-    n = dimension(D, lam)
-    amb_cas = _sum(n, squares).drop_noise()
+    amb_cas = amb_cas.drop_noise()
 
     report.add("dressed generators equal position operators", dev["pos"], TOL_ISO)
     report.add("dressed generators are self-adjoint", dev["adj"], TOL_ADJOINT)

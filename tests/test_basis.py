@@ -134,8 +134,10 @@ def test_basis_is_built_once_per_configuration():
     for D, cutoff in [(2, 3), (4, -1)]:
         with pytest.raises(ValueError):
             enumerate_chains(D, cutoff)
-    for D, cutoff in [(4.0, 3), (4, 3.0), (4, "3")]:
-        with pytest.raises(TypeError):
+    # as FuzzyConfig, dimension and level_chains refuse them: True was once accepted as cutoff 1,
+    # and a float raised TypeError
+    for D, cutoff in [(4.0, 3), (4, 3.0), (4, "3"), (3, True), (True, 1), (3.5, 2)]:
+        with pytest.raises(ValueError, match="must be an integer"):
             enumerate_chains(D, cutoff)
 
 

@@ -147,6 +147,9 @@ def test_ladders_shift_azimuthal_index_one_way():
         lambda: build_position(CFG42, "2"),
         lambda: build_position(CFG42, None),
         lambda: build_projector(CFG42, value=1),
+        lambda: build_projector(CFG42, p=3),
+        lambda: build_projector(CFG42, p=4, value=True),
+        lambda: build_projector(CFG42, p=4, value=1.0),
     ],
     ids=[
         "x-float",
@@ -160,6 +163,9 @@ def test_ladders_shift_azimuthal_index_one_way():
         "x-string",
         "x-none",
         "projector-no-order",
+        "projector-no-label",
+        "projector-bool-label",
+        "projector-float-label",
     ],
 )
 def test_axis_indices_must_be_integers(build):
@@ -169,13 +175,25 @@ def test_axis_indices_must_be_integers(build):
         build()
 
 
+def test_projector_names_its_missing_argument():
+    # p alone once reported "no chain has branching label l_2 = None", and value alone "casimir
+    # order must be an integer, got None"; True and 1.0 were taken as the label 1
+    with pytest.raises(ValueError, match="branching label value must be an integer given together with p"):
+        build_projector(CFG42, p=3)
+    with pytest.raises(ValueError, match="casimir order p must be an integer given together with value"):
+        build_projector(CFG42, value=1)
+    for value in (True, np.bool_(True), 1.0, np.float64(1.0)):
+        with pytest.raises(ValueError, match="branching label must be an integer"):
+            build_projector(CFG42, p=4, value=value)
+
+
 def test_numpy_integer_axis_indices_are_accepted():
     h, j, p = np.int64(1), np.int64(3), np.int32(4)
     assert build_position(CFG42, h) == build_position(CFG42, 1)
     assert build_angular_momentum(CFG42, h, j) == build_angular_momentum(CFG42, 1, 3)
     assert ambient_generator(CFG42, h, np.int64(5)) == ambient_generator(CFG42, 1, 5)
     assert build_casimir(CFG42, p) == build_casimir(CFG42, 4)
-    assert build_projector(CFG42, p=p, value=1) == build_projector(CFG42, p=4, value=1)
+    assert build_projector(CFG42, p=p, value=np.int64(1)) == build_projector(CFG42, p=4, value=1)
     assert coordinate_coefficients(4, np.int64(2)) == coordinate_coefficients(4, 2)
 
 
@@ -442,11 +460,11 @@ def test_lower_casimir_residual_fails_the_spectra_check(monkeypatch):
     "D, cutoff", [(3, 0), (3, 5), (4, 3), (4, 6), (5, 2), (5, 4), (6, 2), (6, 4), (7, 3), (4, 12), (5, 8)]
 )
 def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
-    # one pass squaring each generator once, by row tiles of the level panels with inner
+    # one pass squaring each generator once, by row and column tiles of the level panels with inner
     # dimension n, and summing the nonzero entries of the squares left to right gives every
     # order bit for bit as the dense sum over that order's generators, down to the written bytes
     # (signed zeros included); at cutoff 0 every generator and casimir is empty.  The top levels
-    # of D=4 cutoff 12 (169 rows) and D=5 cutoff 8 (285 rows) split into 2 and 3 row tiles
+    # of D=4 cutoff 12 (169 states) and D=5 cutoff 8 (285 states) split into 2 x 2 and 3 x 3 tiles
     cfg = _consistency_config(D, cutoff)
     n = dimension(D, cutoff)
     tower = dict(_casimir_tower(cfg, range(2, D + 1)))
@@ -488,6 +506,30 @@ def test_left_to_right_sum_is_the_dense_sum_bit_for_bit():
     assert total.vals[1] == 1e16 and not np.signbit(total.vals.imag).any()
 
 
+def test_running_total_is_one_sum_bit_for_bit():
+    # folding the term lists into a running total one at a time, as the casimir tower, the ambient
+    # casimir and the squared distance do, gives every entry bit for bit as one `_sum` over all of
+    # them: -0 parts alone, an exact cancellation to +0 followed by -0, 1e16 absorbing each later 1,
+    # and an entry that the first list does not hold
+    neg_zero = complex(-0.0, -0.0)
+    terms = [
+        (np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]), np.array([neg_zero, 1e16, 1.5, complex(2, -0.0)])),
+        (np.array([2, 1, 0]), np.array([2, 1, 1]), np.array([-1.5 + 0j, 1 + 0j, neg_zero])),
+        (np.array([3, 1, 2, 0]), np.array([3, 1, 2, 0]), np.array([complex(-2, 0.0), 1 + 0j, neg_zero, complex(-0.0, 0.0)])),
+        (np.array([3, 3]), np.array([3, 3]), np.array([neg_zero, neg_zero])),
+    ]
+    whole = _sum(4, terms)
+    total = _sum(4, [])
+    for part in terms:
+        total = _sum(4, [total.terms, part])
+    assert total.to_json_text() == whole.to_json_text()
+    assert np.array_equal(total.vals.view(np.uint64), whole.vals.view(np.uint64))
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(total.vals)), np.signbit(part(whole.vals)))
+        assert not np.signbit(part(total.vals)).any()
+    assert total.entries == ((0, 0, 0j), (0, 1, 0j), (1, 1, 1e16 + 0j), (2, 2, 0j), (3, 3, 0j))
+
+
 def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
     cfg = _consistency_config(5, 2)
     built, squared = [], []
@@ -508,11 +550,12 @@ def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
 
 
 def test_casimir_tower_holds_no_per_order_block_accumulators():
-    # D=5 cutoff 10 (n = 1716): the squares are kept as their nonzero entries and each order is
-    # summed from them, and the levels are squared in row tiles against one column panel, from two
-    # buffers reused across levels and generators (about 24 MiB traced); the peak read 69 MiB with
-    # per-order dense level-block accumulators and 35.4 MiB with a fresh pair of whole level panels
-    # per square
+    # D=5 cutoff 10 (n = 1716): each square is kept as its nonzero entries only until it is folded
+    # into the running total of every order it belongs to, and the levels are squared in row tiles
+    # against column tiles, from two buffers of at most 128 x n reused across levels and generators
+    # (about 11 MiB traced); the peak read 24 MiB with every square held until its order was summed
+    # and a whole column panel, 69 MiB with per-order dense level-block accumulators and 35.4 MiB with
+    # a fresh pair of whole level panels per square
     cfg = _consistency_config(5, 10)
     tracemalloc.start()
     try:
@@ -521,7 +564,7 @@ def test_casimir_tower_holds_no_per_order_block_accumulators():
     finally:
         tracemalloc.stop()
     assert [p for p, _ in tower] == [2, 3, 4, 5]
-    assert peak < 28 * 2**20, peak
+    assert peak < 16 * 2**20, peak
 
 
 def test_generator_joining_two_levels_stops_the_casimir_tower(monkeypatch):
