@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import FuzzyConfig, basis_of
+from .basis import FuzzyConfig, _integer, basis_of
 from .convergence import (
     SCHEDULE_NAMES,
     coordinate_coefficients,
@@ -152,6 +152,8 @@ def cmd_converge(args):
         print("error: --lambda-max must be at least 2", file=sys.stderr)
         return 2
     _finite_flags(args)
+    # D and the schedule are checked before the output directory is made, as `build` and `verify` do
+    k_schedule(args.schedule, _integer(args.d, "ambient dimension", 3), 1, alpha=args.alpha)
     out = _output_dir(args.out)
     cutoffs = range(1, args.lam_max + 1)
     if args.mode == "x":

@@ -22,15 +22,16 @@ C_2 .. C_D all go through it.  A sum of squares is a running total,
 terms are held at once; a total's entry is never -0, so +0 + total = total,
 and the fold is bit for bit one `_sum` over all the squares.
 
-The casimirs come from one pass, `_casimir_tower`: each generator is squared
-once, one level block b at a time, as row tiles of the row panel m[b, :]
-times column tiles of the column panel m[:, b], both cut into the same
-balanced `_row_tiles` (at most ROW_TILE, none shorter than half that once a
-level splits) and densified from the triplets into two zero buffers of at
-most ROW_TILE x n entries reused for the whole pass, inner dimension n; a
-pair of tiles that no k joins is skipped, as its entries are all +-0.  Only
-the nonzero entries of each square are kept, folded into the running total
-of every order it belongs to, and dropped.  Each C_p adds its order's
+The casimirs come from one pass, `_casimir_tower`: each generator m is
+squared once, as every row panel m[t, :] times every column panel m[:, u]
+over pairs of tiles t, u, the balanced `_row_tiles` of each level (at most
+ROW_TILE, none shorter than half that once a level splits), densified from
+the triplets into two zero buffers of at most ROW_TILE x n entries reused
+for the whole pass, inner dimension n; a pair of tiles that no k joins is
+skipped, as its entries are all +-0.  The tiles are a work layout, not a
+precondition: a generator joining two levels is squared like any other.
+Only the nonzero entries of each square are kept, folded into the running
+total of every order it belongs to, and dropped.  Each C_p adds its order's
 squares in the order of the dense per-order sum.  The entries left out are
 +-0, and by IEEE arithmetic alone (x + (+-0) = x and +0 + x = x for x != 0,
 and a zero partial sum is +0 on both routes) every entry is bit for bit that
@@ -305,51 +306,52 @@ def _row_tiles(block):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _square_entries(m, blocks, row_buffer, col_buffer):
-    """The nonzero entries of m @ m for a generator m that keeps every level, as (row, col, value) arrays.
+def _square_entries(m, tiles, row_buffer, col_buffer):
+    """The nonzero entries of m @ m, as (row, col, value) arrays, from tile pairs of m's rows and columns.
 
-    Each level block b is squared tile by tile: every row tile t of the row
-    panel m[b, :] times every column tile u of the column panel m[:, b],
-    both cut into the same balanced `_row_tiles(b)` and densified from the
-    triplets (the panels hold the same entries, as m keeps the level).  The
-    inner dimension stays n, so BLAS sums every entry over the same terms as
-    the full square; that it sums them in the same order, whatever rows or
-    columns a call covers, is the one assumption on BLAS here (OpenBLAS zgemm
-    sums each entry over K in an order that depends on neither M nor N), and
-    it makes each tile bit for bit its block of the dense m @ m.  A tile is
-    never one row or one column unless its level is, so a split never turns
-    a matrix product into a vector one.  A pair of tiles with no k at which
-    both m[t, k] and m[k, u] hold an entry is not multiplied: every term of
-    its entries has a zero factor, so they are all +-0.  The panels are views
-    of the flat zero buffers `row_buffer` and `col_buffer` (n entries per row
-    or column of the largest tile), and only the entries written are set back
-    to zero after each use.  Each (row, col) comes once, in tile order, not
-    row-major; every entry left out is +-0.
+    `tiles` are consecutive slices covering 0..n (the casimir tower passes
+    the `_row_tiles` of each level block).  They only lay out the work; m may
+    join any rows and columns.  Every row tile t of the row panel m[t, :]
+    multiplies every column tile u of the column panel m[:, u], both
+    densified from the triplets (the column panel from m's entries sorted by
+    column).  The inner dimension stays n, so BLAS sums every entry over the
+    same terms as the full square; that it sums them in the same order,
+    whatever rows or columns a call covers, is the one assumption on BLAS
+    here (OpenBLAS zgemm sums each entry over K in an order that depends on
+    neither M nor N), and it makes each tile product bit for bit its block
+    of the dense m @ m.  A pair of tiles with no k at which both m[t, k] and
+    m[k, u] hold an entry is not multiplied: every term of its entries has a
+    zero factor, so they are all +-0.  Which row tiles reach a column tile
+    is read in one step, from a running count of the entries of m whose
+    column k holds an entry of m[:, u], at the tile row pointers.  The panels
+    are views of the flat zero buffers `row_buffer` and `col_buffer` (n
+    entries per row or column of the largest tile), and only the entries
+    written are set back to zero after each use.  Each (row, col) comes
+    once, in tile order, not row-major; every entry left out is +-0.
     """
     n, parts = m.dim, [_NO_TERMS]
-    for b in blocks:
-        s = slice(m.indptr[b.start], m.indptr[b.stop])
-        rows, cols, v = m.rows[s], m.cols[s], m.vals[s]
-        tiles = _row_tiles(b)
-        for u in tiles:
-            inside = (cols >= u.start) & (cols < u.stop)
-            col_at = rows[inside], cols[inside] - u.start
-            col_panel = col_buffer[: n * (u.stop - u.start)].reshape(n, -1)
-            col_panel[col_at] = v[inside]
-            reached = np.zeros(n, dtype=bool)
-            reached[col_at[0]] = True
-            for t in tiles:
-                e = slice(m.indptr[t.start], m.indptr[t.stop])
-                if not reached[m.cols[e]].any():
-                    continue
-                row_at = m.rows[e] - t.start, m.cols[e]
-                row_panel = row_buffer[: n * (t.stop - t.start)].reshape(-1, n)
-                row_panel[row_at] = m.vals[e]
-                panel = row_panel @ col_panel
-                row_panel[row_at] = 0
-                r, c = np.nonzero(panel)
-                parts.append((r + t.start, c + u.start, panel[r, c]))
-            col_panel[col_at] = 0
+    edges = [t.start for t in tiles] + [n]
+    by_col = np.argsort(m.cols, kind="stable")
+    col_ptr, row_ptr = np.searchsorted(m.cols[by_col], edges), m.indptr[edges]
+    for u, a, b in zip(tiles, col_ptr, col_ptr[1:]):
+        s = by_col[a:b]
+        col_at = m.rows[s], m.cols[s] - u.start
+        col_panel = col_buffer[: n * (u.stop - u.start)].reshape(n, -1)
+        col_panel[col_at] = m.vals[s]
+        reached = np.zeros(n, dtype=bool)
+        reached[col_at[0]] = True
+        hits = np.concatenate(([0], np.cumsum(reached[m.cols])))[row_ptr]
+        for t in itertools.compress(tiles, np.diff(hits)):
+            e = slice(m.indptr[t.start], m.indptr[t.stop])
+            row_at = m.rows[e] - t.start, m.cols[e]
+            row_panel = row_buffer[: n * (t.stop - t.start)].reshape(-1, n)
+            row_panel[row_at] = m.vals[e]
+            panel = row_panel @ col_panel
+            row_panel[row_at] = 0
+            at = np.flatnonzero(panel)
+            r, c = divmod(at, panel.shape[1])
+            parts.append((r + t.start, c + u.start, panel.reshape(-1)[at]))
+        col_panel[col_at] = 0
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
@@ -358,34 +360,33 @@ def _casimir_tower(cfg, orders, generator=None):
 
     `generator(h, j)` gives L_hj (`build_angular_momentum` when None); it is
     called once per pair of so(max(orders)), in _generator_pairs order.  Each
-    square is formed as its nonzero entries (`_square_entries`, from one row
-    tile buffer and one column tile buffer of min(max d_l, ROW_TILE) x n
-    each, both allocated once for the pass), folded into the running total
-    of every order p >= j, `total = _sum(n, [total.terms, square])`, and
-    dropped: _generator_pairs(p) is a subsequence, in the same order, of
-    _generator_pairs(max(orders)), so each total adds its order's squares in
-    _generator_pairs(p) order.  C_p is yielded as soon as its last pair
-    (p - 1, p) is in, with the entries below ENTRY_DROP dropped.  The fold is
-    bit for bit one `_sum` over all the squares (a total's entry is never -0,
-    so +0 + total = total), and that is bit for bit the dense sum
-    `part += square` over the same squares, by IEEE arithmetic alone: the
-    terms left out are +-0, and x + (+-0) = x for every x != 0; a zero
-    partial sum is +0 on both routes (it starts at +0, and +0 + (+-0) and
-    x + (-x) are +0), and +0 + s = s for every s != 0; an entry whose terms
-    are all zero is +0, below ENTRY_DROP on both routes.  A generator joining
-    two levels raises RuntimeError.
+    square is formed as its nonzero entries by `_square_entries`, over the
+    `_row_tiles` of every level block and from one row tile buffer and one
+    column tile buffer of (largest tile) x n entries, all laid out once for
+    the pass.  The tiles are a work layout, not a precondition: a generator
+    joining two levels is squared like any other.  Each square is folded
+    into the running total of every order p >= j, as
+    `total = _sum(n, [total.terms, square])`, and dropped: _generator_pairs(p)
+    is a subsequence, in the same order, of _generator_pairs(max(orders)),
+    so each total adds its order's squares in _generator_pairs(p) order.
+    C_p is yielded as soon as its last pair (p - 1, p) is in, with the
+    entries below ENTRY_DROP dropped.  The fold is bit for bit one `_sum`
+    over all the squares (a total's entry is never -0, so +0 + total =
+    total), and that is bit for bit the dense sum `part += square` over the
+    same squares, by IEEE arithmetic alone: the terms left out are +-0, and
+    x + (+-0) = x for every x != 0; a zero partial sum is +0 on both routes
+    (it starts at +0, and +0 + (+-0) and x + (-x) are +0), and +0 + s = s
+    for every s != 0; an entry whose terms are all zero is +0, below
+    ENTRY_DROP on both routes.
     """
     basis = basis_of(cfg)
-    n, blocks = len(basis), _level_blocks(basis)
-    levels = basis.labels[:, 0]
-    buffer_size = min(max(b.stop - b.start for b in blocks), ROW_TILE) * n
+    n, tiles = len(basis), [t for b in _level_blocks(basis) for t in _row_tiles(b)]
+    buffer_size = max(t.stop - t.start for t in tiles) * n
     row_buffer, col_buffer = np.zeros(buffer_size, dtype=complex), np.zeros(buffer_size, dtype=complex)
     totals = {p: _sum(n, []) for p in orders}
     for h, j in _generator_pairs(max(orders)):
         m = generator(h, j) if generator else build_angular_momentum(cfg, h, j)
-        if np.any(levels[m.rows] != levels[m.cols]):
-            raise RuntimeError(f"generator L_{h}_{j} joins two levels; its square would leave the level blocks")
-        square = _square_entries(m, blocks, row_buffer, col_buffer)
+        square = _square_entries(m, tiles, row_buffer, col_buffer)
         for p in totals:
             if p >= j:
                 totals[p] = _sum(n, [totals[p].terms, square])
@@ -585,13 +586,8 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     L = {(h, j): build_angular_momentum(cfg, h, j) for h, j in pairs}
     X = {h: build_position(cfg, h) for h in range(1, D + 1)}
     eigenvalues = {p: casimir_eigenvalue(labels[:, D - p], p).astype(float) for p in range(2, D + 1)}
-    try:
-        tower = _casimir_tower(cfg, range(2, D + 1), lambda h, j: L[(h, j)])
-        residuals = {p: _diagonal_residual(casimir, eigenvalues[p]) for p, casimir in tower}
-    except RuntimeError:
-        # a generator joins two levels, so its square leaves the level blocks: no casimir is formed and
-        # every check reading the residuals fails (as do the level-projector and parity checks)
-        residuals = dict.fromkeys(range(2, D + 1), math.inf)
+    tower = _casimir_tower(cfg, range(2, D + 1), lambda h, j: L[(h, j)])
+    residuals = {p: _diagonal_residual(casimir, eigenvalues[p]) for p, casimir in tower}
     residual_12 = _diagonal_residual(L[(1, 2)], azimuthal)
     top = _label_projector(basis, D, lam)
     squared_distance = [position_square_expected(cfg, l) for l in range(lam + 1)]  # per level

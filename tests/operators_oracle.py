@@ -1,7 +1,7 @@
 """Dense reference routes for the operators layer, kept as test oracles.
 
 `fuzzyd.operators` holds every operator as sorted chain-move triplets and
-forms the casimirs on level blocks.  The routes here are the dense
+forms the casimirs over pairs of level tiles.  The routes here are the dense
 definitions those replace: the casimir as the full n x n sum of squared
 generators, and the connected components of the coupling graph of dense
 matrices by breadth-first search.  Two converters join the dense and the

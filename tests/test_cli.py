@@ -155,6 +155,18 @@ def test_converge_tables(tmp_path):
     assert main(["converge", "--d", "3", "--lambda-max", "1", "--mode", "x", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--d", "2"], ["--d", "3", "--schedule", "power", "--alpha", "1.5"]],
+    ids=["d-2", "power-alpha-1.5"],
+)
+def test_refused_converge_leaves_no_output_directory(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["converge", "--mode", "x", "--lambda-max", "3", *flags, "--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_overflowing_power_schedule_runs_at_infinite_stiffness(tmp_path, capsys):
     # 6**1000 is past the float range: from cutoff 2 on the power schedule gives k = inf, as the product schedule does
     power = ["--schedule", "power", "--alpha", "1000"]

@@ -392,13 +392,13 @@ def test_verify_algebra_equals_dense_product_formulas(D, cutoff):
 
 
 def _tamper_generator(monkeypatch, pair, entries):
-    """Write `entries` {(row chain, col chain): value} into L_pair at D=4, cutoff 2."""
-    bm = enumerate_chains(4, 2)
+    """Write `entries` {(row chain, col chain): value} into L_pair, at whatever configuration it is built."""
     honest = build_angular_momentum
 
     def tampered(cfg, h, j):
         op = honest(cfg, h, j)
         if (h, j) == pair:
+            bm = enumerate_chains(cfg.D, cfg.cutoff)
             op = op.to_dense()
             for (row, col), value in entries.items():
                 op[bm.index_of(row), bm.index_of(col)] = value
@@ -418,6 +418,21 @@ def test_generator_leaking_between_levels_fails_projector_and_parity_checks(monk
     checks = _checks_with_generator_entry(monkeypatch, (1, 2), {((1, 0, 0), (0, 0, 0)): 0.5})
     assert not checks["level projectors commute with every generator"].passed
     assert not checks["parity conjugation flips positions, fixes generators"].passed
+    # the casimirs are formed with the leak and the checks reading their residuals see it: from
+    # l_1 = 0 only L_12 against l_1 does (its square gains nothing), from l_1 = 1 every casimir
+    # gains the entry L_12[a, a] * 0.5 joining the two levels
+    casimir_checks = (
+        "casimir operators diagonal with branching eigenvalues",
+        "minimal polynomial of the total casimir",
+        "nested casimir products annihilate their projector blocks",
+    )
+    for name in casimir_checks[:2]:
+        assert checks[name].passed, name
+    assert checks[casimir_checks[2]].deviation == 0.5
+    checks = _checks_with_generator_entry(monkeypatch, (1, 2), {((1, 1, 1), (0, 0, 0)): 0.5})
+    for name in casimir_checks:
+        assert not checks[name].passed, name
+        assert checks[name].deviation == 0.5, name
 
 
 def test_generator_leaking_between_l2_values_fails_the_casimir_checks(monkeypatch):
@@ -460,11 +475,11 @@ def test_lower_casimir_residual_fails_the_spectra_check(monkeypatch):
     "D, cutoff", [(3, 0), (3, 5), (4, 3), (4, 6), (5, 2), (5, 4), (6, 2), (6, 4), (7, 3), (4, 12), (5, 8)]
 )
 def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
-    # one pass squaring each generator once, by row and column tiles of the level panels with inner
-    # dimension n, and summing the nonzero entries of the squares left to right gives every
-    # order bit for bit as the dense sum over that order's generators, down to the written bytes
-    # (signed zeros included); at cutoff 0 every generator and casimir is empty.  The top levels
-    # of D=4 cutoff 12 (169 states) and D=5 cutoff 8 (285 states) split into 2 x 2 and 3 x 3 tiles
+    # one pass squaring each generator once, by pairs of row and column tiles with inner dimension n,
+    # and summing the nonzero entries of the squares left to right gives every order bit for bit as
+    # the dense sum over that order's generators, down to the written bytes (signed zeros included);
+    # at cutoff 0 every generator and casimir is empty.  The top levels of D=4 cutoff 12 (169 states)
+    # and D=5 cutoff 8 (285 states) split into 2 x 2 and 3 x 3 tiles
     cfg = _consistency_config(D, cutoff)
     n = dimension(D, cutoff)
     tower = dict(_casimir_tower(cfg, range(2, D + 1)))
@@ -551,11 +566,11 @@ def test_casimir_tower_builds_and_squares_each_generator_once(monkeypatch):
 
 def test_casimir_tower_holds_no_per_order_block_accumulators():
     # D=5 cutoff 10 (n = 1716): each square is kept as its nonzero entries only until it is folded
-    # into the running total of every order it belongs to, and the levels are squared in row tiles
-    # against column tiles, from two buffers of at most 128 x n reused across levels and generators
-    # (about 11 MiB traced); the peak read 24 MiB with every square held until its order was summed
-    # and a whole column panel, 69 MiB with per-order dense level-block accumulators and 35.4 MiB with
-    # a fresh pair of whole level panels per square
+    # into the running total of every order it belongs to, and each generator is squared over pairs
+    # of level tiles, row panel against column panel, from two buffers of at most 128 x n reused
+    # across generators (about 11 MiB traced); the peak read 24 MiB with every square held until its
+    # order was summed and a whole column panel, 69 MiB with per-order dense level-block accumulators
+    # and 35.4 MiB with a fresh pair of whole level panels per square
     cfg = _consistency_config(5, 10)
     tracemalloc.start()
     try:
@@ -567,13 +582,30 @@ def test_casimir_tower_holds_no_per_order_block_accumulators():
     assert peak < 16 * 2**20, peak
 
 
-def test_generator_joining_two_levels_stops_the_casimir_tower(monkeypatch):
-    # the level blocks would drop the square's entries between levels 0 and 1
-    _tamper_generator(monkeypatch, (1, 2), {((1, 0, 0), (0, 0, 0)): 0.5})
-    with pytest.raises(RuntimeError, match="L_1_2 joins two levels"):
-        build_casimir(CFG42, 2)
-    with pytest.raises(RuntimeError, match="L_1_2 joins two levels"):
-        build_casimir(CFG42, 4)
+@pytest.mark.parametrize(
+    "D, cutoff, pair, row, col, square_joins",
+    [
+        # levels 0 and 1, one tile each; L_12 is 0 on both chains, so its square keeps the levels
+        (4, 2, (1, 2), (1, 0, 0), (0, 0, 0), False),
+        # levels 8 (285 states) and 7 (204 states), both split, so tiles of two levels are multiplied
+        (5, 8, (2, 4), (8, 3, 1, 0), (7, 2, 1, 0), True),
+    ],
+    ids=["D4-cutoff2", "D5-cutoff8"],
+)
+def test_generator_joining_two_levels_gives_the_dense_casimirs(monkeypatch, D, cutoff, pair, row, col, square_joins):
+    # the level tiles only lay out the work: a generator joining two levels is squared like any other,
+    # and every order comes out bit for bit as the dense sum over that order's generators
+    _tamper_generator(monkeypatch, pair, {(row, col): 0.5})
+    cfg = _consistency_config(D, cutoff)
+    levels = enumerate_chains(D, cutoff).labels[:, 0]
+    tower = dict(_casimir_tower(cfg, range(2, D + 1)))
+    assert sorted(tower) == list(range(2, D + 1))
+    for p, casimir in tower.items():
+        gens = (fuzzyd.operators.build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(p))
+        dense = dense_casimir(dimension(D, cutoff), gens)
+        assert np.array_equal(casimir.to_dense(), dense), p
+        assert casimir.to_json_text() == triplets_of(dense).to_json_text(), p
+        assert np.any(levels[casimir.rows] != levels[casimir.cols]) == (square_joins and p >= pair[1]), p
 
 
 def test_generator_entry_keeping_l1_fails_nilpotency(monkeypatch):
