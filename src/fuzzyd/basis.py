@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +35,8 @@ class FuzzyConfig:
     """One fuzzy sphere build: ambient dimension D, cutoff level, well stiffness k.
 
     The cutoff energy must sit below the first radial excitation, which
-    requires cutoff*(cutoff + D - 2) < 2*sqrt(2k).
+    requires cutoff*(cutoff + D - 2) < 2*sqrt(2k).  D and cutoff are stored
+    as int and k as float, inf included.
     """
 
     D: int
@@ -43,8 +46,12 @@ class FuzzyConfig:
     def __post_init__(self):
         object.__setattr__(self, "D", _integer(self.D, "ambient dimension", 3))
         object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff", 0))
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Real):
+            raise ValueError(f"stiffness k must be a real number, got {self.k!r}")
         if not self.k > 0:
             raise ValueError(f"stiffness k must be positive, got {self.k}")
+        # an integer past the float range is inf, as a schedule past it gives
+        object.__setattr__(self, "k", math.inf if self.k > sys.float_info.max else float(self.k))
         energy = self.cutoff * (self.cutoff + self.D - 2)
         if not energy < 2.0 * math.sqrt(2.0 * self.k):
             raise ValueError(

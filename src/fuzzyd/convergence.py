@@ -11,9 +11,12 @@ for every h.  t_D keeps the lower chain chain[1:] and moves the top level by
 one, so x_D - t_D is block diagonal over lower chains, and both norms are
 read from a stack of (cutoff + 2) x (cutoff + 1) blocks: no n x n array.
 
-The product diagnostic holds dense fuzzy images.  Its strong-limit claims are
-sampled on a fixed test-vector family: every basis state (read as a column of
-the defect) plus a few seeded pseudo-random unit vectors.
+The product diagnostic computes on triplets: the fuzzy images, the
+multiplication operator of f and both defects are SparseOperators, and the
+only n x n array is the dense f-hat whose 2-norm is ||f-hat||.  Its
+strong-limit claims are sampled on a fixed test-vector family: every basis
+state (read as a column of the defect) plus a few seeded pseudo-random unit
+vectors.
 """
 
 from __future__ import annotations
@@ -24,18 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _moves
 from .basis import FuzzyConfig, _integer, dimension, enumerate_chains
 from .coefficients import centrifugal_coeff
 from .harmonics import (
     _fuzzy_image,
     _project,
+    _t_triplets,
     function_multiplication_matrix,
     harmonic,
     poly_eval,
     sample_sphere_points,
 )
-from .operators import _move_triplets, _radial_weighted, build_position
+from .operators import _product_terms, _radial_weighted, _sum, build_position
 
 SCHEDULE_NAMES = ("consistency", "strong-x", "product", "power")
 RANDOM_VECTORS = 5
@@ -85,11 +88,6 @@ def k_schedule(name, D, cutoff, alpha=None):
     return math.exp(log_k) if log_k < 700.0 else math.inf
 
 
-def _embed(dense, rows):
-    """Extend an operator by zero rows into a larger cutoff's basis (chain bases are prefixes)."""
-    return np.vstack([dense, np.zeros((rows - dense.shape[0], dense.shape[1]), dtype=complex)])
-
-
 def _random_vectors(n):
     """The seeded pseudo-random unit vectors of the test family."""
     vecs = []
@@ -100,16 +98,23 @@ def _random_vectors(n):
     return vecs
 
 
-def _max_residual(defect, vectors):
-    """max ||defect phi|| over the test family: every basis state, then `vectors`.
+def _apply(op, v):
+    """The SparseOperator op applied to the vector v: each row's terms added in column order from +0."""
+    out = np.zeros(op.dim, dtype=complex)
+    np.add.at(out, op.rows, op.vals * v[op.cols])
+    return out
 
-    defect @ e_i is exactly column i, so the basis states are read as columns.
+
+def _max_residual(defect, vectors):
+    """max ||defect phi|| over the test family: every basis state, then `vectors`, for a SparseOperator defect.
+
+    defect @ e_i is exactly column i, so the basis states are read as columns,
+    each the norm of that column's entries in row order.
     """
-    res = 0.0
-    for i in range(defect.shape[1]):
-        res = max(res, float(np.linalg.norm(defect[:, i])))
+    columns = defect.adjoint()
+    res = max(float(np.linalg.norm(columns.vals[a:b])) for a, b in zip(columns.indptr, columns.indptr[1:]))
     for v in vectors:
-        res = max(res, float(np.linalg.norm(defect @ v)))
+        res = max(res, float(np.linalg.norm(_apply(defect, v))))
     return res
 
 
@@ -164,7 +169,7 @@ def x_convergence_diagnostic(D, cutoffs, schedule="strong-x", alpha=None):
         cfg = FuzzyConfig(D=D, cutoff=cutoff, k=k)
         src = enumerate_chains(D, cutoff).labels
         dst = enumerate_chains(D, cutoff + 1)
-        t = _move_triplets(src, dst, lambda labels: _moves.t_moves(D, labels, D))
+        t = _t_triplets(D, D, cutoff, cutoff + 1)
         # x_D is t_D on the cutoff space, weighted entry by entry as the operator builds weight it
         inside = t[0] < len(src)
         x = _radial_weighted(cfg, *(part[inside] for part in t))
@@ -194,7 +199,7 @@ def expand_product(f_coeffs, g_coeffs, D):
     g = np.zeros(len(src), dtype=complex)
     for chain, c in g_coeffs.items():
         g[src.index_of(tuple(chain))] += c
-    fg = function_multiplication_matrix(f_coeffs, D, deg_g, deg_f + deg_g) @ g
+    fg = _apply(function_multiplication_matrix(f_coeffs, D, deg_g, deg_f + deg_g), g)
     return {c: complex(v) for c, v in zip(dst.chains, fg) if abs(v) > 1e-13}
 
 
@@ -217,21 +222,21 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
     for cutoff in cutoffs:
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
         cfg = FuzzyConfig(D=D, cutoff=cutoff, k=k)
-        positions = [build_position(cfg, h).to_dense() for h in range(1, D + 1)]
+        positions = [build_position(cfg, h) for h in range(1, D + 1)]
         f_hat = _fuzzy_image(f_coeffs, cfg, positions)
         g_hat = f_hat if g_coeffs == f_coeffs else _fuzzy_image(g_coeffs, cfg, positions)
         fg_hat = _fuzzy_image(fg, cfg, positions)
         mult = function_multiplication_matrix(f_coeffs, D, cutoff, cutoff + deg_f)
-        approx_defect = _embed(f_hat, len(mult)) - mult
-        product_defect = f_hat @ g_hat - fg_hat
-        vectors = _random_vectors(len(f_hat))
+        approx_defect = _sum(mult.dim, [f_hat.terms, (-mult).terms])
+        product_defect = _sum(f_hat.dim, [_product_terms(f_hat, g_hat), (-fg_hat).terms])
+        vectors = _random_vectors(f_hat.dim)
         rows.append(
             ProductRow(
                 cutoff=cutoff,
                 k=k,
                 product_residual=_max_residual(product_defect, vectors),
                 approx_residual=_max_residual(approx_defect, vectors),
-                operator_norm=float(np.linalg.norm(f_hat, 2)),
+                operator_norm=float(np.linalg.norm(f_hat.to_dense(), 2)),
                 norm_bound=f_l2 + 2.0 * f_sup,
             )
         )

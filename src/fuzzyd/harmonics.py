@@ -24,9 +24,9 @@ over the monomials, and a chain's polynomial is its read-only column.  Inner
 products are matrix products: the moment matrix M[d, e] holds the exact
 sphere integral of every monomial product, so <Y_c, P> is the row c of
 Y_d^H M[d, e] P for P of degree e.  The quadrature matrix is compared with
-`multiplication_matrix`, the ladder-recursion matrix the diagnostics use;
-the phases are not imposed through the ladder moves, and the two agree only
-if every sign is right.
+`multiplication_matrix`, the scattered ladder-recursion triplets the
+diagnostics use; the phases are not imposed through the ladder moves, and the
+two agree only if every sign is right.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _moves
 from .basis import _integer, dimension, enumerate_chains, level_chains, level_dimension
-from .operators import ENTRY_DROP, VerificationReport, _max_entry, _move_triplets, _scatter
+from .operators import SparseOperator, VerificationReport, _max_entry, _move_triplets, _product_terms, _scatter, _sum
 
 RNG_PRODUCT_SEED = 7261
 PRODUCT_POINTS = 200
@@ -397,25 +397,33 @@ def position_matrix_elements(D, h, level_max):
     return out
 
 
+def _t_triplets(D, h, src_cutoff, dst_cutoff):
+    """Row-major (row, col, value) arrays of t_h from the src chain basis into the dst chain basis."""
+    src = enumerate_chains(D, src_cutoff).labels
+    return _move_triplets(src, enumerate_chains(D, dst_cutoff), lambda labels: _moves.t_moves(D, labels, h))
+
+
 def multiplication_matrix(D, h, src_cutoff, dst_cutoff):
     """Dense matrix of t_h mapping the src chain basis into the dst chain basis."""
-    src = enumerate_chains(D, src_cutoff).labels
-    dst = enumerate_chains(D, dst_cutoff)
-    return _scatter((len(dst), len(src)), *_move_triplets(src, dst, lambda labels: _moves.t_moves(D, labels, h)))
+    return _scatter((dimension(D, dst_cutoff), dimension(D, src_cutoff)), *_t_triplets(D, h, src_cutoff, dst_cutoff))
 
 
 def function_multiplication_matrix(coeffs, D, src_cutoff, dst_cutoff):
-    """Dense matrix of multiplication by f = sum coeffs[chain] * Y_chain.
+    """Multiplication by f = sum coeffs[chain] * Y_chain, as a SparseOperator from the src chain basis into the dst one.
 
-    Substitutes the ladder matrices of the coordinates into the monomials of
-    f.  Each coordinate raises the level by at most one, so words acting on
-    columns of level <= src_cutoff are exact once the ladder matrices reach
-    level src_cutoff + deg f; the chain basis of a smaller cutoff is a prefix
-    of a larger one, so the result is the top-left block.
+    Substitutes the square ladder triplets of the coordinates into the
+    monomials of f.  Each coordinate raises the level by at most one, so
+    words acting on columns of level <= src_cutoff are exact once the ladder
+    triplets reach level src_cutoff + deg f; the chain basis of a smaller
+    cutoff is a prefix of a larger one, so the result keeps the entries with
+    dst rows and src columns, in an operator of the larger of the two
+    dimensions.
     """
     top = max(dst_cutoff, src_cutoff + max((tuple(c)[0] for c in coeffs), default=0))
-    ops = [multiplication_matrix(D, h, top, top) for h in range(1, D + 1)]
-    return _substitute(coeffs, D, ops)[: dimension(D, dst_cutoff), : dimension(D, src_cutoff)]
+    ops = [SparseOperator(dimension(D, top), *_t_triplets(D, h, top, top)) for h in range(1, D + 1)]
+    rows, cols = dimension(D, dst_cutoff), dimension(D, src_cutoff)
+    image = _substitute(coeffs, D, ops)
+    return SparseOperator(max(rows, cols), *image.where((image.rows < rows) & (image.cols < cols)).terms)
 
 
 # ---------------------------------------------------------------------------
@@ -438,45 +446,44 @@ def multiply_harmonics(a, b, D):
 
 
 def _symmetrized_word(exponent, ops, cache):
-    """Average of all orderings of the word with letter multiplicities `exponent`."""
-    if exponent in cache:
-        return cache[exponent]
-    total = sum(exponent)
-    n = ops[0].shape[0]
-    if total == 0:
-        out = np.eye(n, dtype=complex)
-    else:
-        out = np.zeros((n, n), dtype=complex)
+    """Average of all orderings of the word with letter multiplicities `exponent`, over the SparseOperators `ops`.
+
+    One `_sum` over the product terms of each letter with the shorter word,
+    each scaled by count / total; the empty word is the identity.
+    """
+    if exponent not in cache:
+        total = sum(exponent)
+        terms = []
         for h, count in enumerate(exponent):
             if count:
                 sub = list(exponent)
                 sub[h] -= 1
-                out += (count / total) * (ops[h] @ _symmetrized_word(tuple(sub), ops, cache))
-    cache[exponent] = out
-    return out
+                rows, cols, vals = _product_terms(ops[h], _symmetrized_word(tuple(sub), ops, cache))
+                terms.append((rows, cols, (count / total) * vals))
+        n = ops[0].dim
+        cache[exponent] = _sum(n, terms) if total else SparseOperator.diagonal(np.ones(n))
+    return cache[exponent]
 
 
 def _substitute(coeffs, D, ops):
-    """sum_chain coeffs[chain] * Y_chain with the matrices `ops` substituted, symmetrized."""
-    n = ops[0].shape[0]
+    """sum_chain coeffs[chain] * Y_chain with the SparseOperators `ops` substituted, symmetrized, as one `_sum` of words."""
     cache = {}
-    acc = np.zeros((n, n), dtype=complex)
+    terms = []
     for chain, c in coeffs.items():
         degree, column = harmonic(D, chain)
         exps = _exponents(D, degree)[0]
         for row in np.flatnonzero(column):
-            acc += (c * column[row]) * _symmetrized_word(tuple(exps[row].tolist()), ops, cache)
-    return acc
+            rows, cols, vals = _symmetrized_word(tuple(exps[row].tolist()), ops, cache).terms
+            terms.append((rows, cols, (c * column[row]) * vals))
+    return _sum(ops[0].dim, terms)
 
 
 def _fuzzy_image(coeffs, cfg, positions):
-    """Symmetrized substitution of the position matrices into f, which must sit at degree <= 2*cutoff."""
+    """Symmetrized substitution of the position operators into f, which must sit at degree <= 2*cutoff."""
     for chain in coeffs:
         if tuple(chain)[0] > 2 * cfg.cutoff:
             raise ValueError(f"coefficient on chain {chain} beyond degree 2*cutoff")
-    image = _substitute(coeffs, cfg.D, positions)
-    image[np.abs(image) < ENTRY_DROP] = 0
-    return image
+    return _substitute(coeffs, cfg.D, positions).drop_noise()
 
 
 # ---------------------------------------------------------------------------

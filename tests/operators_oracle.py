@@ -46,7 +46,7 @@ def components(ops):
 
 
 def triplets_of(dense):
-    """The operator of the nonzero entries of a dense square array."""
+    """The operator of the nonzero entries of a dense array with no more columns than rows, of dimension its row count."""
     rows, cols = np.nonzero(dense)
     return SparseOperator(len(dense), rows, cols, dense[rows, cols].astype(complex))
 

@@ -158,6 +158,14 @@ def test_config_validation():
         FuzzyConfig(D=4, cutoff=2, k=0.0)
     with pytest.raises(ValueError, match="stiffness k must be positive, got nan"):
         FuzzyConfig(D=4, cutoff=2, k=float("nan"))
+    # k=True was once accepted, and "5", None and 5+0j raised TypeError from the comparison
+    for k in (True, np.bool_(True), "5", None, 5 + 0j, np.complex128(5)):
+        with pytest.raises(ValueError, match="stiffness k must be a real number"):
+            FuzzyConfig(D=3, cutoff=0, k=k)
+    # k is stored as a float, as D and cutoff are stored as int; inf, where every radial weight is 1, is kept
+    for k, stored in ((np.float64(50.0), 50.0), (50, 50.0), (np.int64(50), 50.0), (math.inf, math.inf), (10**400, math.inf)):
+        cfg = FuzzyConfig(D=4, cutoff=2, k=k)
+        assert type(cfg.k) is float and cfg.k == stored
     # cutoff energy 8 needs 8 < 2*sqrt(2k), i.e. k > 8
     with pytest.raises(ValueError):
         FuzzyConfig(D=4, cutoff=2, k=7.9)

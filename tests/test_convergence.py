@@ -20,6 +20,7 @@ from fuzzyd.operators import build_position
 
 from convergence_oracle import dense_x_deviations
 from harmonics_oracle import sphere_integral
+from operators_oracle import triplets_of
 
 
 def test_schedule_values():
@@ -180,6 +181,21 @@ def test_coordinate_index_outside_the_dimension_is_refused(h):
         coordinate_coefficients(3, h)
 
 
+def test_product_diagnostic_at_cutoff_20_holds_one_dense_operator():
+    # D=3 cutoff 20 (n = 441): the fuzzy images, both defects and the multiplication operator are triplets, and
+    # the dense f-hat for its 2-norm (3.0 MiB) is the only n x n array; dense fuzzy images traced 40.0 MiB here
+    t3 = coordinate_coefficients(3, 3)
+    product_convergence_diagnostic(t3, t3, 3, [2])  # fills the basis and harmonics caches
+    tracemalloc.start()
+    try:
+        (row,) = product_convergence_diagnostic(t3, t3, 3, [20])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.operator_norm <= row.norm_bound
+    assert peak < 10 * 2**20, peak
+
+
 def test_product_diagnostic_rejects_degrees_beyond_twice_the_cutoff():
     with pytest.raises(ValueError):
         product_convergence_diagnostic({(3, 0): 1.0}, {(0, 0): 1.0}, 3, [1])
@@ -197,9 +213,9 @@ def test_basis_state_residuals_are_the_column_norms():
     for i in range(30):
         scaled = defect.copy()
         scaled[:, i] *= 10
-        assert _max_residual(scaled, []) == float(np.linalg.norm(scaled @ eye[:, i]))
+        assert _max_residual(triplets_of(scaled), []) == float(np.linalg.norm(scaled @ eye[:, i]))
     v = 100 * eye[:, 0]
-    assert _max_residual(defect, [v]) == float(np.linalg.norm(defect @ v))
+    assert _max_residual(triplets_of(defect), [v]) == float(np.linalg.norm(defect @ v))
 
 
 def test_expand_product_of_coordinates():
