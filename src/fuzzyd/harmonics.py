@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _moves
 from .basis import _integer, dimension, enumerate_chains, level_chains, level_dimension
-from .operators import SparseOperator, VerificationReport, _max_entry, _move_triplets, _product_terms, _scatter, _sum
+from .operators import SparseOperator, VerificationReport, _max_entry, _move_triplets, _product_terms, _scatter, _sum, casimir_eigenvalue
 
 RNG_PRODUCT_SEED = 7261
 PRODUCT_POINTS = 200
@@ -307,7 +307,7 @@ def _exact_failures(cols, chains, D, degree):
     tower_bad = np.zeros(k, dtype=np.int64)
     for order, image in _casimir_images(cols, D, degree):
         m = labels[:, D - order]
-        tower_bad += per_vector(image != cols * np.tile(m * (m + order - 2), 2))
+        tower_bad += per_vector(image != cols * np.tile(casimir_eigenvalue(m, order), 2))
     l1 = labels[:, -1]
     tower_bad += per_vector(_rotation(cols, D, degree, 0, 1) != np.hstack([-cols[:, k:] * l1, cols[:, :k] * l1]))
     return laplacian_bad, tower_bad

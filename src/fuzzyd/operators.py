@@ -573,6 +573,9 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
 
     Every operator is held as triplets; diagonal operators (projectors,
     parity, label functions) act as vectors on the row or column labels.
+    The operators and the casimir residuals come first, so the casimir tower
+    runs before any check's temporaries exist; then each check is computed
+    and added in one sequence, in report order.
     """
     tol_degree2 = _degree2_tolerance(tol_degree2)
     D, lam, k = cfg.D, cfg.cutoff, cfg.k
@@ -580,7 +583,6 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
     n = len(basis)
     labels = basis.labels  # column D - p holds l_{p-1}
     levels, azimuthal = labels[:, 0], labels[:, -1]
-    blocks = _level_blocks(basis)
 
     pairs = _generator_pairs(D)
     L = {(h, j): build_angular_momentum(cfg, h, j) for h, j in pairs}
@@ -599,223 +601,175 @@ def verify_algebra(cfg, tol_degree2=TOL_DEGREE2):
         """[a, b] - sum(minus), each entry summed once: the terms of a b, then of -b a, then of every -m."""
         return _sum(n, [_product_terms(a, b), _product_terms(-b, a)] + [(-m).terms for m in minus])
 
-    def check_hermiticity():
-        dev = max((M - M.adjoint()).max_abs() for M in itertools.chain(L.values(), X.values()))
-        return Check("hermiticity of generators and positions", dev, TOL_HERMITIAN)
-
-    def check_structure_constants():
-        # [b, a] = -[a, b] and [a, a] = 0 with the same right-hand sides, so the
-        # unordered pairs of distinct generators carry every identity
-        dev = 0.0
-        for (h, j), (p, s) in itertools.combinations(pairs, 2):
-            expected = []
-            if h == p:
-                expected.append(1j * gen(j, s))
-            if j == s:
-                expected.append(1j * gen(h, p))
-            if h == s:
-                expected.append(-1j * gen(j, p))
-            if j == p:
-                expected.append(-1j * gen(h, s))
-            dev = max(dev, commutator(L[(h, j)], L[(p, s)], *expected).max_abs())
-        return Check("so(D) structure constants", dev, tol_degree2)
-
-    @functools.cache
-    def snyder_deviations():
-        # one commutator [x_h, x_j] per pair serves all three Snyder checks; the
-        # scalar on L_hj is diagonal, with its top-level projector term
-        interior = levels < lam
-        scalar = (-1.0 / k) * np.ones(n) + (1.0 / k + radial_weight(lam, cfg) ** 2 / (2 * lam + D - 2)) * top
-        dev_interior = dev_full = dev_without_i = 0.0
-        for h, j in pairs:
-            comm = commutator(X[h], X[j])
-            inside = comm + (1j / k) * L[(h, j)]
-            dev_interior = max(dev_interior, inside.where(interior[inside.cols]).max_abs())
-            dev_full = max(dev_full, (comm - L[(h, j)].scaled(1j * scalar)).max_abs())
-            dev_without_i = max(dev_without_i, (comm - L[(h, j)].scaled(scalar)).max_abs())
-        return dev_interior, dev_full, dev_without_i
-
-    def check_snyder_interior():
-        return Check(
-            "snyder commutator, interior columns",
-            snyder_deviations()[0],
-            TOL_INTERIOR,
-            "exact identity for the canonical truncated radial weight",
-        )
-
-    def check_snyder_full():
-        return Check(
-            "snyder commutator with top-level projector term",
-            snyder_deviations()[1],
-            tol_degree2,
-            "overall factor i adopted (anti-Hermitian-consistent convention)",
-        )
-
-    def check_snyder_without_i():
-        # the variant lacking the overall i is incompatible with Hermitian
-        # positions; its residual is recorded so the convention choice is visible
-        return Check(
-            "snyder variant without the factor i (recorded, not asserted)",
-            snyder_deviations()[2],
-            math.inf,
-            "kept only to document the adopted convention",
-        )
-
-    def check_positions_span_algebra():
-        # Schur/Burnside certificate, as a count of failed premises: (1) each level is an so(D)
-        # irrep, since the diagonal casimir tower separates its chains and a connected generator
-        # graph leaves only scalars commuting (per level, so a leak merging two levels cannot
-        # cancel a split one); (2) x couples every level m to m + 1, which makes
-        # v -> (P_{m+1} x_h v)_h injective on level m (Schur, vector covariance); (3) the top value
-        # of sum x_h^2 is isolated, so P_top and, through the Snyder top term, every L_hj P_top lie
-        # in the algebra; from M(top) the x blocks then reach every level
-        inside = [M.where(levels[M.rows] == levels[M.cols]) for M in L.values()]
-        label = _component_labels(n, np.concatenate([M.rows for M in inside]), np.concatenate([M.cols for M in inside]))
-        split = sum(label[b].min() != label[b].max() for b in blocks)
-        coupled = {int(l) for x in X.values() for l in levels[x.cols][levels[x.rows] == levels[x.cols] + 1]}
-        uncoupled = sum(m not in coupled for m in range(lam))
-        top_gap = min((abs(squared_distance[lam] - e) for e in squared_distance[:lam]), default=math.inf)
-        return Check(
-            "coordinate words span the full matrix algebra",
-            float(split + uncoupled + (not top_gap > 2 * tol_degree2)),
-            0.0,
-            f"Schur/Burnside certificate: {split} level(s) split under the generators, {uncoupled} adjacent "
-            f"level pair(s) not coupled by x, top squared-distance value {top_gap:.3g} away from every interior one",
-        )
-
-    def check_vector_covariance():
-        dev = 0.0
-        for h, s in pairs:
-            for j in range(1, D + 1):
-                expected = ([-1j * X[h]] if j == s else []) + ([1j * X[s]] if j == h else [])
-                dev = max(dev, commutator(L[(h, s)], X[j], *expected).max_abs())
-        return Check("positions transform as an so(D) vector", dev, tol_degree2)
-
-    def check_position_square():
-        sq = _sum(n, [])
-        for x in X.values():
-            sq = _sum(n, [sq.terms, _product_terms(x, x)])
-        return Check("squared distance spectrum per level", _diagonal_residual(sq, np.array(squared_distance)[levels]), tol_degree2)
-
-    def check_casimir_spectra():
-        return Check("casimir operators diagonal with branching eigenvalues", max(residuals.values()), tol_degree2)
-
-    def check_casimir_multiplicities():
-        # chains with l_{p-1} = v: nonincreasing labels l_{D-1} .. l_p in [|v|, cutoff], times the
-        # so(p) irrep dimension for p >= 3; the spectra then follow within the casimir residual (Weyl)
-        bad = 0
-        for p in range(2, D + 1):
-            for v in range(-lam if p == 2 else 0, lam + 1):
-                expected = math.comb(lam - abs(v) + D - p, D - p) * (level_dimension(p, v) if p >= 3 else 1)
-                bad += int(np.count_nonzero(labels[:, D - p] == v) != expected)
-        return Check(
-            "casimir eigenvalue multiplicities match branching counts",
-            float(bad),
-            0.0,
-            "chains per label l_{p-1} against the closed-form branching count, every order p",
-        )
-
-    def check_minimal_polynomial():
-        # C_D = diag(c_D) with every c_D a level eigenvalue e_l makes prod_l (C_D - e_l) exactly 0
-        return Check(
-            "minimal polynomial of the total casimir",
-            residuals[D],
-            tol_degree2,
-            "per-eigenspace residual max_l |(C_D - e_l) P_l|",
-        )
-
-    def check_nested_projector_polynomials():
-        # the same argument per order m = 3 .. D-1, and for L_12 against l_1 at m = 2
-        return Check(
-            "nested casimir products annihilate their projector blocks",
-            max([residual_12] + [residuals[m] for m in range(3, D)]),
-            tol_degree2,
-            "per-eigenspace residuals of C_3 .. C_{D-1} and of L_12",
-        )
-
-    def check_nilpotency():
-        # a ladder shifting l_1 by exactly sign on |l_1| <= cutoff has its power 2*cutoff + 1 exactly 0
-        power = 2 * lam + 1
-        dev = 0.0
-        for sign in (+1, -1):
-            # x_1 + i sign x_2 and L_{2,nu} - i sign L_{1,nu}
-            ladders = [X[1] + 1j * sign * X[2]] + [L[(2, nu)] - 1j * sign * L[(1, nu)] for nu in range(3, D + 1)]
-            for op in map(SparseOperator.drop_noise, ladders):
-                dev = max(dev, op.where(azimuthal[op.rows] - azimuthal[op.cols] != sign).max_abs())
-        return Check(
-            f"azimuthal ladder operators nilpotent at power {power}",
-            dev,
-            TOL_NILPOTENT,
-            "largest ladder entry not shifting l_1 by exactly +-1; plain normalization O_2 -+ i O_1",
-        )
-
-    def check_generators_commute_with_casimirs():
-        # casimirs of order above max(h, j), always including the total one; [L, diag c] has entries
-        # (c_j - c_i) L_ij, and |[L, C] - [L, diag c]| <= 2 |L| |C - diag c| is the spectra check
-        dev = 0.0
-        for p in range(3, D + 1):
-            c = eigenvalues[p]
-            for h, j in pairs:
-                if j < p or p == D:
-                    M = L[(h, j)]
-                    dev = max(dev, M.with_values((c[M.cols] - c[M.rows]) * M.vals).max_abs())
-        return Check(
-            "generators commute with enclosing casimirs",
-            dev,
-            tol_degree2,
-            "commutator with the exact label diagonal of each casimir",
-        )
-
-    def check_parity():
-        # par = diag((-1)^level), and par M par has entries s_i s_j M_ij
-        sign = np.where(levels % 2, -1.0, 1.0)
-        dev = max((x.scaled(sign, sign) + x).max_abs() for x in X.values())
-        dev = max([dev] + [(M.scaled(sign, sign) - M).max_abs() for M in L.values()])
-        return Check("parity conjugation flips positions, fixes generators", dev, TOL_HERMITIAN)
-
-    def check_reflection():
-        # R: l_1 -> -l_1 represents the reflection of axis 1, an element of O(D) outside SO(D) for every D
-        perm = basis.ordinals(labels * np.array([1] * (D - 2) + [-1]))
-        return Check(
-            "reflection l_1 -> -l_1 flips x_1 and every L_1j, fixes the rest",
-            _reflection_deviation(L, X, perm, np.ones(n)),
-            TOL_HERMITIAN,
-            "chain permutation with phase +1: the O(D) \\ SO(D) witness",
-        )
-
-    def check_level_projectors_commute():
-        # P_l L - L P_l has entries (p_i - p_j) L_ij, so over all l the maximum is the largest entry joining two levels
-        return Check(
-            "level projectors commute with every generator",
-            max(M.where(levels[M.rows] != levels[M.cols]).max_abs() for M in L.values()),
-            TOL_HERMITIAN,
-        )
-
-    def check_top_projector():
-        dev = _max_entry(top * top - top)
-        trace_dev = abs(top.sum().real - level_dimension(D, lam))
-        return Check("top-level projector idempotent with correct rank", max(dev, trace_dev), TOL_HERMITIAN)
-
-    checks = [
-        check_hermiticity,
-        check_structure_constants,
-        check_snyder_interior,
-        check_snyder_full,
-        check_snyder_without_i,
-        check_positions_span_algebra,
-        check_vector_covariance,
-        check_position_square,
-        check_casimir_spectra,
-        check_casimir_multiplicities,
-        check_minimal_polynomial,
-        check_nested_projector_polynomials,
-        check_nilpotency,
-        check_generators_commute_with_casimirs,
-        check_parity,
-        check_reflection,
-        check_level_projectors_commute,
-        check_top_projector,
-    ]
     report = VerificationReport(config=f"D={D}, cutoff={lam}, k={k:.6g}")
-    report.checks.extend(check() for check in checks)
+    dev = max((M - M.adjoint()).max_abs() for M in itertools.chain(L.values(), X.values()))
+    report.add("hermiticity of generators and positions", dev, TOL_HERMITIAN)
+
+    # [b, a] = -[a, b] and [a, a] = 0 with the same right-hand sides, so the
+    # unordered pairs of distinct generators carry every identity
+    dev = 0.0
+    for (h, j), (p, s) in itertools.combinations(pairs, 2):
+        expected = []
+        if h == p:
+            expected.append(1j * gen(j, s))
+        if j == s:
+            expected.append(1j * gen(h, p))
+        if h == s:
+            expected.append(-1j * gen(j, p))
+        if j == p:
+            expected.append(-1j * gen(h, s))
+        dev = max(dev, commutator(L[(h, j)], L[(p, s)], *expected).max_abs())
+    report.add("so(D) structure constants", dev, tol_degree2)
+
+    # one commutator [x_h, x_j] per pair serves all three Snyder checks; the
+    # scalar on L_hj is diagonal, with its top-level projector term
+    interior = levels < lam
+    scalar = (-1.0 / k) * np.ones(n) + (1.0 / k + radial_weight(lam, cfg) ** 2 / (2 * lam + D - 2)) * top
+    dev_interior = dev_full = dev_without_i = 0.0
+    for h, j in pairs:
+        comm = commutator(X[h], X[j])
+        inside = comm + (1j / k) * L[(h, j)]
+        dev_interior = max(dev_interior, inside.where(interior[inside.cols]).max_abs())
+        dev_full = max(dev_full, (comm - L[(h, j)].scaled(1j * scalar)).max_abs())
+        dev_without_i = max(dev_without_i, (comm - L[(h, j)].scaled(scalar)).max_abs())
+    report.add(
+        "snyder commutator, interior columns",
+        dev_interior,
+        TOL_INTERIOR,
+        "exact identity for the canonical truncated radial weight",
+    )
+    report.add(
+        "snyder commutator with top-level projector term",
+        dev_full,
+        tol_degree2,
+        "overall factor i adopted (anti-Hermitian-consistent convention)",
+    )
+    # the variant lacking the overall i is incompatible with Hermitian
+    # positions; its residual is recorded so the convention choice is visible
+    report.add(
+        "snyder variant without the factor i (recorded, not asserted)",
+        dev_without_i,
+        math.inf,
+        "kept only to document the adopted convention",
+    )
+
+    # Schur/Burnside certificate, as a count of failed premises: (1) each level is an so(D)
+    # irrep, since the diagonal casimir tower separates its chains and a connected generator
+    # graph leaves only scalars commuting (per level, so a leak merging two levels cannot
+    # cancel a split one); (2) x couples every level m to m + 1, which makes
+    # v -> (P_{m+1} x_h v)_h injective on level m (Schur, vector covariance); (3) the top value
+    # of sum x_h^2 is isolated, so P_top and, through the Snyder top term, every L_hj P_top lie
+    # in the algebra; from M(top) the x blocks then reach every level
+    inside = [M.where(levels[M.rows] == levels[M.cols]) for M in L.values()]
+    label = _component_labels(n, np.concatenate([M.rows for M in inside]), np.concatenate([M.cols for M in inside]))
+    split = sum(label[b].min() != label[b].max() for b in _level_blocks(basis))
+    coupled = {int(l) for x in X.values() for l in levels[x.cols][levels[x.rows] == levels[x.cols] + 1]}
+    uncoupled = sum(m not in coupled for m in range(lam))
+    top_gap = min((abs(squared_distance[lam] - e) for e in squared_distance[:lam]), default=math.inf)
+    report.add(
+        "coordinate words span the full matrix algebra",
+        split + uncoupled + (not top_gap > 2 * tol_degree2),
+        0.0,
+        f"Schur/Burnside certificate: {split} level(s) split under the generators, {uncoupled} adjacent "
+        f"level pair(s) not coupled by x, top squared-distance value {top_gap:.3g} away from every interior one",
+    )
+
+    dev = 0.0
+    for h, s in pairs:
+        for j in range(1, D + 1):
+            expected = ([-1j * X[h]] if j == s else []) + ([1j * X[s]] if j == h else [])
+            dev = max(dev, commutator(L[(h, s)], X[j], *expected).max_abs())
+    report.add("positions transform as an so(D) vector", dev, tol_degree2)
+
+    sq = _sum(n, [])
+    for x in X.values():
+        sq = _sum(n, [sq.terms, _product_terms(x, x)])
+    report.add("squared distance spectrum per level", _diagonal_residual(sq, np.array(squared_distance)[levels]), tol_degree2)
+
+    report.add("casimir operators diagonal with branching eigenvalues", max(residuals.values()), tol_degree2)
+
+    # chains with l_{p-1} = v: nonincreasing labels l_{D-1} .. l_p in [|v|, cutoff], times the
+    # so(p) irrep dimension for p >= 3; the spectra then follow within the casimir residual (Weyl)
+    bad = 0
+    for p in range(2, D + 1):
+        for v in range(-lam if p == 2 else 0, lam + 1):
+            expected = math.comb(lam - abs(v) + D - p, D - p) * (level_dimension(p, v) if p >= 3 else 1)
+            bad += int(np.count_nonzero(labels[:, D - p] == v) != expected)
+    report.add(
+        "casimir eigenvalue multiplicities match branching counts",
+        bad,
+        0.0,
+        "chains per label l_{p-1} against the closed-form branching count, every order p",
+    )
+
+    # C_D = diag(c_D) with every c_D a level eigenvalue e_l makes prod_l (C_D - e_l) exactly 0
+    report.add(
+        "minimal polynomial of the total casimir",
+        residuals[D],
+        tol_degree2,
+        "per-eigenspace residual max_l |(C_D - e_l) P_l|",
+    )
+    # the same argument per order m = 3 .. D-1, and for L_12 against l_1 at m = 2
+    report.add(
+        "nested casimir products annihilate their projector blocks",
+        max([residual_12] + [residuals[m] for m in range(3, D)]),
+        tol_degree2,
+        "per-eigenspace residuals of C_3 .. C_{D-1} and of L_12",
+    )
+
+    # a ladder shifting l_1 by exactly sign on |l_1| <= cutoff has its power 2*cutoff + 1 exactly 0
+    dev = 0.0
+    for sign in (+1, -1):
+        # x_1 + i sign x_2 and L_{2,nu} - i sign L_{1,nu}
+        ladders = [X[1] + 1j * sign * X[2]] + [L[(2, nu)] - 1j * sign * L[(1, nu)] for nu in range(3, D + 1)]
+        for op in map(SparseOperator.drop_noise, ladders):
+            dev = max(dev, op.where(azimuthal[op.rows] - azimuthal[op.cols] != sign).max_abs())
+    report.add(
+        f"azimuthal ladder operators nilpotent at power {2 * lam + 1}",
+        dev,
+        TOL_NILPOTENT,
+        "largest ladder entry not shifting l_1 by exactly +-1; plain normalization O_2 -+ i O_1",
+    )
+
+    # casimirs of order above max(h, j), always including the total one; [L, diag c] has entries
+    # (c_j - c_i) L_ij, and |[L, C] - [L, diag c]| <= 2 |L| |C - diag c| is the spectra check
+    dev = 0.0
+    for p in range(3, D + 1):
+        c = eigenvalues[p]
+        for h, j in pairs:
+            if j < p or p == D:
+                M = L[(h, j)]
+                dev = max(dev, M.with_values((c[M.cols] - c[M.rows]) * M.vals).max_abs())
+    report.add(
+        "generators commute with enclosing casimirs",
+        dev,
+        tol_degree2,
+        "commutator with the exact label diagonal of each casimir",
+    )
+
+    # par = diag((-1)^level), and par M par has entries s_i s_j M_ij
+    sign = np.where(levels % 2, -1.0, 1.0)
+    dev = max((x.scaled(sign, sign) + x).max_abs() for x in X.values())
+    dev = max([dev] + [(M.scaled(sign, sign) - M).max_abs() for M in L.values()])
+    report.add("parity conjugation flips positions, fixes generators", dev, TOL_HERMITIAN)
+
+    # R: l_1 -> -l_1 represents the reflection of axis 1, an element of O(D) outside SO(D) for every D
+    perm = basis.ordinals(labels * np.array([1] * (D - 2) + [-1]))
+    report.add(
+        "reflection l_1 -> -l_1 flips x_1 and every L_1j, fixes the rest",
+        _reflection_deviation(L, X, perm, np.ones(n)),
+        TOL_HERMITIAN,
+        "chain permutation with phase +1: the O(D) \\ SO(D) witness",
+    )
+
+    # P_l L - L P_l has entries (p_i - p_j) L_ij, so over all l the maximum is the largest entry joining two levels
+    report.add(
+        "level projectors commute with every generator",
+        max(M.where(levels[M.rows] != levels[M.cols]).max_abs() for M in L.values()),
+        TOL_HERMITIAN,
+    )
+
+    dev = _max_entry(top * top - top)
+    trace_dev = abs(top.sum().real - level_dimension(D, lam))
+    report.add("top-level projector idempotent with correct rank", max(dev, trace_dev), TOL_HERMITIAN)
     return report

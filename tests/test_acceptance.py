@@ -170,7 +170,7 @@ def test_criterion_07_realization():
         for lam in lams:
             cfg = _cfg(D, lam)
             seq = dressing_sequence(cfg)
-            worst_seq = max(worst_seq, seq.raise_residual, seq.lower_residual)
+            worst_seq = max(worst_seq, seq.residual)
             p = _dressing(cfg)
             for h in range(1, D + 1):
                 realized = _dress(ambient_generator(cfg, h, D + 1), p).to_dense()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import fuzzyd.cli
 import fuzzyd.operators
 from fuzzyd.basis import FuzzyConfig, dimension
 from fuzzyd.cli import _write_json, main
-from fuzzyd.operators import _generator_pairs, build_angular_momentum, build_position
+from fuzzyd.harmonics import verify_harmonics
+from fuzzyd.operators import _generator_pairs, build_angular_momentum, build_position, verify_algebra
+from fuzzyd.realization import verify_isomorphism
 
 from operators_oracle import dense_casimir, read_operator, triplets_of
 
@@ -105,6 +108,76 @@ def test_verify_all_small_config():
 def test_verify_detects_forced_failure():
     # an absurd tolerance forces the suite to report failure (exit 1)
     assert main(["verify", "--suite", "algebra", "--d", "3", "--lambda", "1", "--tol-degree2", "1e-30"]) == 1
+
+
+REPORT_ORDER = {
+    "algebra": [
+        ("hermiticity of generators and positions", 1e-13, True, ""),
+        ("so(D) structure constants", 1e-12, True, ""),
+        ("snyder commutator, interior columns", 1e-13, True, "exact identity for the canonical truncated radial weight"),
+        ("snyder commutator with top-level projector term", 1e-12, True, "overall factor i adopted (anti-Hermitian-consistent convention)"),
+        ("snyder variant without the factor i (recorded, not asserted)", math.inf, True, "kept only to document the adopted convention"),
+        (
+            "coordinate words span the full matrix algebra",
+            0.0,
+            True,
+            "Schur/Burnside certificate: 0 level(s) split under the generators, 0 adjacent level pair(s) not coupled by x, "
+            "top squared-distance value 0.669 away from every interior one",
+        ),
+        ("positions transform as an so(D) vector", 1e-12, True, ""),
+        ("squared distance spectrum per level", 1e-12, True, ""),
+        ("casimir operators diagonal with branching eigenvalues", 1e-12, True, ""),
+        (
+            "casimir eigenvalue multiplicities match branching counts",
+            0.0,
+            True,
+            "chains per label l_{p-1} against the closed-form branching count, every order p",
+        ),
+        ("minimal polynomial of the total casimir", 1e-12, True, "per-eigenspace residual max_l |(C_D - e_l) P_l|"),
+        ("nested casimir products annihilate their projector blocks", 1e-12, True, "per-eigenspace residuals of C_3 .. C_{D-1} and of L_12"),
+        (
+            "azimuthal ladder operators nilpotent at power 5",
+            1e-09,
+            True,
+            "largest ladder entry not shifting l_1 by exactly +-1; plain normalization O_2 -+ i O_1",
+        ),
+        ("generators commute with enclosing casimirs", 1e-12, True, "commutator with the exact label diagonal of each casimir"),
+        ("parity conjugation flips positions, fixes generators", 1e-13, True, ""),
+        ("reflection l_1 -> -l_1 flips x_1 and every L_1j, fixes the rest", 1e-13, True, "chain permutation with phase +1: the O(D) \\ SO(D) witness"),
+        ("level projectors commute with every generator", 1e-13, True, ""),
+        ("top-level projector idempotent with correct rank", 1e-13, True, ""),
+    ],
+    "harmonics": [
+        ("basis sizes match the counting formula", 0.0, True, ""),
+        ("orthonormal under the sphere inner product", 1e-10, True, ""),
+        ("flat laplacian annihilates every element, exactly", 0.0, True, "exact integer arithmetic"),
+        ("flat laplacian annihilates every element, floats", 1e-12, True, ""),
+        ("commuting-tower eigenvalues match chain labels, exactly", 0.0, True, "exact integer arithmetic"),
+        ("multiplication elements: recursion vs quadrature", 1e-10, True, ""),
+        ("products reconstruct pointwise on random sphere points", 1e-09, True, ""),
+        ("products satisfy the norm identity", 1e-09, True, ""),
+    ],
+    "isomorphism": [
+        ("identified bases have equal dimension", 0.0, True, "chains with frozen top label vs cutoff space"),
+        ("dressing recursion, raising relation", 1e-13, True, ""),
+        ("dressing recursion, lowering relation", 1e-13, True, ""),
+        ("dressed generators equal position operators", 1e-10, True, ""),
+        ("dressed generators are self-adjoint", 1e-12, True, ""),
+        ("variant without left conjugation (recorded, not asserted)", math.inf, True, "the doubly-undressed form fails whenever the dressing is complex"),
+        ("ambient generators restrict to the native ones", 1e-13, True, ""),
+        ("ambient total casimir is the expected scalar", 1e-10, True, "scalar 10"),
+        ("negating the extra-index generators negates every position", 1e-13, True, "parity is an O(D) transformation inside so(D+1)"),
+    ],
+}
+
+
+def test_suites_report_their_checks_in_a_fixed_order():
+    # names, tolerances, verdicts and notes in report order; deviations are left out, since the
+    # casimir residuals depend on how the platform's BLAS rounds
+    cfg = FuzzyConfig(D=4, cutoff=2, k=64.0)
+    reports = {"algebra": verify_algebra(cfg), "harmonics": verify_harmonics(4, 3), "isomorphism": verify_isomorphism(cfg)}
+    for suite, report in reports.items():
+        assert [(c.name, c.tolerance, c.passed, c.notes) for c in report.checks] == REPORT_ORDER[suite]
 
 
 def test_config_errors_exit_two(capsys):
@@ -259,13 +332,14 @@ from fuzzyd.cli import main
 with tempfile.TemporaryDirectory() as out:
     assert main(["build", "--d", "4", "--lambda", "3", "--out", out]) == 0
 assert main(["verify", "--suite", "algebra", "--d", "4", "--lambda", "3"]) == 0
-print("numpy.ma" in sys.modules)
+print("numpy.ma" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
 def test_build_and_verify_leave_numpy_ma_unimported():
     # a bare np.unique imports numpy.ma on numpy 2.4 (about 16 ms and 1 MB of resident memory),
-    # which neither command needs; a fresh interpreter sees only its own imports
+    # and numpy.random costs about 6 MB; neither command needs either, and a fresh interpreter
+    # sees only its own imports
     env = {**os.environ, "PYTHONPATH": str(Path(fuzzyd.cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split()[-1] == "False"
+    assert out.split()[-2:] == ["False", "False"]

@@ -30,8 +30,7 @@ def test_dressing_residuals_and_moduli():
     for D, lam in [(3, 4), (4, 3), (5, 2)]:
         cfg = FuzzyConfig(D=D, cutoff=lam, k=float((lam * (lam + D - 2)) ** 2))
         seq = dressing_sequence(cfg)
-        assert seq.raise_residual <= 1e-13
-        assert seq.lower_residual <= 1e-13
+        assert seq.residual <= 1e-13
         for l in range(lam):
             ratio = radial_weight(l + 1, cfg) / reduced_element(lam, l + 1, D + 1)
             assert abs(seq.values[l + 1] * seq.values[l]) == pytest.approx(ratio, abs=1e-14)
