@@ -142,8 +142,7 @@ def cmd_verify(args):
 
 def cmd_converge(args):
     if args.lam_max < 2:
-        print("error: --lambda-max must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("--lambda-max must be at least 2")
     _finite_flags(args)
     # D and the schedule are checked before the output directory is made, as `build` and `verify` do
     k_schedule(args.schedule, _integer(args.d, "ambient dimension", 3), 1, alpha=args.alpha)

@@ -32,13 +32,13 @@ from .coefficients import centrifugal_coeff
 from .harmonics import (
     _fuzzy_image,
     _project,
-    _t_triplets,
+    expand_product,
     function_multiplication_matrix,
     harmonic,
     poly_eval,
     sample_sphere_points,
 )
-from .operators import _product_terms, _radial_weighted, _sum, build_position
+from .operators import _apply, _product_terms, _radial_weighted, _sum, _t_triplets, build_position
 
 SCHEDULE_NAMES = ("consistency", "strong-x", "product", "power")
 RANDOM_VECTORS = 5
@@ -96,13 +96,6 @@ def _random_vectors(n):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         vecs.append(v / np.linalg.norm(v))
     return vecs
-
-
-def _apply(op, v):
-    """The SparseOperator op applied to the vector v: each row's terms added in column order from +0."""
-    out = np.zeros(op.dim, dtype=complex)
-    np.add.at(out, op.rows, op.vals * v[op.cols])
-    return out
 
 
 def _max_residual(defect, vectors):
@@ -190,19 +183,6 @@ class ProductRow:
     norm_bound: float        # ||f||_2 + 2 ||f||_inf
 
 
-def expand_product(f_coeffs, g_coeffs, D):
-    """Harmonic coefficients of the pointwise product f*g: multiplication by f applied to g."""
-    deg_f = max((tuple(c)[0] for c in f_coeffs), default=0)
-    deg_g = max((tuple(c)[0] for c in g_coeffs), default=0)
-    src = enumerate_chains(D, deg_g)
-    dst = enumerate_chains(D, deg_f + deg_g)
-    g = np.zeros(len(src), dtype=complex)
-    for chain, c in g_coeffs.items():
-        g[src.index_of(tuple(chain))] += c
-    fg = _apply(function_multiplication_matrix(f_coeffs, D, deg_g, deg_f + deg_g), g)
-    return {c: complex(v) for c, v in zip(dst.chains, fg) if abs(v) > 1e-13}
-
-
 def function_sup_norm(coeffs, D):
     """Sampled sup norm of f (a lower bound, keeping the norm-bound check honest)."""
     pts = sample_sphere_points(D, SUP_NORM_POINTS, RNG_SEED)
@@ -250,7 +230,7 @@ def coordinate_coefficients(D, h):
         raise ValueError(f"coordinate index {h} outside 1..{D}")
     # t_h as a column over monomials(D, 1), where x_h is row h - 1
     t_h = (1, np.eye(D, dtype=complex)[h - 1])
-    return {chain: val for chain, val in _project(t_h, D, (1,)).items() if abs(val) > 1e-14}
+    return {chain: val for chain, val in _project(t_h, D, 1).items() if abs(val) > 1e-14}
 
 
 def write_csv(path, D, rows):

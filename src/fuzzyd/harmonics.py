@@ -13,20 +13,24 @@ dimension of the harmonic space.  The float polynomial is the columns
 normalised and multiplied by (-1)^{l_1} when l_1 < 0; that closed-form phase
 is the one the sin/cos ladder recurrences assume.
 
-Every expansion coefficient on this basis is one sphere inner product
-<Y_c, P>, taken by `_project`: products of harmonics, the coordinates, and
-the quadrature matrix of t_h.  On the unit sphere a polynomial of degree d
-has components in degrees d, d - 2, ... only, and harmonics of different
-degree are orthogonal, so projecting on those degrees is the whole
-expansion.  A polynomial is held in one form only, (degree, column over
-monomials(D, degree)): each degree's basis is the coefficient matrix Y_d
-over the monomials, and a chain's polynomial is its read-only column.  Inner
-products are matrix products: the moment matrix M[d, e] holds the exact
-sphere integral of every monomial product, so <Y_c, P> is the row c of
-Y_d^H M[d, e] P for P of degree e.  The quadrature matrix is compared with
+An expansion coefficient on this basis is a sphere inner product <Y_c, P>:
+`_project` takes those of the coordinates, and the quadrature matrix of t_h
+those of t_h Y on the degrees l +- 1, where all of it lies.  A polynomial
+is held in one form only, (degree, column over monomials(D, degree)): each
+degree's basis is the coefficient matrix Y_d over the monomials, and a
+chain's polynomial is its read-only column.  Inner products are matrix
+products: the moment matrix M[d, e] holds the exact sphere integral of
+every monomial product, so <Y_c, P> is the row c of Y_d^H M[d, e] P for P
+of degree e.  The quadrature matrix is compared with
 `multiplication_matrix`, the scattered ladder-recursion triplets the
 diagnostics use; the phases are not imposed through the ladder moves, and the
 two agree only if every sign is right.
+
+Products of harmonics have one route, the ladder recursion:
+`expand_product` applies `function_multiplication_matrix`, the coordinate
+triplets substituted into the monomials of f, to the coefficients of g.
+The harmonics suite checks that route against the exact polynomial product,
+pointwise on random sphere points and by the norm identity.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _moves
 from .basis import _integer, dimension, enumerate_chains, level_chains, level_dimension
-from .operators import SparseOperator, VerificationReport, _max_entry, _move_triplets, _product_terms, _scatter, _sum, casimir_eigenvalue
+from .operators import SparseOperator, VerificationReport, _apply, _max_entry, _product_terms, _scatter, _sum, _t_triplets, casimir_eigenvalue
 
 RNG_PRODUCT_SEED = 7261
 PRODUCT_POINTS = 200
@@ -363,14 +366,10 @@ def _basis_inner(D, degree, e, P):
     return harmonic_basis(D, degree).matrix.conj().T @ (_moments(D, degree, e) @ P)
 
 
-def _project(p, D, degrees):
-    """{chain: <Y_chain, p>} over the basis of each degree in `degrees`, in that order, for p = (degree, column)."""
+def _project(p, D, degree):
+    """{chain: <Y_chain, p>} over the basis of `degree`, for p = (degree, column)."""
     e, column = p
-    return {
-        chain: val
-        for degree in degrees
-        for chain, val in zip(harmonic_basis(D, degree), _basis_inner(D, degree, e, column[:, None])[:, 0])
-    }
+    return dict(zip(harmonic_basis(D, degree), _basis_inner(D, degree, e, column[:, None])[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +396,6 @@ def position_matrix_elements(D, h, level_max):
     return out
 
 
-def _t_triplets(D, h, src_cutoff, dst_cutoff):
-    """Row-major (row, col, value) arrays of t_h from the src chain basis into the dst chain basis."""
-    src = enumerate_chains(D, src_cutoff).labels
-    return _move_triplets(src, enumerate_chains(D, dst_cutoff), lambda labels: _moves.t_moves(D, labels, h))
-
-
 def multiplication_matrix(D, h, src_cutoff, dst_cutoff):
     """Dense matrix of t_h mapping the src chain basis into the dst chain basis."""
     return _scatter((dimension(D, dst_cutoff), dimension(D, src_cutoff)), *_t_triplets(D, h, src_cutoff, dst_cutoff))
@@ -426,19 +419,17 @@ def function_multiplication_matrix(coeffs, D, src_cutoff, dst_cutoff):
     return SparseOperator(max(rows, cols), *image.where((image.rows < rows) & (image.cols < cols)).terms)
 
 
-# ---------------------------------------------------------------------------
-# products of harmonics
-
-
-def multiply_harmonics(a, b, D):
-    """Expansion coefficients of the product Y_a * Y_b over the chain basis, entries above 1e-13.
-
-    The product has degree a[0] + b[0]; on the sphere its components lie in
-    degrees a[0] + b[0], a[0] + b[0] - 2, ..., 0 or 1, and it is projected on each.
-    """
-    product = poly_mul(harmonic(D, a), harmonic(D, b), D)
-    gamma = _project(product, D, range(product[0], -1, -2))
-    return {chain: val for chain, val in gamma.items() if abs(val) > 1e-13}
+def expand_product(f_coeffs, g_coeffs, D):
+    """Harmonic coefficients of the pointwise product f*g, entries above 1e-13: multiplication by f applied to g."""
+    deg_f = max((tuple(c)[0] for c in f_coeffs), default=0)
+    deg_g = max((tuple(c)[0] for c in g_coeffs), default=0)
+    src = enumerate_chains(D, deg_g)
+    dst = enumerate_chains(D, deg_f + deg_g)
+    g = np.zeros(len(src), dtype=complex)
+    for chain, c in g_coeffs.items():
+        g[src.index_of(tuple(chain))] += c
+    fg = _apply(function_multiplication_matrix(f_coeffs, D, deg_g, deg_f + deg_g), g)
+    return {c: complex(v) for c, v in zip(dst.chains, fg) if abs(v) > 1e-13}
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +522,7 @@ def verify_harmonics(D, level_max):
     level_one = list(harmonic_basis(D, 1))
     pairs = [(a, b) for a in level_one for b in level_one[: len(level_one) // 2 + 1]]
     for a, b in pairs[:6]:
-        gamma = multiply_harmonics(a, b, D)
+        gamma = expand_product({a: 1.0}, {b: 1.0}, D)
         product = poly_mul(harmonic(D, a), harmonic(D, b), D)
         recon = np.zeros(len(pts), dtype=complex)
         for c, g in gamma.items():

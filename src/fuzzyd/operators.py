@@ -3,15 +3,17 @@
 Every operator is a `SparseOperator`: sorted (row, col, value) arrays, the
 one form that the builders return, the checks compute with and the CLI
 writes.  `_move_triplets` is the only place where a chain move becomes a
-matrix entry.  The moves come from the numpy kernels of `_moves`, which move
-the label matrix of a whole basis at once, and `BasisMap.ordinals` finds
-their target rows in closed form.  Each operator has one builder, and every
-caller, the checks and the CLI included, goes through it:
-`build_angular_momentum`, `build_position` and `build_projector`, and the
-casimir tower pass below, of which `build_casimir` takes a single order.
-The arithmetic the checks need (products, sums, adjoint, diagonal scaling,
-per-entry masks on the chain labels, max-abs) works on the triplets, so no
-operator is ever an n x n array here.
+matrix entry, and `_t_triplets` the one builder of the coordinate move t_h,
+between the chain bases of any two cutoffs.  The moves come from the numpy
+kernels of `_moves`, which move the label matrix of a whole basis at once,
+and `BasisMap.ordinals` finds their target rows in closed form.  Each
+operator has one builder, and every caller, the checks and the CLI
+included, goes through it: `build_angular_momentum`, `build_position` and
+`build_projector`, and the casimir tower pass below, of which
+`build_casimir` takes a single order.  The arithmetic the checks need
+(products, sums, adjoint, diagonal scaling, per-entry masks on the chain
+labels, max-abs) works on the triplets, so no operator is ever an n x n
+array here.
 
 Every sum of operators is one `_sum` over (row, col, value) terms: each
 entry's terms are added strictly left to right from +0, in the order given,
@@ -22,24 +24,11 @@ C_2 .. C_D all go through it.  A sum of squares is a running total,
 terms are held at once; a total's entry is never -0, so +0 + total = total,
 and the fold is bit for bit one `_sum` over all the squares.
 
-The casimirs come from one pass, `_casimir_tower`: each generator m is
-squared once, as every row panel m[t, :] times every column panel m[:, u]
-over pairs of tiles t, u, the balanced `_row_tiles` of each level (at most
-ROW_TILE, none shorter than half that once a level splits), densified from
-the triplets into two zero buffers of at most ROW_TILE x n entries reused
-for the whole pass, inner dimension n; a pair of tiles that no k joins is
-skipped, as its entries are all +-0.  The tiles are a work layout, not a
-precondition: a generator joining two levels is squared like any other.
-Only the nonzero entries of each square are kept, folded into the running
-total of every order it belongs to, and dropped.  Each C_p adds its order's
-squares in the order of the dense per-order sum.  The entries left out are
-+-0, and by IEEE arithmetic alone (x + (+-0) = x and +0 + x = x for x != 0,
-and a zero partial sum is +0 on both routes) every entry is bit for bit that
-dense sum.  The tiles add one assumption on BLAS: that zgemm sums each entry
-over K in an order that does not depend on the rows or columns a call
-covers.  tests/test_operators.py checks it against the dense square wherever
-a level splits (D=4 cutoff 12, D=5 cutoff 8), and the sha256s of the build
-files in perfbench/references.json pin it.
+The casimirs come from one pass, `_casimir_tower`: each generator is
+squared once, over pairs of tiles of its levels, and each square is folded
+into the running total of every order it belongs to and dropped.
+`_casimir_tower` and `_square_entries` give the IEEE and BLAS argument that
+makes every C_p bit for bit the dense per-order sum of squares.
 
 `verify_algebra` compares each casimir once with the diagonal l(l+p-2) that
 its chain label l_{p-1} fixes, and L_12 with l_1; the polynomial, multiplicity
@@ -74,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _moves
-from .basis import _integer, basis_of, level_dimension
+from .basis import _integer, basis_of, enumerate_chains, level_dimension
 from .coefficients import centrifugal_coeff, radial_weight, updown_weights
 
 ENTRY_DROP = 1e-15
@@ -203,6 +192,13 @@ def _product_terms(a, b):
     return a.rows[left], b.cols[right], a.vals[left] * b.vals[right]
 
 
+def _apply(op, v):
+    """The SparseOperator op applied to the vector v: each row's terms added in column order from +0."""
+    out = np.zeros(op.dim, dtype=complex)
+    np.add.at(out, op.rows, op.vals * v[op.cols])
+    return out
+
+
 def _sum(n, terms):
     """The n x n operator summing (row, col, value) term arrays, 0 for none: each entry's terms left to right from +0.
 
@@ -255,6 +251,12 @@ def _move_triplets(src, dst, moves):
     return rows[order], cols[order], vals[order]
 
 
+def _t_triplets(D, h, src_cutoff, dst_cutoff):
+    """Row-major (row, col, value) arrays of t_h from the src chain basis into the dst chain basis."""
+    src = enumerate_chains(D, src_cutoff).labels
+    return _move_triplets(src, enumerate_chains(D, dst_cutoff), lambda labels: _moves.t_moves(D, labels, h))
+
+
 def _radial_weighted(cfg, rows, cols, vals):
     """Coordinate-move entries on the chain basis of cfg, each times w(max(level_row, level_col)), noise dropped.
 
@@ -269,12 +271,10 @@ def _radial_weighted(cfg, rows, cols, vals):
 
 
 def build_angular_momentum(cfg, h, j):
-    """Rotation generator L_{h,j} on the chain basis; accepts h > j as -L_{j,h}."""
+    """Rotation generator L_{h,j}, 1 <= h < j <= D, on the chain basis."""
     h, j = (_integer(a, "generator index") for a in (h, j))
-    if h == j or not (1 <= min(h, j) and max(h, j) <= cfg.D):
+    if not 1 <= h < j <= cfg.D:
         raise ValueError(f"generator indices ({h}, {j}) invalid for D={cfg.D}")
-    if h > j:
-        return -build_angular_momentum(cfg, j, h)
     basis = basis_of(cfg)
     return SparseOperator(len(basis), *_move_triplets(basis.labels, basis, lambda src: _moves.generator_moves(cfg.D, src, h, j)))
 
@@ -284,9 +284,8 @@ def build_position(cfg, h):
     h = _integer(h, "coordinate index")
     if not 1 <= h <= cfg.D:
         raise ValueError(f"coordinate index {h} outside 1..{cfg.D}")
-    basis = basis_of(cfg)
-    move = _move_triplets(basis.labels, basis, lambda src: _moves.t_moves(cfg.D, src, h))
-    return SparseOperator(len(basis), *_radial_weighted(cfg, *move))
+    move = _t_triplets(cfg.D, h, cfg.cutoff, cfg.cutoff)
+    return SparseOperator(len(basis_of(cfg)), *_radial_weighted(cfg, *move))
 
 
 def _generator_pairs(D):
@@ -355,16 +354,16 @@ def _square_entries(m, tiles, row_buffer, col_buffer):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _casimir_tower(cfg, orders, generator=None):
+def _casimir_tower(cfg, orders, generator):
     """One pass over the casimir tower: yields (p, C_p) for each p in `orders`, squaring each generator once.
 
-    `generator(h, j)` gives L_hj (`build_angular_momentum` when None); it is
-    called once per pair of so(max(orders)), in _generator_pairs order.  Each
-    square is formed as its nonzero entries by `_square_entries`, over the
-    `_row_tiles` of every level block and from one row tile buffer and one
-    column tile buffer of (largest tile) x n entries, all laid out once for
-    the pass.  The tiles are a work layout, not a precondition: a generator
-    joining two levels is squared like any other.  Each square is folded
+    `generator(h, j)` gives L_hj; it is called once per pair of
+    so(max(orders)), in _generator_pairs order.  Each square is formed as
+    its nonzero entries by `_square_entries`, over the `_row_tiles` of every
+    level block and from one row tile buffer and one column tile buffer of
+    (largest tile) x n entries, all laid out once for the pass.  The tiles
+    are a work layout, not a precondition: a generator joining two levels is
+    squared like any other.  Each square is folded
     into the running total of every order p >= j, as
     `total = _sum(n, [total.terms, square])`, and dropped: _generator_pairs(p)
     is a subsequence, in the same order, of _generator_pairs(max(orders)),
@@ -385,8 +384,7 @@ def _casimir_tower(cfg, orders, generator=None):
     row_buffer, col_buffer = np.zeros(buffer_size, dtype=complex), np.zeros(buffer_size, dtype=complex)
     totals = {p: _sum(n, []) for p in orders}
     for h, j in _generator_pairs(max(orders)):
-        m = generator(h, j) if generator else build_angular_momentum(cfg, h, j)
-        square = _square_entries(m, tiles, row_buffer, col_buffer)
+        square = _square_entries(generator(h, j), tiles, row_buffer, col_buffer)
         for p in totals:
             if p >= j:
                 totals[p] = _sum(n, [totals[p].terms, square])
@@ -405,7 +403,7 @@ def build_casimir(cfg, p):
     p = _integer(p, "casimir order")
     if not 2 <= p <= cfg.D:
         raise ValueError(f"casimir order {p} outside 2..{cfg.D}")
-    [(_, casimir)] = _casimir_tower(cfg, (p,))
+    [(_, casimir)] = _casimir_tower(cfg, (p,), functools.partial(build_angular_momentum, cfg))
     return casimir
 
 

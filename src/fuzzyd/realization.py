@@ -8,11 +8,14 @@ position operators are then dressing-sandwiched generators
     x_h = p*(level) L_{h,D+1} p(level),
 
 with p the recursively defined dressing sequence.  The extra-index generators
-are taken in the parity-conjugated orientation (global sign flip of every
-L_{h,D+1}); this is the orientation for which the dressing recursion below
-reproduces the position operators exactly, and it is a legitimate so(D+1)
-family since flipping all generators carrying one fixed index is conjugation
-by a reflection.
+are taken with every L_{h,D+1} negated: this is the orientation for which
+the dressing recursion below reproduces the position operators exactly, and
+it is a legitimate so(D+1) family.  The parity P = diag((-1)^level), a
+unitary, fixes the generators with j <= D, which keep the level, so
+negating those with j = D+1 is conjugation by P exactly when each of them
+joins only adjacent levels; `verify_isomorphism` checks that as
+max |P A P + A| over the extra-index generators A.  The dressing is diagonal
+in the level, so it commutes with P, and the positions negate with them.
 
 `ambient_generator` is the one builder of the so(D+1) family.
 `verify_isomorphism` folds the square of each generator of the family into
@@ -80,12 +83,11 @@ def dressing_sequence(cfg):
     return DressingSequence(values=tuple(p), residual=residual)
 
 
-def ambient_generator(cfg, h, j, orientation=-1):
+def ambient_generator(cfg, h, j):
     """Generator L_{h,j} of so(D+1) acting on the identified chain basis.
 
-    For j <= D this coincides entrywise with the native generator.  For
-    j = D+1 the default orientation -1 applies the parity flip described in
-    the module docstring; pass orientation=+1 for the unflipped family.  The
+    For j <= D this coincides entrywise with the native generator; for
+    j = D+1 it is negated, as the module docstring describes.  The
     moves act on the (D+1)-chains, the cutoff prepended to every chain; no
     generator moves that frozen top label, so it is dropped from the targets,
     which are then looked up in the native basis.
@@ -93,7 +95,7 @@ def ambient_generator(cfg, h, j, orientation=-1):
     h, j = (_integer(a, "ambient generator index") for a in (h, j))
     if not 1 <= h < j <= cfg.D + 1:
         raise ValueError(f"ambient generator indices ({h}, {j}) invalid for so({cfg.D + 1})")
-    sign = orientation if j == cfg.D + 1 else 1
+    sign = -1 if j == cfg.D + 1 else 1
     basis = basis_of(cfg)
     labels = np.hstack([np.full((len(basis), 1), cfg.cutoff), basis.labels])
 
@@ -140,6 +142,7 @@ def verify_isomorphism(cfg):
     # casimir, and is compared with the native generator (j <= D) or dressed into a
     # position operator (j = D+1)
     p = _dressing(cfg)
+    parity = np.where(basis_of(cfg).labels[:, 0] % 2, -1.0, 1.0)
     n = dimension(D, lam)
     dev = dict.fromkeys(("gen", "pos", "adj", "alt", "par"), 0.0)
     amb_cas = _sum(n, [])
@@ -149,14 +152,13 @@ def verify_isomorphism(cfg):
         if j <= D:
             dev["gen"] = max(dev["gen"], (amb - build_angular_momentum(cfg, h, j)).max_abs())
             continue
+        # P A P has entries s_i s_j A_ij, so P A P + A is 0 exactly where A joins adjacent levels
+        dev["par"] = max(dev["par"], (amb.scaled(parity, parity) + amb).max_abs())
         realized = _dress(amb, p)
         native = build_position(cfg, h)
         dev["pos"] = max(dev["pos"], (realized - native).max_abs())
         dev["adj"] = max(dev["adj"], (realized - realized.adjoint()).max_abs())
         dev["alt"] = max(dev["alt"], (_dress(amb, p, conjugate_left=False) - native).max_abs())
-        # the unflipped orientation (+1), built on its own, dressed like the default
-        flipped = _dress(ambient_generator(cfg, h, j, orientation=+1), p)
-        dev["par"] = max(dev["par"], (flipped + realized).max_abs())
     amb_cas = amb_cas.drop_noise()
 
     report.add("dressed generators equal position operators", dev["pos"], TOL_ISO)

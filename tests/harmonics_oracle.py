@@ -6,7 +6,9 @@ runs its exact checks on integer coefficient columns.  The loops here work on
 {exponent tuple: coefficient} dicts (`poly_dict` converts a column) and are
 the definitions those replace: the sphere integral of one monomial (which the
 moment matrix reproduces bit for bit), the product and the inner product as
-double sums over monomial pairs, and the flat Laplacian, the rotations
+double sums over monomial pairs, the harmonic coefficients of a product of
+two harmonics (which the package takes from the ladder recursion), and the
+flat Laplacian, the rotations
 t_h d_j - t_j d_h and the casimirs applied one monomial at a time to integer
 coefficient dicts, the real and imaginary parts of an exact harmonic, with no
 use of the monomial shifts the package applies to whole columns.
@@ -70,6 +72,17 @@ def project(poly, D, degrees):
         for degree in degrees
         for chain in harmonic_basis(D, degree)
     }
+
+
+def multiply_harmonics(a, b, D):
+    """{chain: <Y_chain, Y_a Y_b>} above 1e-13, the exact product projected one monomial pair at a time.
+
+    The product has degree a[0] + b[0]; on the sphere its components lie in
+    degrees a[0] + b[0], a[0] + b[0] - 2, ..., 0 or 1, and it is projected on each.
+    """
+    product = poly_mul(poly_dict(harmonic(D, a), D), poly_dict(harmonic(D, b), D))
+    gamma = project(product, D, range(a[0] + b[0], -1, -2))
+    return {chain: val for chain, val in gamma.items() if abs(val) > 1e-13}
 
 
 def column_dicts(cols, D, degree):

@@ -145,9 +145,9 @@ def move_triplets(src, dst, terms):
     return rows[order], cols[order], vals[order]
 
 
-def ambient_triplets(D, cutoff, h, j, orientation=-1):
-    """so(D+1) generator L_{h,j} on the chains of (D, cutoff) with the cutoff prepended, per chain."""
-    sign = orientation if j == D + 1 else 1
+def ambient_triplets(D, cutoff, h, j):
+    """so(D+1) generator L_{h,j} on the chains of (D, cutoff) with the cutoff prepended, per chain, negated for j = D+1."""
+    sign = -1 if j == D + 1 else 1
     chains = [(cutoff,) + chain for chain in iter_chains(D, cutoff)]
 
     def terms(chain):

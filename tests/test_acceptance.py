@@ -16,10 +16,10 @@ from fuzzyd.convergence import (
     x_convergence_diagnostic,
 )
 from fuzzyd.harmonics import (
+    expand_product,
     harmonic,
     harmonic_basis,
     multiplication_matrix,
-    multiply_harmonics,
     poly_eval,
     poly_mul,
     position_matrix_elements,
@@ -213,7 +213,7 @@ def test_criterion_09_product_expansion():
     for D, pairs in cases.items():
         pts = sample_sphere_points(D, 200, seed=2718)
         for a, b in pairs:
-            gamma = multiply_harmonics(a, b, D)
+            gamma = expand_product({a: 1.0}, {b: 1.0}, D)
             prod = poly_mul(harmonic(D, a), harmonic(D, b), D)
             recon = np.zeros(len(pts), dtype=complex)
             for c, v in gamma.items():

@@ -240,6 +240,13 @@ def test_refused_converge_leaves_no_output_directory(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_converge_lambda_max_below_two_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["converge", "--mode", "x", "--d", "3", "--lambda-max", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --lambda-max must be at least 2\n"
+    assert not out.exists()
+
+
 def test_overflowing_power_schedule_runs_at_infinite_stiffness(tmp_path, capsys):
     # 6**1000 is past the float range: from cutoff 2 on the power schedule gives k = inf, as the product schedule does
     power = ["--schedule", "power", "--alpha", "1000"]

@@ -10,12 +10,11 @@ from fuzzyd.coefficients import centrifugal_coeff, radial_weight
 from fuzzyd.convergence import (
     _max_residual,
     coordinate_coefficients,
-    expand_product,
     k_schedule,
     product_convergence_diagnostic,
     x_convergence_diagnostic,
 )
-from fuzzyd.harmonics import multiplication_matrix
+from fuzzyd.harmonics import expand_product, multiplication_matrix
 from fuzzyd.operators import build_position
 
 from convergence_oracle import dense_x_deviations

@@ -6,19 +6,19 @@ import pytest
 
 from fuzzyd import harmonics
 from fuzzyd.basis import FuzzyConfig, enumerate_chains, level_dimension
-from fuzzyd.convergence import coordinate_coefficients, expand_product
+from fuzzyd.convergence import coordinate_coefficients
 from fuzzyd.harmonics import (
     _exact_chain_vectors,
     _exact_failures,
     _fuzzy_image,
     _moments,
     _project,
+    expand_product,
     function_multiplication_matrix,
     harmonic,
     harmonic_basis,
     monomials,
     multiplication_matrix,
-    multiply_harmonics,
     poly_eval,
     poly_inner,
     poly_mul,
@@ -173,14 +173,10 @@ def _pair(chains, chain):
 EXACT_LAPLACIAN = "flat laplacian annihilates every element, exactly"
 EXACT_TOWER = "commuting-tower eigenvalues match chain labels, exactly"
 ELEMENTS = "multiplication elements: recursion vs quadrature"
-# two azimuthal vectors summed into one column: not normalised, and the products built on it are wrong
-MIXED = {
-    EXACT_TOWER,
-    ELEMENTS,
-    "orthonormal under the sphere inner product",
-    "products reconstruct pointwise on random sphere points",
-    "products satisfy the norm identity",
-}
+POINTWISE = "products reconstruct pointwise on random sphere points"
+# two azimuthal vectors summed into one column: not normalised, and the ladder-route products
+# reconstructed on it are wrong; their norm identity reads no degree-2 basis, so it holds
+MIXED = {EXACT_TOWER, ELEMENTS, POINTWISE, "orthonormal under the sphere inner product"}
 
 
 def test_dropped_chain_fails_the_count(corrupt_basis):
@@ -233,8 +229,9 @@ def test_wrong_azimuthal_sign_is_caught(corrupt_basis):
         return chains, cols
 
     corrupt_basis(flip)
-    # each vector now sits under the other's label, which only the azimuthal generator sees
-    assert _failed(verify_harmonics(3, 2)) == {EXACT_TOWER, ELEMENTS}
+    # each vector now sits under the other's label, which only the azimuthal generator sees among the
+    # exact checks; the ladder-route products, reconstructed on the swapped vectors, see it too
+    assert _failed(verify_harmonics(3, 2)) == {EXACT_TOWER, ELEMENTS, POINTWISE}
 
 
 def test_imaginary_shift_below_float_resolution_fails_the_tower(corrupt_basis):
@@ -311,7 +308,8 @@ def test_moment_route_matches_the_per_monomial_oracle(D):
         combination = (degree, 0.5j * polys[0][1] + 0.25 * polys[-1][1])
         for poly in (product, combination):
             degrees = range(poly[0], -1, -1)
-            got, want = _project(poly, D, degrees), oracle.project(oracle.poly_dict(poly, D), D, degrees)
+            got = {chain: v for degree in degrees for chain, v in _project(poly, D, degree).items()}
+            want = oracle.project(oracle.poly_dict(poly, D), D, degrees)
             assert list(got) == list(want)
             assert max(abs(got[c] - want[c]) for c in got) <= 1e-14
 
@@ -418,15 +416,34 @@ def test_perturbed_multiplication_matrix_fails_the_elements_check(monkeypatch):
     assert check.deviation == pytest.approx(0.01 / math.sqrt(3), rel=1e-6)
 
 
+def test_flipped_ladder_amplitude_fails_the_product_checks(monkeypatch):
+    # the product checks take their coefficients from the ladder route the product diagnostic uses:
+    # <Y_(2,0), t_3 Y_(1,0)> with its sign flipped changes Y_(1,0)^2 but not its norm
+    real = harmonics._t_triplets
+
+    def flipped(D, h, src_cutoff, dst_cutoff):
+        rows, cols, vals = real(D, h, src_cutoff, dst_cutoff)
+        if h == 3 and min(src_cutoff, dst_cutoff - 1) >= 1:
+            row, col = enumerate_chains(D, dst_cutoff).index_of((2, 0)), enumerate_chains(D, src_cutoff).index_of((1, 0))
+            hit = (rows == row) & (cols == col)
+            assert np.count_nonzero(hit) == 1
+            vals = np.where(hit, -vals, vals)
+        return rows, cols, vals
+
+    assert verify_harmonics(3, 2).all_passed
+    monkeypatch.setattr(harmonics, "_t_triplets", flipped)
+    assert _failed(verify_harmonics(3, 2)) == {ELEMENTS, POINTWISE}
+
+
 def test_multiply_by_constant():
     vol = sphere_integral((0, 0, 0))
-    g = multiply_harmonics((0, 0), (2, 1), 3)
+    g = expand_product({(0, 0): 1.0}, {(2, 1): 1.0}, 3)
     assert set(g) == {(2, 1)}
     assert g[(2, 1)] == pytest.approx(1 / math.sqrt(vol), abs=1e-13)
 
 
 def test_multiply_parity_selection():
-    g = multiply_harmonics((1, 0), (1, 0), 3)
+    g = expand_product({(1, 0): 1.0}, {(1, 0): 1.0}, 3)
     assert set(k[0] for k in g) == {0, 2}
     assert all(k[-1] == 0 for k in g)
 
@@ -434,7 +451,7 @@ def test_multiply_parity_selection():
 def test_multiply_reconstruction_and_norm_identity():
     pts = sample_sphere_points(3, 200, seed=4321)
     for a, b in [((1, 0), (1, 1)), ((1, 1), (1, 1)), ((2, 1), (1, -1))]:
-        g = multiply_harmonics(a, b, 3)
+        g = expand_product({a: 1.0}, {b: 1.0}, 3)
         prod = poly_mul(harmonic(3, a), harmonic(3, b), 3)
         recon = np.zeros(len(pts), dtype=complex)
         for c, v in g.items():
@@ -452,7 +469,7 @@ def _multiplication_matrix_from_products(coeffs, D, src_cutoff, dst_cutoff):
     out = np.zeros((len(dst), len(src)), dtype=complex)
     for col, chain in enumerate(src.chains):
         for a, fa in coeffs.items():
-            for target, g in multiply_harmonics(a, chain, D).items():
+            for target, g in oracle.multiply_harmonics(a, chain, D).items():
                 if target[0] <= dst_cutoff:
                     out[dst.index_of(target), col] += fa * g
     return out
@@ -476,7 +493,7 @@ def test_expand_product_matches_exact_products():
         exact = {}
         for a, fa in f.items():
             for b, gb in g.items():
-                for chain, v in multiply_harmonics(a, b, 3).items():
+                for chain, v in oracle.multiply_harmonics(a, b, 3).items():
                     exact[chain] = exact.get(chain, 0j) + fa * gb * v
         got = expand_product(f, g, 3)
         assert set(got) == {c for c, v in exact.items() if abs(v) > 1e-13}

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -59,15 +60,10 @@ def test_sub_casimirs_carry_branching_labels():
 
 
 def test_generator_antisymmetry_and_errors():
-    a = build_angular_momentum(CFG42, 3, 4).to_dense()
-    b = build_angular_momentum(CFG42, 4, 3).to_dense()
-    assert np.allclose(a, -b)
-    with pytest.raises(ValueError):
-        build_angular_momentum(CFG42, 2, 2)
-    with pytest.raises(ValueError):
-        build_angular_momentum(CFG42, 0, 3)
-    with pytest.raises(ValueError):
-        build_angular_momentum(CFG42, 1, 5)
+    # L_hj is built for h < j only; -L_jh is the caller's to form, as verify_algebra's gen(a, b) does
+    for h, j in ((4, 3), (2, 2), (0, 3), (1, 5)):
+        with pytest.raises(ValueError, match=f"generator indices \\({h}, {j}\\) invalid for D=4"):
+            build_angular_momentum(CFG42, h, j)
 
 
 def test_position_matrix_element_and_hermiticity():
@@ -454,7 +450,7 @@ def test_lower_casimir_residual_fails_the_spectra_check(monkeypatch):
     # check must read the residual of every order, not only the total casimir
     honest = fuzzyd.operators._casimir_tower
 
-    def shifted(cfg, orders, generator=None):
+    def shifted(cfg, orders, generator):
         for p, casimir in honest(cfg, orders, generator):
             if p == 3:
                 casimir = casimir + SparseOperator(casimir.dim, np.array([0]), np.array([0]), np.array([1e-9 + 0j]))
@@ -482,7 +478,7 @@ def test_casimir_tower_equals_the_dense_casimirs(D, cutoff):
     # and D=5 cutoff 8 (285 states) split into 2 x 2 and 3 x 3 tiles
     cfg = _consistency_config(D, cutoff)
     n = dimension(D, cutoff)
-    tower = dict(_casimir_tower(cfg, range(2, D + 1)))
+    tower = dict(_casimir_tower(cfg, range(2, D + 1), functools.partial(build_angular_momentum, cfg)))
     assert sorted(tower) == list(range(2, D + 1))
     for p, casimir in tower.items():
         dense = dense_casimir(n, (build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(p)))
@@ -574,7 +570,7 @@ def test_casimir_tower_holds_no_per_order_block_accumulators():
     cfg = _consistency_config(5, 10)
     tracemalloc.start()
     try:
-        tower = list(_casimir_tower(cfg, range(2, 6)))
+        tower = list(_casimir_tower(cfg, range(2, 6), functools.partial(build_angular_momentum, cfg)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -598,7 +594,7 @@ def test_generator_joining_two_levels_gives_the_dense_casimirs(monkeypatch, D, c
     _tamper_generator(monkeypatch, pair, {(row, col): 0.5})
     cfg = _consistency_config(D, cutoff)
     levels = enumerate_chains(D, cutoff).labels[:, 0]
-    tower = dict(_casimir_tower(cfg, range(2, D + 1)))
+    tower = dict(_casimir_tower(cfg, range(2, D + 1), lambda h, j: fuzzyd.operators.build_angular_momentum(cfg, h, j)))
     assert sorted(tower) == list(range(2, D + 1))
     for p, casimir in tower.items():
         gens = (fuzzyd.operators.build_angular_momentum(cfg, h, j).to_dense() for h, j in _generator_pairs(p))

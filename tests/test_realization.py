@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from fuzzyd import realization
-from fuzzyd.basis import FuzzyConfig
+from fuzzyd.basis import FuzzyConfig, enumerate_chains
 from fuzzyd.coefficients import radial_weight, reduced_element
 from fuzzyd.convergence import k_schedule
-from fuzzyd.operators import _generator_pairs, build_angular_momentum, build_position
+from fuzzyd.operators import SparseOperator, _generator_pairs, build_angular_momentum, build_position
 from fuzzyd.realization import _dress, _dressing, ambient_generator, dressing_sequence, verify_isomorphism
 
 
-def _realized_position(cfg, h, orientation=-1):
+def _realized_position(cfg, h):
     """p*(level) L_{h,D+1} p(level), dressed as verify_isomorphism dresses it, as a dense array."""
-    return _dress(ambient_generator(cfg, h, cfg.D + 1, orientation), _dressing(cfg)).to_dense()
+    return _dress(ambient_generator(cfg, h, cfg.D + 1), _dressing(cfg)).to_dense()
 
 
 def test_dressing_sequence_start_and_step():
@@ -79,21 +79,27 @@ def test_ambient_casimir_scalar():
         assert np.max(np.abs(cas - scalar * np.eye(cas.shape[0]))) <= 1e-10
 
 
-def test_orientation_flip_negates_positions():
-    cfg = FuzzyConfig(D=3, cutoff=3, k=1e3)
-    for h in range(1, 4):
-        a = _realized_position(cfg, h)
-        b = _realized_position(cfg, h, orientation=+1)
-        assert np.max(np.abs(a + b)) == 0.0
-
-
-def test_orientation_check_fails_when_the_flip_is_ignored(monkeypatch):
+def test_parity_check_fails_on_an_extra_index_entry_within_one_level(monkeypatch):
+    # negating L_{3,4} is conjugation by the parity (-1)^level only while it joins adjacent levels: an
+    # entry joining two chains of level 1, of the sign every L_{h,4} carries, breaks that, though the
+    # family negated entry for entry is still exactly its negative
     honest = realization.ambient_generator
-    monkeypatch.setattr(realization, "ambient_generator", lambda cfg, h, j, orientation=-1: honest(cfg, h, j))
+
+    def tampered(cfg, h, j):
+        amb = honest(cfg, h, j)
+        if (h, j) == (3, cfg.D + 1):
+            bm = enumerate_chains(cfg.D, cfg.cutoff)
+            row, col = bm.index_of((1, 1)), bm.index_of((1, 0))
+            amb = amb + SparseOperator(amb.dim, np.array([row]), np.array([col]), np.array([-1e-3 + 0j]))
+        return amb
+
     cfg = FuzzyConfig(D=3, cutoff=3, k=1e3)
-    checks = {c.name: c for c in verify_isomorphism(cfg).checks}
-    assert not checks["negating the extra-index generators negates every position"].passed
-    assert checks["dressed generators equal position operators"].passed
+    name = "negating the extra-index generators negates every position"
+    assert {c.name: c for c in verify_isomorphism(cfg).checks}[name].deviation == 0.0
+    monkeypatch.setattr(realization, "ambient_generator", tampered)
+    check = {c.name: c for c in verify_isomorphism(cfg).checks}[name]
+    assert not check.passed
+    assert check.deviation == 2e-3
 
 
 def test_isomorphism_report():
