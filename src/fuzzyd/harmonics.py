@@ -28,15 +28,21 @@ two agree only if every sign is right.
 
 Products of harmonics have one route, the ladder recursion:
 `expand_product` applies `function_multiplication_matrix`, the coordinate
-triplets substituted into the monomials of f, to the coefficients of g.
+triplets substituted into the monomials of f, to the coefficients of each g.
 The harmonics suite checks that route against the exact polynomial product,
 pointwise on random sphere points and by the norm identity.
+
+The sphere points come from `sample_sphere_points`, which draws from the
+standard library's seeded Mersenne Twister, so no verify suite imports
+numpy.random (about 5 MB of resident memory).  Only the product diagnostic
+in `convergence.py` still draws from numpy's PCG64; its docstring says why.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -139,9 +145,20 @@ def poly_eval(p, points):
 
 
 def sample_sphere_points(D, count, seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((count, D))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    """`count` points on the unit sphere of R^D, as the rows of a (count, D) array, the same for the same seed.
+
+    Each row is a standard normal vector divided by its norm.  The normals
+    come in pairs from the Box-Muller step on 53-bit uniforms in (0, 1], read
+    from the bytes of the standard library's Mersenne Twister seeded with
+    `seed`: one draw, with no Python loop over the points.
+    """
+    pairs = -(-count * D // 2)
+    bits = np.frombuffer(random.Random(seed).randbytes(16 * pairs), dtype="<u8") >> np.uint64(11)
+    uniform = (bits + np.uint64(1)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(uniform[:pairs]))
+    angle = 2.0 * math.pi * uniform[pairs:]
+    normals = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[: count * D].reshape(count, D)
+    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +436,25 @@ def function_multiplication_matrix(coeffs, D, src_cutoff, dst_cutoff):
     return SparseOperator(max(rows, cols), *image.where((image.rows < rows) & (image.cols < cols)).terms)
 
 
-def expand_product(f_coeffs, g_coeffs, D):
-    """Harmonic coefficients of the pointwise product f*g, entries above 1e-13: multiplication by f applied to g."""
+def expand_product(f_coeffs, gs, D):
+    """Harmonic coefficients of the pointwise products f*g, one dict per g in `gs`, entries above 1e-13.
+
+    One multiplication operator by f is built, from the chain basis of the
+    largest degree among the g, and applied to each g in turn.
+    """
     deg_f = max((tuple(c)[0] for c in f_coeffs), default=0)
-    deg_g = max((tuple(c)[0] for c in g_coeffs), default=0)
+    deg_g = max((tuple(c)[0] for g_coeffs in gs for c in g_coeffs), default=0)
     src = enumerate_chains(D, deg_g)
     dst = enumerate_chains(D, deg_f + deg_g)
-    g = np.zeros(len(src), dtype=complex)
-    for chain, c in g_coeffs.items():
-        g[src.index_of(tuple(chain))] += c
-    fg = _apply(function_multiplication_matrix(f_coeffs, D, deg_g, deg_f + deg_g), g)
-    return {c: complex(v) for c, v in zip(dst.chains, fg) if abs(v) > 1e-13}
+    mult = function_multiplication_matrix(f_coeffs, D, deg_g, deg_f + deg_g)
+    products = []
+    for g_coeffs in gs:
+        g = np.zeros(len(src), dtype=complex)
+        for chain, c in g_coeffs.items():
+            g[src.index_of(tuple(chain))] += c
+        fg = _apply(mult, g)
+        products.append({c: complex(v) for c, v in zip(dst.chains, fg) if abs(v) > 1e-13})
+    return products
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +546,20 @@ def verify_harmonics(D, level_max):
     parseval_dev = 0.0
     level_one = list(harmonic_basis(D, 1))
     pairs = [(a, b) for a in level_one for b in level_one[: len(level_one) // 2 + 1]]
+    factors = {}  # the first six pairs, grouped by their first factor: one multiplication operator per a
     for a, b in pairs[:6]:
-        gamma = expand_product({a: 1.0}, {b: 1.0}, D)
-        product = poly_mul(harmonic(D, a), harmonic(D, b), D)
-        recon = np.zeros(len(pts), dtype=complex)
-        for c, g in gamma.items():
-            recon += g * poly_eval(harmonic(D, c), pts)
-        prod_dev = max(prod_dev, float(np.max(np.abs(recon - poly_eval(product, pts)))))
-        parseval_dev = max(
-            parseval_dev,
-            abs(sum(abs(g) ** 2 for g in gamma.values()) - poly_inner(product, product, D).real),
-        )
+        factors.setdefault(a, []).append(b)
+    for a, bs in factors.items():
+        for b, gamma in zip(bs, expand_product({a: 1.0}, [{b: 1.0} for b in bs], D)):
+            product = poly_mul(harmonic(D, a), harmonic(D, b), D)
+            recon = np.zeros(len(pts), dtype=complex)
+            for c, g in gamma.items():
+                recon += g * poly_eval(harmonic(D, c), pts)
+            prod_dev = max(prod_dev, float(np.max(np.abs(recon - poly_eval(product, pts)))))
+            parseval_dev = max(
+                parseval_dev,
+                abs(sum(abs(g) ** 2 for g in gamma.values()) - poly_inner(product, product, D).real),
+            )
     report.add("products reconstruct pointwise on random sphere points", prod_dev, TOL_PRODUCT)
     report.add("products satisfy the norm identity", parseval_dev, TOL_PRODUCT)
     return report

@@ -213,7 +213,7 @@ def test_criterion_09_product_expansion():
     for D, pairs in cases.items():
         pts = sample_sphere_points(D, 200, seed=2718)
         for a, b in pairs:
-            gamma = expand_product({a: 1.0}, {b: 1.0}, D)
+            [gamma] = expand_product({a: 1.0}, [{b: 1.0}], D)
             prod = poly_mul(harmonic(D, a), harmonic(D, b), D)
             recon = np.zeros(len(pts), dtype=complex)
             for c, v in gamma.items():

@@ -338,15 +338,16 @@ import sys, tempfile
 from fuzzyd.cli import main
 with tempfile.TemporaryDirectory() as out:
     assert main(["build", "--d", "4", "--lambda", "3", "--out", out]) == 0
-assert main(["verify", "--suite", "algebra", "--d", "4", "--lambda", "3"]) == 0
+assert main(["verify", "--suite", "all", "--d", "4", "--lambda", "3"]) == 0
 print("numpy.ma" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
 def test_build_and_verify_leave_numpy_ma_unimported():
     # a bare np.unique imports numpy.ma on numpy 2.4 (about 16 ms and 1 MB of resident memory),
-    # and numpy.random costs about 6 MB; neither command needs either, and a fresh interpreter
-    # sees only its own imports
+    # and numpy.random costs about 5-6 MB; neither command needs either (every verify suite runs,
+    # and the harmonics suite draws its sphere points from the standard library), and a fresh
+    # interpreter sees only its own imports
     env = {**os.environ, "PYTHONPATH": str(Path(fuzzyd.cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split()[-2:] == ["False", "False"]

@@ -219,7 +219,7 @@ def test_basis_state_residuals_are_the_column_norms():
 
 def test_expand_product_of_coordinates():
     t3 = coordinate_coefficients(3, 3)
-    fg = expand_product(t3, t3, 3)
+    [fg] = expand_product(t3, [t3], 3)
     assert set(k[0] for k in fg) == {0, 2}
     # f*g = t_3^2 integrates to vol/3
     const = fg[(0, 0)] / math.sqrt(sphere_integral((0, 0, 0)))

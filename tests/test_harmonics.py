@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,27 @@ def test_sphere_integral_against_monte_carlo():
     for alpha in [(2, 0, 0), (2, 2, 0), (4, 0, 0)]:
         mc = sphere_integral((0, 0, 0)) * float(np.mean(np.prod(pts**np.array(alpha), axis=1)))
         assert mc == pytest.approx(sphere_integral(alpha), rel=2e-2)
+
+
+SAMPLER_PROBE = """
+import sys
+from fuzzyd.harmonics import sample_sphere_points
+sample_sphere_points(5, 100, 7)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_sample_sphere_points_are_seeded_unit_rows_without_numpy_random():
+    for D, count in [(3, 1), (4, 7), (12, 200)]:
+        pts = sample_sphere_points(D, count, seed=11)
+        assert pts.shape == (count, D)
+        assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-15
+        assert np.array_equal(sample_sphere_points(D, count, seed=11), pts)
+        assert not np.array_equal(sample_sphere_points(D, count, seed=12), pts)
+    # a fresh interpreter sees only its own imports: numpy.random costs about 5-6 MB of resident memory
+    env = {**os.environ, "PYTHONPATH": str(Path(harmonics.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", SAMPLER_PROBE], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_basis_counts():
@@ -437,13 +462,13 @@ def test_flipped_ladder_amplitude_fails_the_product_checks(monkeypatch):
 
 def test_multiply_by_constant():
     vol = sphere_integral((0, 0, 0))
-    g = expand_product({(0, 0): 1.0}, {(2, 1): 1.0}, 3)
+    [g] = expand_product({(0, 0): 1.0}, [{(2, 1): 1.0}], 3)
     assert set(g) == {(2, 1)}
     assert g[(2, 1)] == pytest.approx(1 / math.sqrt(vol), abs=1e-13)
 
 
 def test_multiply_parity_selection():
-    g = expand_product({(1, 0): 1.0}, {(1, 0): 1.0}, 3)
+    [g] = expand_product({(1, 0): 1.0}, [{(1, 0): 1.0}], 3)
     assert set(k[0] for k in g) == {0, 2}
     assert all(k[-1] == 0 for k in g)
 
@@ -451,7 +476,7 @@ def test_multiply_parity_selection():
 def test_multiply_reconstruction_and_norm_identity():
     pts = sample_sphere_points(3, 200, seed=4321)
     for a, b in [((1, 0), (1, 1)), ((1, 1), (1, 1)), ((2, 1), (1, -1))]:
-        g = expand_product({a: 1.0}, {b: 1.0}, 3)
+        [g] = expand_product({a: 1.0}, [{b: 1.0}], 3)
         prod = poly_mul(harmonic(3, a), harmonic(3, b), 3)
         recon = np.zeros(len(pts), dtype=complex)
         for c, v in g.items():
@@ -495,9 +520,16 @@ def test_expand_product_matches_exact_products():
             for b, gb in g.items():
                 for chain, v in oracle.multiply_harmonics(a, b, 3).items():
                     exact[chain] = exact.get(chain, 0j) + fa * gb * v
-        got = expand_product(f, g, 3)
+        [got] = expand_product(f, [g], 3)
         assert set(got) == {c for c, v in exact.items() if abs(v) > 1e-13}
         assert max(abs(got[c] - exact[c]) for c in got) <= 1e-12
+
+
+def test_expand_product_of_several_g_matches_one_at_a_time():
+    # one multiplication operator, from the basis of the largest degree among the g, serves every g bit for bit
+    gs = [coordinate_coefficients(3, 3), {(1, 1): 1.0, (2, -1): 0.7j}, {(0, 0): 1.0}, {(3, 2): 1.0}]
+    for f in (coordinate_coefficients(3, 1), {(2, 1): 0.5, (1, 0): 0.3}):
+        assert expand_product(f, gs, 3) == [expand_product(f, [g], 3)[0] for g in gs]
 
 
 CFG = FuzzyConfig(D=3, cutoff=2, k=100.0)
