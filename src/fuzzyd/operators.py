@@ -257,14 +257,15 @@ def _t_triplets(D, h, src_cutoff, dst_cutoff):
     return _move_triplets(src, enumerate_chains(D, dst_cutoff), lambda labels: _moves.t_moves(D, labels, h))
 
 
-def _radial_weighted(cfg, rows, cols, vals):
-    """Coordinate-move entries on the chain basis of cfg, each times w(max(level_row, level_col)), noise dropped.
+def _radial_weighted(cfg, levels, rows, cols, vals):
+    """Coordinate-move entries, each times w(max(levels[row], levels[col])), noise dropped.
 
-    w is the truncated radial weight, one evaluation per level; the product
-    is numpy's complex x float, as for a dense weight array.
+    `levels` holds the top level of each chain that rows and cols index, at
+    most cfg.cutoff for every entry.  w is the truncated radial weight of
+    cfg, one evaluation per level; the product is numpy's complex x float,
+    as for a dense weight array.
     """
     weights = np.array([radial_weight(l, cfg) for l in range(cfg.cutoff + 1)])
-    levels = basis_of(cfg).labels[:, 0]
     vals = weights[np.maximum(levels[rows], levels[cols])] * vals
     keep = np.abs(vals) >= ENTRY_DROP
     return rows[keep], cols[keep], vals[keep]
@@ -284,8 +285,9 @@ def build_position(cfg, h):
     h = _integer(h, "coordinate index")
     if not 1 <= h <= cfg.D:
         raise ValueError(f"coordinate index {h} outside 1..{cfg.D}")
+    basis = basis_of(cfg)
     move = _t_triplets(cfg.D, h, cfg.cutoff, cfg.cutoff)
-    return SparseOperator(len(basis_of(cfg)), *_radial_weighted(cfg, *move))
+    return SparseOperator(len(basis), *_radial_weighted(cfg, basis.labels[:, 0], *move))
 
 
 def _generator_pairs(D):

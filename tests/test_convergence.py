@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,15 +8,18 @@ import pytest
 import fuzzyd._moves
 from fuzzyd.basis import FuzzyConfig, dimension, enumerate_chains
 from fuzzyd.coefficients import centrifugal_coeff, radial_weight
+from fuzzyd.cli import main
 from fuzzyd.convergence import (
+    _jacobi_norms,
     _max_residual,
+    _sturm_norms,
     coordinate_coefficients,
     k_schedule,
     product_convergence_diagnostic,
     x_convergence_diagnostic,
 )
-from fuzzyd.harmonics import expand_product, multiplication_matrix
-from fuzzyd.operators import build_position
+from fuzzyd.harmonics import _fuzzy_image, expand_product, multiplication_matrix
+from fuzzyd.operators import SparseOperator, build_position
 
 from convergence_oracle import dense_x_deviations
 from harmonics_oracle import sphere_integral
@@ -180,19 +184,137 @@ def test_coordinate_index_outside_the_dimension_is_refused(h):
         coordinate_coefficients(3, h)
 
 
-def test_product_diagnostic_at_cutoff_20_holds_one_dense_operator():
+def test_product_diagnostic_at_cutoff_20_holds_no_dense_operator():
     # D=3 cutoff 20 (n = 441): the fuzzy images, both defects and the multiplication operator are triplets, and
-    # the dense f-hat for its 2-norm (3.0 MiB) is the only n x n array; dense fuzzy images traced 40.0 MiB here
+    # ||f-hat|| of f = t_3 = t_D comes from the Sturm kernel, so the traced peak stays below one n x n complex array
+    # (3.0 MiB); the dense f-hat for an SVD held it until the kernel, and dense fuzzy images traced 40.0 MiB here
     t3 = coordinate_coefficients(3, 3)
     product_convergence_diagnostic(t3, t3, 3, [2])  # fills the basis and harmonics caches
+    n = dimension(3, 20)
     tracemalloc.start()
     try:
         (row,) = product_convergence_diagnostic(t3, t3, 3, [20])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert n == 441
     assert row.operator_norm <= row.norm_bound
-    assert peak < 10 * 2**20, peak
+    assert peak < n * n * np.dtype(complex).itemsize, peak
+
+
+@pytest.mark.parametrize("D, cutoff", [(3, 12), (4, 10), (5, 7), (6, 5)])
+def test_x_blocks_at_infinite_stiffness_are_gegenbauer_jacobi_matrices(D, cutoff):
+    # at k = inf x_D is t_D on the cutoff space, and the block of the lower chain with l_{D-2} = m (|l_1| at D=3)
+    # has as eigenvalues the zeros of the Gegenbauer polynomial C_N^(alpha), alpha = m + (D-2)/2, N = cutoff - m + 1:
+    # the eigenvalues of the Jacobi matrix of the orthonormal Gegenbauer polynomials, whose off-diagonals
+    # b_j^2 = j (j + 2 alpha - 1) / (4 (j + alpha) (j + alpha - 1)) are written here without fuzzyd.coefficients
+    x = build_position(FuzzyConfig(D=D, cutoff=cutoff, k=math.inf), D)
+    lower, block = np.unique(enumerate_chains(D, cutoff).labels[:, 1:], axis=0, return_inverse=True)
+    block = block.reshape(-1)
+    dense = x.to_dense()
+    zeros = []
+    for b, chain in enumerate(lower):
+        alpha = abs(chain[0]) + (D - 2) / 2
+        j = np.arange(1, cutoff - abs(chain[0]) + 1)
+        couplings = np.diag(np.sqrt(j * (j + 2 * alpha - 1) / (4 * (j + alpha) * (j + alpha - 1))), 1)
+        zeros.append(np.linalg.eigvalsh(couplings + couplings.T))
+        inside = np.flatnonzero(block == b)
+        np.testing.assert_allclose(np.linalg.eigvalsh(dense[np.ix_(inside, inside)]), zeros[-1], rtol=0, atol=4e-15)
+    # the kernel, block by block and over all blocks at once
+    norms = _jacobi_norms([x.where(block[x.rows] == b) for b in range(len(lower))])
+    np.testing.assert_allclose(norms, [np.abs(z).max() for z in zeros], rtol=4e-15, atol=0)
+    assert _jacobi_norms([x]) == [pytest.approx(max(norms), rel=1e-15, abs=0)]
+
+
+def _tridiagonal_batch(rng, blocks, length, kind):
+    """Random (diag, off_sq, lengths) with one block per column, zero-padded; `kind` picks the spectra."""
+    lengths = rng.integers(1, length + 1, blocks)
+    lengths[:3] = 1
+    live = np.arange(length)[:, None] < lengths
+    diag = np.where(live, rng.standard_normal((length, blocks)), 0.0)
+    if kind == "jacobi":
+        diag[:] = 0.0
+    if kind == "negative":
+        diag = np.where(live, diag - 20.0, 0.0)
+    off_sq = np.where(live & (np.arange(length)[:, None] > 0), rng.random((length, blocks)) * 2, 0.0)
+    if kind == "split":
+        off_sq[rng.random(off_sq.shape) < 0.3] = 0.0
+    return diag, off_sq, lengths
+
+
+@pytest.mark.parametrize("kind", ["general", "jacobi", "negative", "split"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sturm_kernel_matches_eigvalsh(kind, seed):
+    # seeded batches with 1 x 1 blocks, zero couplings inside blocks and all-negative spectra; a group with no
+    # block has norm 0
+    rng = np.random.default_rng(seed)
+    count = 5
+    diag, off_sq, lengths = _tridiagonal_batch(rng, 40, 9, kind)
+    group = rng.integers(0, count - 1, diag.shape[1])
+    expected = np.zeros(count)
+    for b, size in enumerate(lengths):
+        off = np.sqrt(off_sq[1:size, b])
+        eig = np.linalg.eigvalsh(np.diag(diag[:size, b]) + np.diag(off, 1) + np.diag(off, -1))
+        expected[group[b]] = max(expected[group[b]], np.abs(eig).max())
+    if kind == "negative":
+        assert all(np.linalg.eigvalsh(np.diag(diag[: lengths[b], b])).max() < -15 for b in range(len(lengths)))
+    norms = _sturm_norms(diag, off_sq, group, count)
+    np.testing.assert_allclose(norms, expected, rtol=1e-14, atol=0)
+    assert norms[-1] == 0.0
+
+
+def test_jacobi_norms_of_interleaved_blocks_and_of_operators_that_are_not_jacobi_block():
+    # components on interleaved index sets, each tridiagonal in index order, with complex couplings
+    rng = np.random.default_rng(11)
+    n = 40
+    dense = np.zeros((n, n), dtype=complex)
+    for part in np.split(rng.permutation(n), [5, 6, 18, 30]):
+        idx = np.sort(part)
+        couplings = rng.standard_normal(len(idx) - 1) + 1j * rng.standard_normal(len(idx) - 1)
+        dense[idx, idx] = rng.standard_normal(len(idx))
+        dense[idx[:-1], idx[1:]] = couplings
+        dense[idx[1:], idx[:-1]] = couplings.conj()
+    op = triplets_of(dense)
+    empty = SparseOperator(4, *(np.zeros(0, dtype) for dtype in (np.int64, np.int64, complex)))
+    norms = _jacobi_norms([op, empty, triplets_of(dense[:20, :20])])
+    expected = [np.linalg.norm(dense, 2), 0.0, np.linalg.norm(dense[:20, :20], 2)]
+    np.testing.assert_allclose(norms, expected, rtol=1e-14, atol=0)
+    assert _jacobi_norms([empty]) == [0.0]
+    # one bit off Hermitian, a coupling that skips a member of its component, and a cycle
+    r, c = np.nonzero(np.triu(dense, 1))
+    bent = dense.copy()
+    bent[r[0], c[0]] += np.spacing(bent[r[0], c[0]].real)
+    skip = np.zeros((3, 3))
+    skip[[0, 1, 0, 2], [1, 0, 2, 0]] = 1.0
+    cycle = np.ones((3, 3)) - np.eye(3)
+    for bad in (bent, skip, cycle):
+        assert _jacobi_norms([op, triplets_of(bad)]) is None
+
+
+@pytest.mark.parametrize("D, h, kernel", [(3, 3, True), (4, 4, True), (3, 1, False), (4, 3, False)])
+def test_operator_norm_matches_the_dense_norm_on_both_paths(D, h, kernel):
+    # t_D is Jacobi-block and takes the kernel; t_1 at D=3 and t_3 at D=4 join lower chains and take the dense SVD
+    f = coordinate_coefficients(D, h)
+    (row,) = product_convergence_diagnostic(f, f, D, [4])
+    cfg = FuzzyConfig(D=D, cutoff=4, k=row.k)
+    f_hat = _fuzzy_image(f, cfg, [build_position(cfg, j) for j in range(1, D + 1)])
+    assert (_jacobi_norms([f_hat]) is not None) == kernel
+    assert row.operator_norm == pytest.approx(np.linalg.norm(f_hat.to_dense(), 2), rel=1e-13, abs=0)
+
+
+def test_converge_completes_without_an_svd(monkeypatch, tmp_path):
+    # every norm of x mode, and ||f-hat|| of product mode at D=3, comes from the Sturm kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    # np.linalg.norm(a, 2) calls the svd of the module that defines it
+    monkeypatch.setattr(sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"], "svd", refuse)
+    with pytest.raises(AssertionError, match="an SVD"):
+        np.linalg.norm(np.eye(2), 2)
+    assert main(["converge", "--mode", "x", "--d", "3", "--lambda-max", "6", "--out", str(tmp_path / "x")]) == 0
+    assert main(["converge", "--mode", "product", "--d", "3", "--lambda-max", "4", "--out", str(tmp_path / "p")]) == 0
+    assert (tmp_path / "x" / "x_convergence.csv").exists() and (tmp_path / "p" / "product_convergence.csv").exists()
 
 
 def test_product_diagnostic_rejects_degrees_beyond_twice_the_cutoff():
