@@ -291,6 +291,15 @@ def test_jacobi_norms_of_interleaved_blocks_and_of_operators_that_are_not_jacobi
         assert _jacobi_norms([op, triplets_of(bad)]) is None
 
 
+@pytest.mark.parametrize("D", [3, 4, 5])
+def test_x_diagnostic_at_cutoff_0_reads_an_empty_operator_and_one_coupling(D):
+    # the cutoff space is the constant alone, where t_D - x_D has no entries; the boundary block is the coupling
+    # <Y_1|t_D|Y_0> = 1/sqrt(D) into level 1
+    (row,) = x_convergence_diagnostic(D, [0])
+    assert row.deviation == 0.0
+    assert row.boundary_deviation == pytest.approx(1 / math.sqrt(D), rel=1e-15, abs=0)
+
+
 @pytest.mark.parametrize("D, h, kernel", [(3, 3, True), (4, 4, True), (3, 1, False), (4, 3, False)])
 def test_operator_norm_matches_the_dense_norm_on_both_paths(D, h, kernel):
     # t_D is Jacobi-block and takes the kernel; t_1 at D=3 and t_3 at D=4 join lower chains and take the dense SVD
