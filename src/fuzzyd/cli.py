@@ -89,7 +89,8 @@ def cmd_build(args):
 
     def emit(name, op):
         path = out / f"{name}.json"
-        path.write_text(op.to_json_text())
+        with open(path, "w") as fh:
+            op.write_json(fh)
         written.append(str(path))
 
     _write_json(out / "basis.json", basis_of(cfg).to_json_obj())

@@ -27,8 +27,10 @@ and the fold is bit for bit one `_sum` over all the squares.
 The casimirs come from one pass, `_casimir_tower`: each generator is
 squared once, over pairs of tiles of its levels, and each square is folded
 into the running total of every order it belongs to and dropped.
-`_casimir_tower` and `_square_entries` give the IEEE and BLAS argument that
-makes every C_p bit for bit the dense per-order sum of squares.
+`_casimir_tower` gives the IEEE argument that makes each fold bit for bit
+the dense per-order sum of the squares, and `_square_entries` says what
+makes each square bit for bit the dense one: no guarantee of BLAS, but an
+observed property of these squares that the tests pin.
 
 `verify_algebra` compares each casimir once with the diagonal l(l+p-2) that
 its chain label l_{p-1} fixes, and L_12 with l_1; the polynomial, multiplicity
@@ -67,14 +69,14 @@ from .basis import _integer, basis_of, enumerate_chains, level_dimension
 from .coefficients import centrifugal_coeff, radial_weight, updown_weights
 
 ENTRY_DROP = 1e-15
-ROW_TILE = 128  # most rows or columns of a level squared in one BLAS call (`_row_tiles`)
+ROW_TILE = 34  # most rows or columns of a level squared in one BLAS call (`_row_tiles`), most entries written at once
 
 TOL_HERMITIAN = 1e-13
 TOL_DEGREE2 = 1e-12
 TOL_INTERIOR = 1e-13
 TOL_NILPOTENT = 1e-9
 
-_ENTRY_JSON = "    [\n      %d,\n      %d,\n      %r,\n      %r\n    ]"
+_ENTRY_JSON = "\n    [\n      %d,\n      %d,\n      %r,\n      %r\n    ]"
 _NO_TERMS = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))
 
 
@@ -160,27 +162,36 @@ class SparseOperator:
     def to_dense(self):
         return _scatter((self.dim, self.dim), self.rows, self.cols, self.vals)
 
-    def _json_entries(self):
-        """(row, col, real, imag) of every entry, as Python numbers."""
-        return zip(self.rows.tolist(), self.cols.tolist(), self.vals.real.tolist(), self.vals.imag.tolist())
+    def _json_entries(self, part=slice(None)):
+        """(row, col, real, imag) of the entries in `part`, as Python numbers."""
+        vals = self.vals[part]
+        return zip(self.rows[part].tolist(), self.cols[part].tolist(), vals.real.tolist(), vals.imag.tolist())
 
     def to_json_obj(self):
         return {"dim": self.dim, "entries": [list(entry) for entry in self._json_entries()]}
 
-    def to_json_text(self):
-        """to_json_obj() exactly as json.dumps(obj, indent=2, sort_keys=True) + a newline writes it.
+    def write_json(self, fh):
+        """Write to_json_obj() to the text file fh exactly as json.dumps(obj, indent=2, sort_keys=True) + a newline writes it.
 
-        One template, floats as their repr: the indenting json encoder is pure
-        Python and takes most of the time of writing an operator.  Non-finite
-        entries, which that encoder would write as NaN or Infinity, raise
-        ValueError.
+        One template, floats as their repr (the indenting json encoder is pure
+        Python and takes most of the time of writing an operator), filled
+        ROW_TILE entries at a time, so the text held does not grow with the
+        operator.  Non-finite entries, which that encoder would write as NaN
+        or Infinity, raise ValueError before any byte is written.
         """
         if not np.isfinite(self.vals).all():
             raise ValueError("operator entries must be finite to be written")
-        if not len(self.vals):
-            return '{\n  "dim": %d,\n  "entries": []\n}\n' % self.dim
-        body = ",\n".join(_ENTRY_JSON % entry for entry in self._json_entries())
-        return '{\n  "dim": %d,\n  "entries": [\n%s\n  ]\n}\n' % (self.dim, body)
+        fh.write('{\n  "dim": %d,\n  "entries": [' % self.dim)
+        for start in range(0, len(self.vals), ROW_TILE):
+            block = self._json_entries(slice(start, start + ROW_TILE))
+            fh.write("," * (start > 0) + ",".join(_ENTRY_JSON % entry for entry in block))
+        fh.write("\n  ]\n}\n" if len(self.vals) else "]\n}\n")
+
+    def to_json_text(self):
+        """The text `write_json` writes."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
 
 
 def _product_terms(a, b):
@@ -316,19 +327,25 @@ def _square_entries(m, tiles, row_buffer, col_buffer):
     multiplies every column tile u of the column panel m[:, u], both
     densified from the triplets (the column panel from m's entries sorted by
     column).  The inner dimension stays n, so BLAS sums every entry over the
-    same terms as the full square; that it sums them in the same order,
-    whatever rows or columns a call covers, is the one assumption on BLAS
-    here (OpenBLAS zgemm sums each entry over K in an order that depends on
-    neither M nor N), and it makes each tile product bit for bit its block
-    of the dense m @ m.  A pair of tiles with no k at which both m[t, k] and
-    m[k, u] hold an entry is not multiplied: every term of its entries has a
-    zero factor, so they are all +-0.  Which row tiles reach a column tile
-    is read in one step, from a running count of the entries of m whose
-    column k holds an entry of m[:, u], at the tile row pointers.  The panels
-    are views of the flat zero buffers `row_buffer` and `col_buffer` (n
-    entries per row or column of the largest tile), and only the entries
-    written are set back to zero after each use.  Each (row, col) comes
-    once, in tile order, not row-major; every entry left out is +-0.
+    same terms as the full square, but not always in the same order: with
+    OpenBLAS 0.3.31 on AVX-512, dense complex panels with K = 825 give a
+    one-row product, or one whose column count is not a multiple of 4, that
+    differs in the last bits from its block of a 128 x 128 product.  That
+    each tile product is bit for bit its block of the dense m @ m is an
+    observed property of these sparse squares, with tiles of more than 16
+    rows wherever a level splits (at ROW_TILE = 16, entries of C_p at D=4
+    cutoff 12 moved); the tests against the dense casimirs and the build
+    sha256s of the benchmark pin it, and a sum correctly rounded in any
+    term order (math.fsum) would remove the dependence.  A pair of tiles
+    with no k at which both m[t, k] and m[k, u] hold an entry is not
+    multiplied: every term of its entries has a zero factor, so they are
+    all +-0.  Which row tiles reach a column tile is read in one step, from
+    a running count of the entries of m whose column k holds an entry of
+    m[:, u], at the tile row pointers.  The panels are views of the flat
+    zero buffers `row_buffer` and `col_buffer` (n entries per row or column
+    of the largest tile), and only the entries written are set back to zero
+    after each use.  Each (row, col) comes once, in tile order, not
+    row-major; every entry left out is +-0.
     """
     n, parts = m.dim, [_NO_TERMS]
     edges = [t.start for t in tiles] + [n]
