@@ -7,7 +7,6 @@ Exit codes: 0 on success, 1 when a verification check fails its tolerance,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import platform
 import sys
@@ -16,17 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+# module level holds only what the parser and every command need (basis, coefficients, _moves,
+# operators); harmonics, realization, convergence and json are imported by the commands that run
+# them, so no command compiles or loads a module it does not run
 from . import __version__
 from .basis import FuzzyConfig, _integer, basis_of
-from .convergence import (
-    SCHEDULE_NAMES,
-    coordinate_coefficients,
-    k_schedule,
-    product_convergence_diagnostic,
-    write_csv,
-    x_convergence_diagnostic,
-)
-from .harmonics import verify_harmonics
+from .coefficients import SCHEDULE_NAMES, k_schedule
 from .operators import (
     TOL_DEGREE2,
     _casimir_tower,
@@ -36,7 +30,6 @@ from .operators import (
     build_projector,
     verify_algebra,
 )
-from .realization import verify_isomorphism
 
 
 def _add_config_flags(p):
@@ -66,6 +59,8 @@ def _config(args):
 
 
 def _write_json(path, obj):
+    import json  # loaded by the commands that write JSON, not by every command
+
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -127,10 +122,21 @@ def cmd_verify(args):
     tol_degree2 = _degree2_tolerance(args.tol_degree2)  # before any suite runs, whichever reads it
     cfg = _config(args)
     out = _output_dir(args.out) if args.out else None
+
+    def harmonics():
+        from .harmonics import verify_harmonics
+
+        return verify_harmonics(cfg.D, min(cfg.cutoff + 1, 4))
+
+    def isomorphism():
+        from .realization import verify_isomorphism
+
+        return verify_isomorphism(cfg)
+
     suites = {
         "algebra": lambda: verify_algebra(cfg, tol_degree2=tol_degree2),
-        "harmonics": lambda: verify_harmonics(cfg.D, min(cfg.cutoff + 1, 4)),
-        "isomorphism": lambda: verify_isomorphism(cfg),
+        "harmonics": harmonics,
+        "isomorphism": isomorphism,
     }
     reports = {stem: run() for stem, run in suites.items() if args.suite in (stem, "all")}
     for rep in reports.values():
@@ -148,6 +154,13 @@ def cmd_converge(args):
     # D and the schedule are checked before the output directory is made, as `build` and `verify` do
     k_schedule(args.schedule, _integer(args.d, "ambient dimension", 3), 1, alpha=args.alpha)
     out = _output_dir(args.out)
+    from .convergence import (
+        coordinate_coefficients,
+        product_convergence_diagnostic,
+        write_csv,
+        x_convergence_diagnostic,
+    )
+
     cutoffs = range(1, args.lam_max + 1)
     if args.mode == "x":
         rows = x_convergence_diagnostic(args.d, cutoffs, args.schedule, alpha=args.alpha)

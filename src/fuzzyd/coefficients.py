@@ -5,6 +5,10 @@ cos(theta)* on the normalized generalized Legendre columns.  Radicands are
 assembled in exact integer arithmetic and a single square root is taken in
 double precision; an out-of-ladder index makes the radicand non-positive and
 the coefficient is defined as 0 (the transition does not exist).
+
+The k-dependent quantities live here too: the radial weights, and the named
+stiffness schedules k(D, cutoff) that every command reads k from when no
+`--k` is given.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .basis import dimension
 
 
 def _root(num, den):
@@ -115,6 +120,51 @@ def radial_weight(l, cfg):
         return 0.0
     s = centrifugal_coeff(l, cfg.D) + centrifugal_coeff(l - 1, cfg.D)
     return math.sqrt(1.0 + float(s) / (2.0 * cfg.k))
+
+
+SCHEDULE_NAMES = ("consistency", "strong-x", "product", "power")
+
+
+def _log_double_factorial_odd(n):
+    # log((2n+1)!!) = log((2n+1)!) - n log 2 - log(n!)
+    return math.lgamma(2 * n + 2) - n * math.log(2.0) - math.lgamma(n + 1)
+
+
+def k_schedule(name, D, cutoff, alpha=None):
+    """Stiffness as a function of the cutoff, for each named schedule.
+
+    consistency: square of the cutoff energy (floored at 1 so cutoff 0 works);
+    strong-x:    cutoff * dim^2 * centrifugal(cutoff);
+    product:     the factorially growing product-limit bound, in log space;
+    power:       cutoff energy to the power alpha (alpha >= 2 required).
+
+    A schedule past the float range gives math.inf, where every radial
+    weight is exactly 1.
+    """
+    if name not in SCHEDULE_NAMES:
+        raise ValueError(f"unknown schedule {name!r}; choose from {SCHEDULE_NAMES}")
+    energy = cutoff * (cutoff + D - 2)
+    if name == "consistency":
+        return max(1.0, float(energy) ** 2)
+    if name == "power":
+        if alpha is None or not alpha >= 2:
+            raise ValueError(f"power schedule needs alpha >= 2, got {alpha} (weaker ones violate the cutoff consistency bound)")
+        try:
+            return max(1.0, float(energy) ** alpha)
+        except OverflowError:
+            return math.inf
+    if name == "strong-x":
+        return max(1.0, cutoff * dimension(D, cutoff) ** 2 * float(centrifugal_coeff(cutoff, D)))
+    log_k = (
+        2.0 * math.log(max(cutoff, 1))
+        + 3.0 * math.log(dimension(D, 2 * cutoff))
+        + D * math.lgamma(2 * cutoff + 1)
+        + cutoff * D * math.log(2.0)
+        + 2.0 * D * _log_double_factorial_odd(cutoff)
+        + math.log(max(float(centrifugal_coeff(cutoff, D)), 1.0))
+        + 0.5 * math.log(dimension(D, cutoff))
+    )
+    return math.exp(log_k) if log_k < 700.0 else math.inf
 
 
 def updown_weights(l, d):

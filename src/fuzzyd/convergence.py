@@ -1,4 +1,4 @@
-"""Stiffness schedules and finite-size diagnostics of the commutative limit.
+"""Finite-size diagnostics of the commutative limit.
 
 The diagnostics quantify, at each cutoff, how far the projected coordinate
 operators sit from the compressed multiplication operators, and how far fuzzy
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FuzzyConfig, _integer, dimension, enumerate_chains
-from .coefficients import centrifugal_coeff
+from .coefficients import SCHEDULE_NAMES, k_schedule  # SCHEDULE_NAMES stays importable from here
 from .harmonics import (
     _fuzzy_image,
     _project,
@@ -60,7 +60,6 @@ from .operators import (
     build_position,
 )
 
-SCHEDULE_NAMES = ("consistency", "strong-x", "product", "power")
 RANDOM_VECTORS = 5
 SUP_NORM_POINTS = 512
 RNG_SEED = 20318
@@ -69,48 +68,6 @@ MAX_PROBES = 255  # probes per block and round: 8 bits of the top eigenvalue
 BATCH_ENTRIES = 1 << 16  # operator entries that the x diagnostic converges in one kernel pass
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-
-
-def _log_double_factorial_odd(n):
-    # log((2n+1)!!) = log((2n+1)!) - n log 2 - log(n!)
-    return math.lgamma(2 * n + 2) - n * math.log(2.0) - math.lgamma(n + 1)
-
-
-def k_schedule(name, D, cutoff, alpha=None):
-    """Stiffness as a function of the cutoff, for each named schedule.
-
-    consistency: square of the cutoff energy (floored at 1 so cutoff 0 works);
-    strong-x:    cutoff * dim^2 * centrifugal(cutoff);
-    product:     the factorially growing product-limit bound, in log space;
-    power:       cutoff energy to the power alpha (alpha >= 2 required).
-
-    A schedule past the float range gives math.inf, where every radial
-    weight is exactly 1.
-    """
-    if name not in SCHEDULE_NAMES:
-        raise ValueError(f"unknown schedule {name!r}; choose from {SCHEDULE_NAMES}")
-    energy = cutoff * (cutoff + D - 2)
-    if name == "consistency":
-        return max(1.0, float(energy) ** 2)
-    if name == "power":
-        if alpha is None or not alpha >= 2:
-            raise ValueError(f"power schedule needs alpha >= 2, got {alpha} (weaker ones violate the cutoff consistency bound)")
-        try:
-            return max(1.0, float(energy) ** alpha)
-        except OverflowError:
-            return math.inf
-    if name == "strong-x":
-        return max(1.0, cutoff * dimension(D, cutoff) ** 2 * float(centrifugal_coeff(cutoff, D)))
-    log_k = (
-        2.0 * math.log(max(cutoff, 1))
-        + 3.0 * math.log(dimension(D, 2 * cutoff))
-        + D * math.lgamma(2 * cutoff + 1)
-        + cutoff * D * math.log(2.0)
-        + 2.0 * D * _log_double_factorial_odd(cutoff)
-        + math.log(max(float(centrifugal_coeff(cutoff, D)), 1.0))
-        + 0.5 * math.log(dimension(D, cutoff))
-    )
-    return math.exp(log_k) if log_k < 700.0 else math.inf
 
 
 def _random_vectors(n):

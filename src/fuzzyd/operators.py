@@ -58,7 +58,6 @@ import csv
 import functools
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -533,6 +532,8 @@ class VerificationReport:
         return "\n".join(lines)
 
     def save(self, json_path, csv_path):
+        import json  # loaded by the commands that write JSON, not by every command
+
         with open(json_path, "w") as fh:
             json.dump(self.to_json_obj(), fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -313,24 +315,62 @@ def test_build_files_have_fixed_hashes(tmp_path, D, cutoff):
 
 
 LAYOUT_PROBE = """
-import json, pathlib, sys
-loaded = lambda: sorted(m for m in sys.modules if m.startswith("fuzzyd."))
+import pathlib, sys, tempfile
+loaded = lambda: sorted(m[len("fuzzyd."):] for m in sys.modules if m.startswith("fuzzyd."))
 import fuzzyd
 bare = loaded()
-import fuzzyd.cli
-files = sorted("fuzzyd." + p.stem for p in pathlib.Path(fuzzyd.__file__).parent.glob("*.py") if p.stem != "__init__")
-print(json.dumps([bare, loaded(), files]))
+from fuzzyd.cli import main
+with tempfile.TemporaryDirectory() as out:
+    rc = main(sys.argv[1:] + ["--out", out])
+files = sorted(p.stem for p in pathlib.Path(fuzzyd.__file__).parent.glob("*.py") if p.stem != "__init__")
+json_loaded = "json" in sys.modules
+import json
+print(json.dumps([rc, bare, loaded(), files, json_loaded]))
 """
+
+LAYOUT_COMMANDS = {
+    "build": ["build", "--d", "3", "--lambda", "2"],
+    "verify algebra": ["verify", "--suite", "algebra", "--d", "3", "--lambda", "2"],
+    "verify all": ["verify", "--suite", "all", "--d", "3", "--lambda", "2"],
+    "converge x": ["converge", "--mode", "x", "--d", "4", "--lambda-max", "3"],
+    "converge product": ["converge", "--mode", "product", "--d", "3", "--lambda-max", "3"],
+}
 
 
 def test_the_package_holds_what_the_cli_loads():
-    # `import fuzzyd` loads no submodule, and the CLI loads every module file of the package,
-    # so no module can serve the tests alone; a fresh interpreter sees only its own imports
+    # `import fuzzyd` loads no submodule; each command loads only the modules it runs, and the
+    # commands together load every module file of the package, so no module can serve the tests
+    # alone; converge writes no JSON, so it leaves json unloaded; each command runs in a fresh
+    # interpreter, which sees only its own imports
     env = {**os.environ, "PYTHONPATH": str(Path(fuzzyd.cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", LAYOUT_PROBE], env=env, capture_output=True, text=True, check=True).stdout
-    bare, loaded, files = json.loads(out)
-    assert bare == []
-    assert loaded == files
+    loaded, with_json = {}, set()
+    for name, argv in LAYOUT_COMMANDS.items():
+        run = subprocess.run([sys.executable, "-c", LAYOUT_PROBE, *argv], env=env, capture_output=True, text=True, check=True)
+        rc, bare, loaded[name], files, json_loaded = json.loads(run.stdout.splitlines()[-1])
+        assert (rc, bare) == (0, []), name
+        if json_loaded:
+            with_json.add(name)
+    assert loaded["build"] == ["_moves", "basis", "cli", "coefficients", "operators"]
+    assert not {"harmonics", "realization"} & set(loaded["verify algebra"])
+    assert "realization" not in loaded["converge x"]
+    assert sorted(set().union(*loaded.values())) == files
+    assert with_json == {"build", "verify algebra", "verify all"}
+
+
+def test_the_benchmark_imports_resolve():
+    # the benchmark's scripts import names from the package's modules, and a name moved between
+    # modules would otherwise first fail the traced replay; the scripts are parsed, never run
+    imported = []
+    for path in sorted((Path(__file__).parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fuzzyd":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(path.name, alias.name, None) for alias in node.names if alias.name.split(".")[0] == "fuzzyd"]
+    assert {"k_schedule", "verify_isomorphism"} <= {name for file, _, name in imported if file == "trace.py"}
+    for file, module, name in imported:
+        mod = importlib.import_module(module)
+        assert name is None or hasattr(mod, name), f"{file}: {module} has no {name}"
 
 
 NUMPY_MA_PROBE = """
