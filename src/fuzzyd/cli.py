@@ -46,9 +46,12 @@ def _add_config_flags(p):
 
 
 def _finite_flags(args):
-    """ValueError (exit 2) for an infinite --k or --alpha: argparse reads inf and 1e400 as floats."""
+    """ValueError (exit 2) for a non-finite --k or --alpha: argparse reads nan, inf and 1e400 as floats.
+
+    Both flags are checked whatever the schedule, so a NaN --alpha cannot pass under a schedule that never reads it.
+    """
     for flag, value in (("--k", getattr(args, "k", None)), ("--alpha", args.alpha)):
-        if value is not None and math.isinf(value):
+        if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
 
 

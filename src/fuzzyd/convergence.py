@@ -20,15 +20,19 @@ and from the SVD of the dense f-hat elsewhere.  Its strong-limit claims are
 sampled on a fixed test-vector family: every basis state (read as a column
 of the defect) plus a few seeded pseudo-random unit vectors.
 
-This is the one module that draws from numpy.random: the test vectors and
-the 512 points of the sampled sup norm come from numpy's seeded PCG64, and
-only `converge --mode product` imports it.  Everything else draws its sphere
-points from `harmonics.sample_sphere_points`, which reads the standard
-library's Mersenne Twister and spares the import (about 5 MB of resident
-memory).  The two generators are split for one reason only: the benchmark's
-reference CSV of this diagnostic pins `norm_bound`, which the sup-norm
-points set.  The diagnostic moves to `sample_sphere_points` when those
-references are recorded again.
+The test vectors and the 512 points of the sampled sup norm are the normals
+of numpy's `default_rng(RNG_SEED)`, and each cutoff's draws are a prefix of
+that one stream, so the diagnostic draws the longest prefix once.  `_PCG64`
+produces the stream in the standard library (SeedSequence, the 128-bit LCG
+with its XSL-RR output, and the 256-layer ziggurat of
+`Generator.standard_normal`), so no command imports numpy.random (about
+5 MB of resident memory); the values agree with numpy's to the rounding of
+the layer tables, about 4e-14 relative.  Everything else draws its sphere
+points from `harmonics.sample_sphere_points`, the standard library's
+Mersenne Twister.  The PCG64 stream stays for one reason only: the
+benchmark's reference CSV of this diagnostic pins `norm_bound`, which the
+sup-norm points set.  The diagnostic moves to `sample_sphere_points`, and
+this stream goes, when those references are recorded again.
 """
 
 from __future__ import annotations
@@ -70,14 +74,122 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _random_vectors(n):
-    """The seeded pseudo-random unit vectors of the test family."""
-    vecs = []
-    rng = np.random.default_rng(RNG_SEED)
-    for _ in range(RANDOM_VECTORS):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        vecs.append(v / np.linalg.norm(v))
-    return vecs
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_words(seed):
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64), as Python integers."""
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+
+
+def _ziggurat_tables():
+    """The 256 layers of numpy's normal ziggurat: 52-bit acceptance bounds, widths per unit and densities.
+
+    The base layer ends at r and every layer has the area v of the base strip
+    with its tail; the layer edges follow from r and v downwards, in floats.
+    """
+    r, scale = 3.6541528853610088, 2.0**52
+    v = r * math.exp(-0.5 * r * r) + math.sqrt(math.pi / 2) * math.erfc(r / math.sqrt(2))
+    q = v / math.exp(-0.5 * r * r)  # the width of a rectangle of area v at the base strip's height
+    bound, width, density = [0] * 256, [0.0] * 256, [0.0] * 256  # bound[1] = 0: the top layer always tests its wedge
+    bound[0], width[0], density[0] = int(r / q * scale), q / scale, 1.0
+    width[255], density[255] = r / scale, math.exp(-0.5 * r * r)
+    edge = r
+    for i in range(254, 0, -1):
+        lower = math.sqrt(-2.0 * math.log(v / edge + math.exp(-0.5 * edge * edge)))
+        bound[i + 1] = int(lower / edge * scale)
+        edge = lower
+        width[i], density[i] = lower / scale, math.exp(-0.5 * lower * lower)
+    return r, bound, width, density
+
+
+class _PCG64:
+    """numpy's `Generator(PCG64(seed))`, for its standard normals only: no numpy.random import.
+
+    The 128-bit LCG is seeded through SeedSequence; each output is the
+    XSL-RR word of the stepped state, and the normals come from the ziggurat
+    of `Generator.standard_normal`, rejections and tail included, so the
+    state after `count` normals is numpy's.
+    """
+
+    def __init__(self, seed):
+        words = _seed_sequence_words(seed)
+        self.inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+        self.state = ((self.inc + (words[0] << 64 | words[1])) * _PCG64_MULTIPLIER + self.inc) & _MASK128
+
+    def next64(self):
+        self.state = state = (self.state * _PCG64_MULTIPLIER + self.inc) & _MASK128
+        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def next_double(self):
+        return (self.next64() >> 11) * 2.0**-53
+
+    def standard_normal(self, count):
+        r, bound, width, density = _ZIGGURAT
+        out = []
+        while len(out) < count:
+            bits = self.next64()
+            idx, bits = bits & 0xFF, bits >> 8
+            rabs = bits >> 1 & 0x000FFFFFFFFFFFFF
+            x = -rabs * width[idx] if bits & 1 else rabs * width[idx]
+            if rabs < bound[idx]:
+                out.append(x)
+            elif idx == 0:
+                while True:  # the tail beyond r, from two uniforms in [0, 1) read as 1 - u
+                    xx = -(1.0 / r) * math.log1p(-self.next_double())
+                    yy = -math.log1p(-self.next_double())
+                    if yy + yy > xx * xx:
+                        out.append(-(r + xx) if rabs >> 8 & 1 else r + xx)
+                        break
+            elif (density[idx - 1] - density[idx]) * self.next_double() + density[idx] < math.exp(-0.5 * x * x):
+                out.append(x)
+        return out
+
+
+_ZIGGURAT = _ziggurat_tables()
+
+
+def _pcg64_normals(count):
+    """The first `count` standard normals of numpy's `default_rng(RNG_SEED)`, as an array."""
+    return np.array(_PCG64(RNG_SEED).standard_normal(count))
+
+
+def _random_vectors(normals, n):
+    """The seeded pseudo-random unit vectors of the test family: real then imaginary parts, n normals each."""
+    parts = normals[: 2 * RANDOM_VECTORS * n].reshape(RANDOM_VECTORS, 2, n)
+    return [v / np.linalg.norm(v) for v in parts[:, 0] + 1j * parts[:, 1]]
 
 
 def _max_residual(defect, vectors):
@@ -254,16 +366,15 @@ class ProductRow:
     norm_bound: float        # ||f||_2 + 2 ||f||_inf
 
 
-def _pcg64_sphere_points(D, count, seed):
-    """`count` unit vectors of R^D from numpy's seeded PCG64: normalised standard normals."""
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((count, D))
+def _sup_norm_points(normals, D):
+    """The points of the sampled sup norm: the first 512 D normals of the stream, as rows of D, normalised."""
+    pts = normals[: SUP_NORM_POINTS * D].reshape(SUP_NORM_POINTS, D)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def function_sup_norm(coeffs, D):
+def function_sup_norm(coeffs, D, normals):
     """Sampled sup norm of f (a lower bound, keeping the norm-bound check honest)."""
-    pts = _pcg64_sphere_points(D, SUP_NORM_POINTS, RNG_SEED)
+    pts = _sup_norm_points(normals, D)
     vals = np.zeros(SUP_NORM_POINTS, dtype=complex)
     for chain, c in coeffs.items():
         vals += c * poly_eval(harmonic(D, chain), pts)
@@ -275,7 +386,11 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
     deg_f = max(tuple(c)[0] for c in f_coeffs)
     [fg] = expand_product(f_coeffs, [g_coeffs], D)
     f_l2 = math.sqrt(sum(abs(v) ** 2 for v in f_coeffs.values()))
-    f_sup = function_sup_norm(f_coeffs, D)
+    # the sup-norm points and each cutoff's test vectors are prefixes of one seeded stream, drawn once
+    cutoffs = list(cutoffs)
+    n_top = dimension(D, max(cutoffs, default=0))
+    normals = _pcg64_normals(max(2 * RANDOM_VECTORS * n_top, SUP_NORM_POINTS * D))
+    f_sup = function_sup_norm(f_coeffs, D, normals)
     rows = []
     for cutoff in cutoffs:
         k = k_schedule(schedule, D, cutoff, alpha=alpha)
@@ -287,7 +402,7 @@ def product_convergence_diagnostic(f_coeffs, g_coeffs, D, cutoffs, schedule="str
         mult = function_multiplication_matrix(f_coeffs, D, cutoff, cutoff + deg_f)
         approx_defect = _sum(mult.dim, [f_hat.terms, (-mult).terms])
         product_defect = _sum(f_hat.dim, [_product_terms(f_hat, g_hat), (-fg_hat).terms])
-        vectors = _random_vectors(f_hat.dim)
+        vectors = _random_vectors(normals, f_hat.dim)
         # the dense SVD only where f-hat is not Jacobi-block: complex or degree >= 2 f, t_3 at D >= 4
         norm = _jacobi_norms([f_hat])
         rows.append(

@@ -34,8 +34,10 @@ pointwise on random sphere points and by the norm identity.
 
 The sphere points come from `sample_sphere_points`, which draws from the
 standard library's seeded Mersenne Twister, so no verify suite imports
-numpy.random (about 5 MB of resident memory).  Only the product diagnostic
-in `convergence.py` still draws from numpy's PCG64; its docstring says why.
+numpy.random (about 5 MB of resident memory).  The product diagnostic in
+`convergence.py` still draws numpy's seeded PCG64 normals, produced in the
+standard library too, so no command imports numpy.random; its docstring
+says why that stream stays.
 """
 
 from __future__ import annotations

@@ -191,7 +191,7 @@ def test_config_errors_exit_two(capsys):
     assert main(["verify", "--suite", "algebra", "--d", "3", "--lambda", "1", "--schedule", "power", "--alpha", "nan"]) == 2
     assert "got nan" in capsys.readouterr().err
     assert main(["verify", "--suite", "algebra", "--d", "3", "--lambda", "1", "--k", "nan"]) == 2
-    assert "stiffness k must be positive, got nan" in capsys.readouterr().err
+    assert "--k must be finite, got nan" in capsys.readouterr().err
     # an infinite --k or --alpha (1e400 reads as inf) would run every suite with unit radial weights
     for flag, value in (("--k", "inf"), ("--k", "1e400"), ("--alpha", "inf")):
         argv = ["verify", "--suite", "algebra", "--d", "3", "--lambda", "2", "--schedule", "power", flag, value]
@@ -239,6 +239,20 @@ def test_refused_converge_leaves_no_output_directory(tmp_path, capsys, flags):
     out = tmp_path / "out"
     assert main(["converge", "--mode", "x", "--lambda-max", "3", *flags, "--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_alpha_is_refused_whatever_the_schedule(tmp_path, capsys, value):
+    # the default schedules never read alpha, so a NaN --alpha used to pass every check and exit 0
+    # --alpha=-inf, since argparse reads a separate -inf as a flag
+    assert main(["verify", "--d", "3", "--lambda", "2", f"--alpha={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --alpha must be finite, got {float(value)}\n"
+    assert "verification report" not in captured.out
+    out = tmp_path / "out"
+    assert main(["converge", "--mode", "product", "--d", "3", "--lambda-max", "2", f"--alpha={value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --alpha must be finite, got {float(value)}\n"
     assert not out.exists()
 
 
@@ -373,21 +387,23 @@ def test_the_benchmark_imports_resolve():
         assert name is None or hasattr(mod, name), f"{file}: {module} has no {name}"
 
 
-NUMPY_MA_PROBE = """
+NUMPY_IMPORTS_PROBE = """
 import sys, tempfile
 from fuzzyd.cli import main
 with tempfile.TemporaryDirectory() as out:
     assert main(["build", "--d", "4", "--lambda", "3", "--out", out]) == 0
+    assert main(["converge", "--mode", "x", "--d", "4", "--lambda-max", "3", "--out", out]) == 0
+    assert main(["converge", "--mode", "product", "--d", "3", "--lambda-max", "3", "--out", out]) == 0
 assert main(["verify", "--suite", "all", "--d", "4", "--lambda", "3"]) == 0
 print("numpy.ma" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
-def test_build_and_verify_leave_numpy_ma_unimported():
+def test_no_command_imports_numpy_ma_or_numpy_random():
     # a bare np.unique imports numpy.ma on numpy 2.4 (about 16 ms and 1 MB of resident memory),
-    # and numpy.random costs about 5-6 MB; neither command needs either (every verify suite runs,
-    # and the harmonics suite draws its sphere points from the standard library), and a fresh
-    # interpreter sees only its own imports
+    # and numpy.random costs about 5-6 MB; no command needs either (every verify suite runs, the
+    # harmonics suite draws its sphere points from the standard library, and the product diagnostic
+    # draws numpy's seeded normal stream itself), and a fresh interpreter sees only its own imports
     env = {**os.environ, "PYTHONPATH": str(Path(fuzzyd.cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], env=env, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", NUMPY_IMPORTS_PROBE], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split()[-2:] == ["False", "False"]

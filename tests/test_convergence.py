@@ -10,9 +10,16 @@ from fuzzyd.basis import FuzzyConfig, dimension, enumerate_chains
 from fuzzyd.coefficients import centrifugal_coeff, radial_weight
 from fuzzyd.cli import main
 from fuzzyd.convergence import (
+    _PCG64,
+    _ZIGGURAT,
+    RNG_SEED,
+    SUP_NORM_POINTS,
     _jacobi_norms,
     _max_residual,
+    _pcg64_normals,
+    _random_vectors,
     _sturm_norms,
+    _sup_norm_points,
     coordinate_coefficients,
     k_schedule,
     product_convergence_diagnostic,
@@ -324,6 +331,52 @@ def test_converge_completes_without_an_svd(monkeypatch, tmp_path):
     assert main(["converge", "--mode", "x", "--d", "3", "--lambda-max", "6", "--out", str(tmp_path / "x")]) == 0
     assert main(["converge", "--mode", "product", "--d", "3", "--lambda-max", "4", "--out", str(tmp_path / "p")]) == 0
     assert (tmp_path / "x" / "x_convergence.csv").exists() and (tmp_path / "p" / "product_convergence.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, RNG_SEED, 2**64 + 5, 2**128 + 3, 2**200 + 12345])
+def test_pcg64_is_seeded_as_numpy_seeds_it(seed):
+    # SeedSequence spreads entropy of one to seven 32-bit words over its pool of four, then PCG64 takes its
+    # state and increment from the four 64-bit words it hashes out; numpy.random is the oracle
+    ours, theirs = _PCG64(seed), np.random.PCG64(seed).state["state"]
+    assert (ours.state, ours.inc) == (theirs["state"], theirs["inc"])
+
+
+@pytest.mark.parametrize("seed", [RNG_SEED, 0, 2**64 + 5])
+def test_pcg64_normals_are_numpys_seeded_stream(seed):
+    # each normal takes one 64-bit word, and one more per wedge test and two per tail attempt, so the state after
+    # 2e5 normals is numpy's only if every branch of the ziggurat, rejections included, consumed what numpy's did;
+    # the values agree to the rounding of the layer tables, which are recomputed in floats
+    count = 200_000
+    ours, bits = _PCG64(seed), np.random.PCG64(seed)
+    values = np.array(ours.standard_normal(count))
+    expected = np.random.Generator(bits).standard_normal(count)
+    assert (ours.state, ours.inc) == (bits.state["state"]["state"], bits.state["state"]["inc"])
+    np.testing.assert_allclose(values, expected, rtol=1e-13, atol=0)
+    # the tail gave values beyond the base layer's edge, and the wedges and tails took words of their own
+    assert np.abs(values).max() > _ZIGGURAT[0]
+    one_word_each = np.random.PCG64(seed)
+    one_word_each.advance(count)
+    assert one_word_each.state["state"]["state"] != ours.state
+
+
+def test_random_vectors_and_sup_norm_points_are_the_numpy_draws():
+    # the test vectors of every cutoff and the sup-norm points are prefixes of one stream, as numpy drew them
+    # afresh from default_rng(RNG_SEED) for each
+    normals = _pcg64_normals(10 * 120)
+    for n in (1, 7, 120):
+        rng = np.random.default_rng(RNG_SEED)
+        expected = []
+        for _ in range(5):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            expected.append(v / np.linalg.norm(v))
+        got = _random_vectors(normals, n)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+    for D in (3, 4, 7):
+        pts = np.random.default_rng(RNG_SEED).standard_normal((SUP_NORM_POINTS, D))
+        expected = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        np.testing.assert_allclose(_sup_norm_points(_pcg64_normals(SUP_NORM_POINTS * D), D), expected, rtol=1e-13, atol=0)
 
 
 def test_product_diagnostic_rejects_degrees_beyond_twice_the_cutoff():
