@@ -6,11 +6,11 @@ by a chain of branching integers
     (l_d, l_{d-1}, ..., l_2, l_1),    d = D - 1,
 
 with l_d >= l_{d-1} >= ... >= l_2 >= |l_1|.  The top entry l_d is the total
-degree ("level") and runs from 0 to the cutoff.  Chains are plain tuples in
-this descending order throughout the package.  A basis also holds them as
-its label matrix, one int64 row per chain in basis order, column d - j
-holding l_j; the chain-move kernels read that matrix.  The row of a chain
-is closed-form (`BasisMap.ordinals`, the one chain -> row lookup).
+degree ("level") and runs from 0 to the cutoff.  A basis is stored as its
+label matrix only: one int64 row per chain in basis order, column d - j
+holding l_j, built by numpy and read by every kernel.  Tuples in this
+descending order appear only as the keys of coefficient dicts.  The row of
+a chain is closed-form (`BasisMap.ordinals`, the one chain -> row lookup).
 """
 
 from __future__ import annotations
@@ -68,16 +68,12 @@ class FuzzyConfig:
 def dimension(D, cutoff):
     """Dimension of the cutoff Hilbert space.
 
-    Closed form C(cutoff+D-2, cutoff-1) * (2*cutoff+D-1) / cutoff for
-    cutoff >= 1; by convention 1 for cutoff = 0 (only the constant state).
+    The chains up to the cutoff are the chains of D + 1 with top entry
+    `cutoff`, that entry dropped, so this is level_dimension(D + 1, cutoff):
+    C(cutoff+D-2, cutoff-1) * (2*cutoff+D-1) / cutoff for cutoff >= 1, and 1
+    for cutoff = 0 (only the constant state).
     """
-    D, cutoff = _integer(D, "ambient dimension", 3), _integer(cutoff, "cutoff", 0)
-    if cutoff == 0:
-        return 1
-    num = math.comb(cutoff + D - 2, cutoff - 1) * (2 * cutoff + D - 1)
-    q, r = divmod(num, cutoff)
-    assert r == 0
-    return q
+    return level_dimension(_integer(D, "ambient dimension", 3) + 1, _integer(cutoff, "cutoff", 0))
 
 
 def level_dimension(D, l):
@@ -90,26 +86,33 @@ def level_dimension(D, l):
     return q
 
 
-def _extend(prefix, upper, entries_left):
-    """Yield all descending continuations below `upper`, last entry signed."""
-    if entries_left == 1:
-        for m in range(-upper, upper + 1):
-            yield prefix + (m,)
-        return
-    for m in range(upper + 1):
-        yield from _extend(prefix + (m,), m, entries_left - 1)
+def _label_rows(D, cutoff):
+    """The label matrix of every chain up to `cutoff`, in canonical (ascending lexicographic) order.
+
+    It starts from the rows l_1 = -cutoff..cutoff and D - 2 times prepends
+    a = 0..cutoff to the rows whose first label lies in [-a, a]: one slice
+    of them, as they are sorted by their first label (a prefix once it is
+    nonnegative).  At D = 2 it gives the rows l_1 alone.
+    """
+    levels = np.arange(cutoff + 1, dtype=np.int64)
+    rows = np.arange(-cutoff, cutoff + 1, dtype=np.int64)[:, None]
+    for _ in range(D - 2):
+        lo, hi = np.searchsorted(rows[:, 0], -levels), np.searchsorted(rows[:, 0], levels, side="right")
+        ends = np.cumsum(hi - lo)  # block a of the new rows ends at ends[a] and copies rows lo[a]..hi[a] - 1
+        rows = np.column_stack([np.repeat(levels, hi - lo), rows[np.arange(ends[-1]) - np.repeat(ends - hi, hi - lo)]])
+    return rows
 
 
 def level_chains(D, top):
-    """The chains with top entry `top`, in canonical (ascending lexicographic) order."""
+    """The read-only label rows of the chains with top entry `top`, in canonical order.
+
+    They are `top` followed by every chain of D - 1 up to cutoff `top`.
+    """
     D, top = _integer(D, "ambient dimension", 3), _integer(top, "level", 0)
-    return sorted(_extend((top,), top, D - 2))
-
-
-def iter_chains(D, cutoff):
-    """All chains for (D, cutoff) in canonical (ascending lexicographic) order."""
-    for top in range(cutoff + 1):
-        yield from level_chains(D, top)
+    below = _label_rows(D - 1, top)
+    rows = np.column_stack([np.full(len(below), top), below])
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -122,12 +125,16 @@ class BasisMap:
 
     D: int
     cutoff: int
-    chains: tuple = field(repr=False)
     labels: np.ndarray = field(repr=False, compare=False)
     _table: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self):
-        return len(self.chains)
+        return len(self.labels)
+
+    @functools.cached_property
+    def chains(self):
+        """The chains as tuples, for keying coefficient dicts; derived from `labels` on first use."""
+        return tuple(map(tuple, self.labels.tolist()))
 
     def ordinals(self, labels):
         """The basis ordinal of every row of the (m, D - 1) int64 label matrix `labels`; -1 for a row not in the basis.
@@ -161,7 +168,7 @@ class BasisMap:
     def index_of(self, chain):
         """The ordinal of one chain of integers; KeyError if it is not in the basis."""
         chain = tuple(chain)
-        if len(chain) == self.D - 1 and all(isinstance(v, (int, np.integer)) and abs(v) <= self.cutoff for v in chain):
+        if len(chain) == self.D - 1 and all(type(v) is not bool and isinstance(v, (int, np.integer)) and abs(v) <= self.cutoff for v in chain):
             i = int(self.ordinals([chain])[0])
             if i >= 0:
                 return i
@@ -169,7 +176,7 @@ class BasisMap:
 
     def to_json_obj(self):
         """JSON form: array of integer arrays, ordinal implicit by position."""
-        return [list(c) for c in self.chains]
+        return self.labels.tolist()
 
 
 def enumerate_chains(D, cutoff):
@@ -183,13 +190,11 @@ def enumerate_chains(D, cutoff):
 
 @functools.lru_cache(maxsize=2)
 def _enumerate(D, cutoff):
-    chains = tuple(iter_chains(D, cutoff))
-    n = dimension(D, cutoff)
-    assert len(chains) == n
-    labels = np.array(chains, dtype=np.int64).reshape(n, D - 1)
+    labels = _label_rows(D, cutoff)
+    assert len(labels) == dimension(D, cutoff)
     labels.flags.writeable = False
     table = np.array([[dimension(D - j, a - 1) if a else 0 for a in range(cutoff + 1)] for j in range(D - 2)], dtype=np.int64)
-    return BasisMap(D=D, cutoff=cutoff, chains=chains, labels=labels, _table=table)
+    return BasisMap(D=D, cutoff=cutoff, labels=labels, _table=table)
 
 
 def basis_of(cfg):

@@ -284,7 +284,7 @@ def _exact_integers(cols, D, degree):
 
 @functools.lru_cache(maxsize=None)
 def _exact_chain_vectors(D, degree):
-    """The chains with top entry `degree` in canonical order, and their exact harmonics as read-only integer columns.
+    """The label rows of the chains with top entry `degree`, and their exact harmonics as read-only integer columns.
 
     Gelfand-Tsetlin product formula: for the chain (l_{D-1}, ..., l_2, l_1),
     Y = (x_1 + i sgn(l_1) x_2)^|l_1| prod_{p=3..D} rho_p^n C_n^alpha(x_p / rho_p)
@@ -293,9 +293,9 @@ def _exact_chain_vectors(D, degree):
     monomials(D, degree): column c and k + c hold a positive integer multiple
     of the real and imaginary parts of chain c's Y.
     """
-    chains = tuple(level_chains(D, degree))
+    labels = level_chains(D, degree)
     vectors = []
-    for chain in chains:
+    for chain in labels.tolist():
         vec = _azimuthal_power(D, chain[-1])
         for p in range(3, D + 1):
             lower = abs(chain[D - p + 1])
@@ -304,22 +304,23 @@ def _exact_chain_vectors(D, degree):
         vectors.append(vec)
     cols = _exact_integers(np.hstack([v[:, :1] for v in vectors] + [v[:, 1:] for v in vectors]), D, degree)
     cols.flags.writeable = False
-    return chains, cols
+    return labels, cols
 
 
-def _exact_failures(cols, chains, D, degree):
+def _exact_failures(cols, labels, D, degree):
     """Per chain: whether the flat Laplacian of its exact vector is nonzero, and how many tower eigen-equations fail.
 
     `cols` holds the integer parts [re | im] of one vector per chain over
-    monomials(D, degree), as `_exact_chain_vectors` returns them.  The tower
-    is C_D, ..., C_2 with eigenvalues m (m + p - 2) read from the chain
-    labels, and L_12 = t_1 d_2 - t_2 d_1 with eigenvalue i l_1.  On re and im
-    these are the integer identities C re = e re, C im = e im,
-    L_12 re = -l_1 im and L_12 im = l_1 re, so the checks are exact.
+    monomials(D, degree) and `labels` the chains' label rows, as
+    `_exact_chain_vectors` returns them.  The tower is C_D, ..., C_2 with
+    eigenvalues m (m + p - 2) read from the labels, and
+    L_12 = t_1 d_2 - t_2 d_1 with eigenvalue i l_1.  On re and im these are
+    the integer identities C re = e re, C im = e im, L_12 re = -l_1 im and
+    L_12 im = l_1 re, so the checks are exact.
     """
     cols = _exact_integers(cols, D, degree)
-    k = len(chains)
-    labels = np.array(chains, dtype=np.int64).reshape(k, D - 1).astype(cols.dtype)
+    k = len(labels)
+    labels = labels.astype(cols.dtype)
 
     def per_vector(bad):
         bad = bad.any(axis=0)
@@ -343,13 +344,15 @@ class HarmonicBasis(dict):
     """{chain: column of `matrix`} of one degree: each chain's orthonormal harmonic over monomials(D, degree).
 
     `matrix` is Y_d, one column per chain in the dict's order; it and its
-    columns are read-only.  `exact` is the exact form, the integer columns
-    [re | im] of `_exact_chain_vectors`.
+    columns are read-only.  `labels` holds the chains as label rows, the
+    keys are their tuples, and `exact` is the exact form, the integer
+    columns [re | im] of `_exact_chain_vectors`.
     """
 
-    def __init__(self, chains, matrix, exact):
+    def __init__(self, labels, matrix, exact):
         matrix.flags.writeable = False
-        super().__init__(zip(chains, matrix.T))
+        super().__init__(zip(map(tuple, labels.tolist()), matrix.T))
+        self.labels = labels
         self.matrix = matrix
         self.exact = exact
 
@@ -366,12 +369,12 @@ def harmonic_basis(D, degree):
     """
     D = _integer(D, "ambient dimension", 3)
     degree = _integer(degree, "degree", 0)
-    chains, exact = _exact_chain_vectors(D, degree)
+    labels, exact = _exact_chain_vectors(D, degree)
     floats = exact.astype(float)
-    floats = floats[:, : len(chains)] + 1j * floats[:, len(chains) :]
+    floats = floats[:, : len(labels)] + 1j * floats[:, len(labels) :]
     norms = np.sum(floats.conj() * (_moments(D, degree, degree) @ floats), axis=0).real
-    scales = [(-1) ** max(-chain[-1], 0) / math.sqrt(norm) for chain, norm in zip(chains, norms)]
-    return HarmonicBasis(chains, floats * np.array(scales), exact)
+    scales = [(-1) ** max(-l1, 0) / math.sqrt(norm) for l1, norm in zip(labels[:, -1].tolist(), norms)]
+    return HarmonicBasis(labels, floats * np.array(scales), exact)
 
 
 def harmonic(D, chain):
@@ -407,10 +410,10 @@ def position_matrix_elements(D, h, level_max):
     for l in range(level_max + 1):
         basis = harmonic_basis(D, l)
         moved = _move(basis.matrix, D, l, tuple(int(i == h - 1) for i in range(D)))
-        cols = src.ordinals(np.array(list(basis)))
+        cols = src.ordinals(basis.labels)
         for degree in (l - 1, l + 1):
             if degree >= 0:
-                rows = dst.ordinals(np.array(list(harmonic_basis(D, degree))))
+                rows = dst.ordinals(harmonic_basis(D, degree).labels)
                 out[np.ix_(rows, cols)] = _basis_inner(D, degree, l + 1, moved)
     return out
 
@@ -528,7 +531,7 @@ def verify_harmonics(D, level_max):
         gram = basis.matrix.conj().T @ _moments(D, l, l) @ basis.matrix
         gram_dev = max(gram_dev, _max_entry(gram - np.eye(len(basis))))
         lap_float_dev = max(lap_float_dev, _max_entry(_laplacian(basis.matrix, D, l)))
-        lap_bad, tower_bad = _exact_failures(basis.exact, list(basis), D, l)
+        lap_bad, tower_bad = _exact_failures(basis.exact, basis.labels, D, l)
         lap_exact_bad += int(np.count_nonzero(lap_bad))
         eig_bad += int(tower_bad.sum())
     report.add("basis sizes match the counting formula", float(count_bad), 0.0)

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from fuzzyd.basis import iter_chains
+from fuzzyd.basis import enumerate_chains
 from fuzzyd.coefficients import _SHIFT_INDEX, ladder_coeffs, reduced_element
 from fuzzyd.operators import ENTRY_DROP
 
@@ -148,7 +148,7 @@ def move_triplets(src, dst, terms):
 def ambient_triplets(D, cutoff, h, j):
     """so(D+1) generator L_{h,j} on the chains of (D, cutoff) with the cutoff prepended, per chain, negated for j = D+1."""
     sign = -1 if j == D + 1 else 1
-    chains = [(cutoff,) + chain for chain in iter_chains(D, cutoff)]
+    chains = [(cutoff,) + chain for chain in enumerate_chains(D, cutoff).chains]
 
     def terms(chain):
         for target, amp in generator_terms(D + 1, chain, h, j):

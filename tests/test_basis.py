@@ -1,14 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fuzzyd.basis import (
     FuzzyConfig,
+    _enumerate,
     dimension,
     enumerate_chains,
-    iter_chains,
     level_chains,
     level_dimension,
 )
@@ -33,8 +34,22 @@ def brute_force_chains(D, cutoff):
 
 def test_small_enumeration_matches_oracle():
     assert enumerate_chains(3, 1).chains == ((0, 0), (1, -1), (1, 0), (1, 1))
-    for D, cutoff in [(3, 3), (4, 2), (5, 1), (6, 1)]:
-        assert list(enumerate_chains(D, cutoff).chains) == brute_force_chains(D, cutoff)
+    # every prepend step of the builder, up to five at D = 8; the brute-force box holds at most 5^6 tuples
+    for D, cutoff in [(3, 3), (4, 2), (5, 1), (6, 1), (7, 2), (8, 1)] + [(D, 0) for D in range(3, 9)]:
+        expected = brute_force_chains(D, cutoff)
+        bm = enumerate_chains(D, cutoff)
+        assert list(bm.chains) == expected, (D, cutoff)
+        assert bm.to_json_obj() == [list(c) for c in expected], (D, cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1])
+def test_enumeration_at_d_1100_needs_no_recursion(cutoff):
+    # a recursive enumerator went 1100 calls deep and raised RecursionError; the rows are distinct, satisfy
+    # the branching inequalities and lie in canonical order, as their closed-form ordinals are 0..n-1,
+    # and there are as many as the closed-form dimension counts, so they are the whole basis
+    bm = enumerate_chains(1100, cutoff)
+    assert bm.labels.shape == (dimension(1100, cutoff), 1099)
+    assert np.array_equal(bm.ordinals(bm.labels), np.arange(len(bm)))
 
 
 def test_zero_cutoff_single_chain():
@@ -55,7 +70,7 @@ def test_dimension_closed_forms():
 def test_dimension_equals_enumeration_everywhere():
     for D in (3, 4, 5, 6):
         for lam in range(9):
-            assert dimension(D, lam) == sum(1 for _ in iter_chains(D, lam))
+            assert dimension(D, lam) == len(enumerate_chains(D, lam).labels)
 
 
 def test_branching_counts():
@@ -92,6 +107,8 @@ def test_index_of_and_membership_reject_malformed_chains():
     assert bm.index_of([1, 1, -1]) == bm.chains.index((1, 1, -1))
     assert bm.index_of((np.int64(2), 0, 0)) == bm.chains.index((2, 0, 0))
     malformed = [(1, 1), (1, 1, 0, 0), (), (1, 2, 0), (1, 1, 2), (-1, 0, 0), (3, 0, 0), (1.0, 0, 0), ("1", 0, 0), (2**70, 0, 0)]
+    # bools are not labels, as nowhere else: (2, True, 0) once gave the row of (2, 1, 0)
+    malformed += [(2, True, 0), (True, 0, 0)]
     for chain in malformed:
         with pytest.raises(KeyError, match="not in basis"):
             bm.index_of(chain)
@@ -188,7 +205,7 @@ def test_numpy_integer_dimension_and_cutoff_are_accepted_as_int():
     assert type(cfg.D) is int and type(cfg.cutoff) is int
     assert cfg == FuzzyConfig(D=3, cutoff=2, k=100.0)
     assert dimension(np.int64(4), np.int32(2)) == dimension(4, 2) == 14
-    assert level_chains(np.int64(3), np.int64(1)) == level_chains(3, 1) == [(1, -1), (1, 0), (1, 1)]
+    assert level_chains(np.int64(3), np.int64(1)).tolist() == level_chains(3, 1).tolist() == [[1, -1], [1, 0], [1, 1]]
 
 
 def test_json_form():
@@ -196,3 +213,17 @@ def test_json_form():
     obj = bm.to_json_obj()
     assert obj == [[0, 0], [1, -1], [1, 0], [1, 1]]
     json.dumps(obj)
+
+
+def test_enumeration_stores_no_tuples():
+    # D=4 cutoff 61 (n = 81,375): one uncached enumeration peaks below three label matrices (about 3.8 MiB
+    # traced against 1.9 MiB of labels); building the chains as tuples first peaked at 10.9 MiB
+    n = dimension(4, 61)
+    tracemalloc.start()
+    try:
+        basis = _enumerate.__wrapped__(4, 61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == n == 81375
+    assert peak < 3 * basis.labels.nbytes, peak

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyd.basis import FuzzyConfig, iter_chains
+from fuzzyd.basis import FuzzyConfig, enumerate_chains
 from fuzzyd.coefficients import centrifugal_coeff, ladder_coeffs, radial_weight, reduced_element, updown_weights
 
 from coefficients_oracle import cascade_coeffs, updown_weights_recursive
@@ -153,7 +153,7 @@ def test_updown_weights():
 
 def test_updown_recursion_matches_closed_form():
     for D in (3, 4, 5):
-        for chain in iter_chains(D, 4):
+        for chain in enumerate_chains(D, 4).chains:
             up, down = updown_weights_recursive(chain, D - 1)
             cu, cd = updown_weights(chain[0], D - 1)
             assert abs(up - float(cu)) <= 1e-13

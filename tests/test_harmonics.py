@@ -103,8 +103,8 @@ def _harmonic_dimension(D, l):
 
 def _vector(D, degree, chain):
     """The exact vector of `chain` as {exponent tuple: re + i im}; its Gaussian integers are small, so complex holds them exactly."""
-    chains, cols = _exact_chain_vectors(D, degree)
-    re, im = oracle.column_dicts(cols, D, degree)[chains.index(chain)]
+    labels, cols = _exact_chain_vectors(D, degree)
+    re, im = oracle.column_dicts(cols, D, degree)[labels.tolist().index(list(chain))]
     return {a: complex(re.get(a, 0), im.get(a, 0)) for a in set(re) | set(im)}
 
 
@@ -123,13 +123,13 @@ def test_counting_formula_is_the_harmonic_dimension():
 @pytest.mark.parametrize("D", range(3, 8))
 def test_exact_vectors_solve_their_defining_equations(D):
     for degree in range(5):
-        chains, cols = _exact_chain_vectors(D, degree)
-        assert len(chains) == _harmonic_dimension(D, degree)
+        labels, cols = _exact_chain_vectors(D, degree)
+        assert len(labels) == _harmonic_dimension(D, degree)
         # every honest basis fits int64 under the overflow bound, and the cached columns cannot be written
         assert cols.dtype == np.int64 and not cols.flags.writeable
         with pytest.raises(ValueError):
             cols[0, 0] = 0
-        for chain, (re, im) in zip(chains, oracle.column_dicts(cols, D, degree)):
+        for chain, (re, im) in zip(labels.tolist(), oracle.column_dicts(cols, D, degree)):
             assert oracle.exact_failures(re, im, chain, D) == (False, 0)
 
 
@@ -168,14 +168,15 @@ def test_basis_matrix_and_columns_are_read_only():
 def corrupt_basis(monkeypatch):
     """Install `corrupt(D, degree, chains, cols) -> (chains, cols)` over the exact columns; the basis cache is emptied at each install.
 
-    `chains` is a list and `cols` a writable copy of the [re | im] columns.
+    `chains` is a list of tuples and `cols` a writable copy of the [re | im] columns.
     """
     real = harmonics._exact_chain_vectors
 
     def install(corrupt):
         def corrupted(D, degree):
-            chains, cols = real(D, degree)
-            return corrupt(D, degree, list(chains), cols.copy())
+            labels, cols = real(D, degree)
+            chains, cols = corrupt(D, degree, list(map(tuple, labels.tolist())), cols.copy())
+            return np.array(chains, dtype=np.int64).reshape(len(chains), D - 1), cols
 
         monkeypatch.setattr(harmonics, "_exact_chain_vectors", corrupted)
         harmonics.harmonic_basis.cache_clear()
@@ -190,8 +191,8 @@ def _failed(report):
 
 
 def _pair(chains, chain):
-    """The columns [re, im] of `chain`."""
-    c = chains.index(chain)
+    """The columns [re, im] of `chain` among `chains`, tuples or label rows."""
+    c = list(map(tuple, chains)).index(chain)
     return [c, len(chains) + c]
 
 
@@ -291,10 +292,10 @@ def test_integer_tower_matches_the_rational_oracle(D):
         chains, cols = _exact_chain_vectors(D, degree)
         re, im = np.hsplit(cols, 2)
         sums = np.hstack([re[:, :-1] + re[:, 1:], im[:, :-1] + im[:, 1:]])
-        for vecs, labels in [(cols, chains), (cols, chains[1:] + chains[:1]), (sums, chains[:-1])]:
+        for vecs, labels in [(cols, chains), (cols, np.roll(chains, -1, axis=0)), (sums, chains[:-1])]:
             lap, tower = _exact_failures(vecs, labels, D, degree)
             parts = oracle.column_dicts(vecs, D, degree)
-            expected = [oracle.exact_failures(r, i, c, D) for (r, i), c in zip(parts, labels)]
+            expected = [oracle.exact_failures(r, i, c, D) for (r, i), c in zip(parts, labels.tolist())]
             assert [(bool(a), int(b)) for a, b in zip(lap, tower)] == expected
 
 
